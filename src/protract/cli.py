@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -35,7 +37,7 @@ from .projective import (
     einstein_deviation,
     gradient_upsilon,
 )
-from .tensor import TensorField, tensor_product
+from .tensor import TensorField, max_magnitude, max_residual
 from .tractor import (
     CotractorSection,
     S2CotractorSection,
@@ -252,11 +254,10 @@ def _eval_points(spec: GeometrySpec, seed=None, count=None) -> list:
     return ok
 
 
-def _max_at(fieldlike, pts) -> float:
-    worst = 0.0
-    for p in pts:
-        worst = max(worst, float(fieldlike.at(p).max_abs()))
-    return worst
+def _unless_nonfinite(residual, *evidence) -> float:
+    """The residual of a check chosen by a branch on evidence; NaN when
+    any evidence is not finite, so a decision made on it cannot pass."""
+    return residual if all(map(math.isfinite, evidence)) else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +323,10 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
     rng = random.Random(seed ^ 0xD0A1)
     pts = _eval_points(spec, seed=seed, count=10)
     threshold = tol if tol is not None else 1e-10
-    for label, make_u, make_v, nab_u, nab_v, pairing in (
-        ("tractor", _rand_tractor, _rand_cotractor,
-         tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
-        ("s2", _rand_s2tractor, _rand_s2cotractor,
-         metrisability_prolong_nabla, s2_dual_nabla,
-         s2_cotractor_dual_pairing),
-    ):
-        worst = 0.0
-        samples = 0
-        while samples < 200:
+
+    def samples(make_u, make_v, nab_u, nab_v, pairing):
+        """Leibniz-rule residuals of random section pairs, one per point."""
+        while True:
             u = make_u(rng, n)
             v = make_v(rng, n)
             fu = nab_u(geom, u)
@@ -340,13 +335,18 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
             for a in range(n):
                 resid = diff(pair, a) - pairing(fu[a], v) - pairing(u, fv[a])
                 for p in pts:
-                    worst = max(worst, abs(float(evaluate(resid, p))))
-                    samples += 1
-                    if samples >= 200:
-                        break
-                if samples >= 200:
-                    break
-        report.add("duality_%s" % label, worst, threshold)
+                    yield evaluate(resid, p)
+
+    for label, *bundle_pair in (
+        ("tractor", _rand_tractor, _rand_cotractor,
+         tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
+        ("s2", _rand_s2tractor, _rand_s2cotractor,
+         metrisability_prolong_nabla, s2_dual_nabla,
+         s2_cotractor_dual_pairing),
+    ):
+        report.add("duality_%s" % label,
+                   max_magnitude(itertools.islice(samples(*bundle_pair), 200)),
+                   threshold)
     report.metrics["duality_samples"] = 200
 
 
@@ -373,42 +373,39 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
     geom = spec.geom
     n = spec.dim
     pts = _eval_points(spec)
-    dev = _max_at(einstein_deviation(geom), pts)
-    vec, scal = metrisability_obstruction(geom, geom.metric_inverse())
-    obs = max(_max_at(vec, pts), _max_at(scal, pts))
+    dev = float(max_residual([einstein_deviation(geom)], pts))
+    obs = float(max_residual(
+        metrisability_obstruction(geom, geom.metric_inverse()), pts))
     small = tol if tol is not None else 1e-8
-    is_einstein = dev < small
     report.metrics["einstein_deviation_max"] = dev
     report.metrics["obstruction_max"] = obs
     report.metrics["connections_differ"] = bool(obs >= small)
-    if is_einstein:
+    if dev < small:
         report.add("obstruction_vanishes", obs, small)
     else:
         # iff-theorem, contrapositive side: deviation big forces a
         # clearly nonzero obstruction
         report.add("obstruction_detects_non_einstein",
-                   1e-3 / obs if obs > 0 else float("inf"), 1.0)
+                   _unless_nonfinite(1e-3 / obs if obs > 0 else math.inf,
+                                     dev, obs), 1.0)
 
     rng = random.Random(seed ^ 0x315)
-    worst = 0.0
-    for _ in range(10):
-        s = _rand_s2tractor(rng, n)
-        direct = s2_tractor_nabla(geom, s)
-        prolong = metrisability_prolong_nabla(geom, s)
-        ob_vec, ob_scal = metrisability_obstruction(geom, s.t)
-        for a in range(n):
-            dnu = direct[a].nu - prolong[a].nu
-            drho = direct[a].rho - prolong[a].rho
-            dt = direct[a].t - prolong[a].t
-            gap_nu = TensorField(n, 1, 0,
-                                 [dnu[c] - ob_vec[c, a] for c in range(n)])
-            gap_rho = TensorField(n, 0, 0,
-                                  [drho.components[0] - ob_scal[a]])
-            for p in pts[:3]:
-                worst = max(worst, float(dt.at(p).max_abs()))
-                worst = max(worst, float(gap_nu.at(p).max_abs()))
-                worst = max(worst, float(gap_rho.at(p).max_abs()))
-    report.add("obstruction_identity", worst, 1e-12)
+
+    def gaps():
+        for _ in range(10):
+            s = _rand_s2tractor(rng, n)
+            direct = s2_tractor_nabla(geom, s)
+            prolong = metrisability_prolong_nabla(geom, s)
+            ob_vec, ob_scal = metrisability_obstruction(geom, s.t)
+            for a in range(n):
+                dnu = direct[a].nu - prolong[a].nu
+                drho = direct[a].rho - prolong[a].rho
+                yield direct[a].t - prolong[a].t
+                yield TensorField(n, 1, 0,
+                                  [dnu[c] - ob_vec[c, a] for c in range(n)])
+                yield TensorField(n, 0, 0, [drho.components[0] - ob_scal[a]])
+
+    report.add("obstruction_identity", max_residual(gaps(), pts[:3]), 1e-12)
 
 
 def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
@@ -416,12 +413,8 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
     geom = spec.geom
     pts = _eval_points(spec)
     lift = metric_lift(geom)
-    fam = metrisability_prolong_nabla(geom, lift)
-    worst = 0.0
-    for p in pts:
-        for member in fam:
-            worst = max(worst, float(member.max_abs_at(p)))
-    report.add("metric_lift_parallel", worst,
+    report.add("metric_lift_parallel",
+               max_residual(metrisability_prolong_nabla(geom, lift), pts),
                tol if tol is not None else 1e-7)
     bundle = s2_tractor_bundle(geom)
     res = solution_correspondence(bundle, lift, pts[:5])
@@ -433,13 +426,9 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
     s = _rand_s2tractor(rng, spec.dim)
     direct = s2_tractor_nabla(geom, s)
     expanded = s2_tractor_nabla_expanded(geom, s)
-    gap = 0.0
-    for a in range(spec.dim):
-        for (_, f1), (_, f2) in zip(direct[a].slots(), expanded[a].slots()):
-            diff_field = f1 - f2
-            for p in pts[:3]:
-                gap = max(gap, float(diff_field.at(p).max_abs()))
-    report.add("expansion_matches_direct", gap, 1e-12)
+    report.add("expansion_matches_direct",
+               max_residual((d - e for d, e in zip(direct, expanded)),
+                            pts[:3]), 1e-12)
 
 
 def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
@@ -458,20 +447,18 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
             if curv_variant == "tractor" \
             else _rand_cotractor(random.Random(seed), spec.dim)
         grid = tractor_curvature(geom, probe)
-        curv = 0.0
-        for row in grid:
-            for member in row:
-                for p in pts[:4]:
-                    curv = max(curv, float(member.max_abs_at(p)))
-        flat_bundle = curv < 1e-10
+        curv = float(max_residual(
+            (member for row in grid for member in row), pts[:4]))
         report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
         report.metrics["%s_curvature_max" % label] = curv
-        if flat_bundle:
-            report.add("%s_dim_attains_rank" % label,
-                       abs(rep.fixed_dim - bundle.rank), 0.5)
+        if curv < 1e-10:
+            name = "%s_dim_attains_rank"
+            resid = abs(rep.fixed_dim - bundle.rank)
         else:
-            report.add("%s_dim_below_rank" % label,
-                       0.0 if rep.fixed_dim < bundle.rank else 1.0, 0.5)
+            name = "%s_dim_below_rank"
+            resid = 0.0 if rep.fixed_dim < bundle.rank else 1.0
+        report.add(name % label,
+                   _unless_nonfinite(resid, curv, *rep.singular_values), 0.5)
     mb = s2_tractor_bundle(geom)
     mrep = holonomy_dimension(mb, loops, steps=steps, seed=seed,
                               sv_tol=sv_tol)
@@ -479,23 +466,26 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     report.metrics["metrisability_rank"] = mb.rank
     report.metrics["holonomy_singular_values"] = mrep.singular_values
     report.add("metrisability_dim_within_rank",
-               0.0 if mrep.fixed_dim <= mb.rank else 1.0, 0.5)
+               _unless_nonfinite(0.0 if mrep.fixed_dim <= mb.rank else 1.0,
+                                 *mrep.singular_values), 0.5)
 
 
 def _suite_bianchi(spec: GeometrySpec, report: Report, seed: int,
                    tol: float | None):
-    geom = spec.geom
     pts = _eval_points(spec)
-    pack = derive_pack(geom)
-    conn = geom.connection()
+    _add_bianchi_checks(spec, report, derive_pack(spec.geom), pts, tol)
+
+
+def _add_bianchi_checks(spec: GeometrySpec, report: Report, pack, pts,
+                        tol: float | None):
+    conn = spec.geom.connection()
     out = verify_bianchi(pack, conn, pts)
     exact = spec.mode == "rational"
     report.add("bianchi_first", out["first"],
                tol if tol is not None else (1e-30 if exact else 1e-10))
     report.add("bianchi_second", out["second"],
                tol if tol is not None else 1e-7)
-    rel = cotton_weyl_relation(pack, conn, pts)
-    report.add("cotton_weyl_relation", rel,
+    report.add("cotton_weyl_relation", cotton_weyl_relation(pack, conn, pts),
                tol if tol is not None else 1e-7)
 
 
@@ -533,7 +523,6 @@ def cmd_curvature(spec: GeometrySpec, point, tol: float | None,
                   seed: int | None) -> Report:
     report = Report("curvature", spec.digest)
     pack = derive_pack(spec.geom)
-    conn = spec.geom.connection()
     pts = _eval_points(spec, seed=seed)
     show = [point] if point is not None else pts[:1]
     values = {}
@@ -544,14 +533,7 @@ def cmd_curvature(spec: GeometrySpec, point, tol: float | None,
         values[name] = _value_json(fieldlike.at(show[0]))
     report.metrics["values_at"] = [float(c) for c in show[0]]
     report.metrics["values"] = values
-    out = verify_bianchi(pack, conn, pts)
-    exact = spec.mode == "rational"
-    report.add("bianchi_first", out["first"],
-               tol if tol is not None else (1e-30 if exact else 1e-10))
-    report.add("bianchi_second", out["second"],
-               tol if tol is not None else 1e-7)
-    report.add("cotton_weyl_relation", cotton_weyl_relation(pack, conn, pts),
-               tol if tol is not None else 1e-7)
+    _add_bianchi_checks(spec, report, pack, pts, tol)
     return report
 
 
@@ -636,13 +618,14 @@ def cmd_transport(spec: GeometrySpec, bundle_name: str, curve_text,
     # On charts where transport is polynomially exact both errors sit at
     # round-off and the Richardson quotient is noise, not an order.
     if e2 > 1e-13 and e1 > 1e-13:
-        import math
         order = math.log2(e1 / e2)
     else:
         order = 4.0
+    order = _unless_nonfinite(order, e1, e2)
     # One-sided: flat-chart bundles with nilpotent coefficients can
     # superconverge (observed order 5); only a deficit is a failure.
-    report.add("rk4_order", max(0.0, 4.0 - order), 0.3)
+    report.add("rk4_order", _unless_nonfinite(max(0.0, 4.0 - order), order),
+               0.3)
     report.metrics["observed_order"] = order
     report.metrics["steps"] = steps
     report.metrics["bundle"] = bundle_name

@@ -9,6 +9,7 @@ convention cannot drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from .tensor import (
     contract,
     is_symmetric_pair,
     matrix_inverse_exprs,
+    max_magnitude,
+    max_residual,
     symmetrize,
 )
 
@@ -89,7 +92,8 @@ class ChartGeometry:
         """Raise SingularMetricError when det g is negligible at the point.
 
         The threshold is relative: 1e-12 times the Hadamard row bound of
-        the evaluated metric (or exact zero in rational mode).
+        the evaluated metric (or exact zero in rational mode). A
+        non-finite determinant or metric entry counts as singular.
         """
         det = self.metric_determinant()
         g_pt = self.metric.at(point)
@@ -102,9 +106,9 @@ class ChartGeometry:
             return
         bound = 1.0
         for i in range(self.dim):
-            row = max(abs(float(g_pt[i, j])) for j in range(self.dim))
-            bound *= row
-        if abs(d) < 1e-12 * max(1.0, bound):
+            bound *= max_magnitude(g_pt[i, j] for j in range(self.dim))
+        if not (math.isfinite(d) and math.isfinite(bound)) \
+                or abs(d) < 1e-12 * max(1.0, bound):
             raise SingularMetricError("metric is singular at the point")
 
     def connection(self) -> AffineConnection:
@@ -289,10 +293,6 @@ def torsion(conn: AffineConnection) -> TensorField:
     return TensorField(n, 1, 2, comps)
 
 
-def _max_abs(field_pt) -> float:
-    return max((abs(c) for c in field_pt.components), default=0)
-
-
 def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
     """Max-abs residuals of both curvature cycle identities over points.
 
@@ -321,12 +321,8 @@ def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
     second_field = TensorField(n, 1, 4, second)
 
     pts = list(points)
-    worst1 = 0
-    worst2 = 0
-    for pt in pts:
-        worst1 = max(worst1, _max_abs(first_field.at(pt)))
-        worst2 = max(worst2, _max_abs(second_field.at(pt)))
-    return {"first": worst1, "second": worst2, "points": len(pts)}
+    return {"first": max_residual([first_field], pts),
+            "second": max_residual([second_field], pts), "points": len(pts)}
 
 
 def cotton_weyl_relation(pack: CurvaturePack, conn: AffineConnection,
@@ -350,8 +346,4 @@ def cotton_weyl_relation(pack: CurvaturePack, conn: AffineConnection,
                 for c in range(n):
                     div = div + dW[c, c, a, b, d]
                 comps.append(val - div)
-    field = TensorField(n, 0, 3, comps)
-    worst = 0
-    for pt in points:
-        worst = max(worst, _max_abs(field.at(pt)))
-    return worst
+    return max_residual([TensorField(n, 0, 3, comps)], list(points))

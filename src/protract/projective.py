@@ -23,7 +23,7 @@ from .geometry import (
     connection_pack,
     levi_civita,
 )
-from .tensor import TensorField
+from .tensor import TensorField, max_residual
 
 __all__ = [
     "Upsilon", "gradient_upsilon", "projective_change",
@@ -111,15 +111,10 @@ def check_weyl_cotton_invariance(geom: ChartGeometry, ups: Upsilon,
                 shifted.append(dcotton[a, b, c] - shift)
     dcotton_pair = TensorField(n, 0, 3, shifted)
     pts = list(points)
-    worst_w = 0
-    worst_c = 0
-    worst_pair = 0
-    for pt in pts:
-        worst_w = max(worst_w, dweyl.at(pt).max_abs())
-        worst_c = max(worst_c, dcotton.at(pt).max_abs())
-        worst_pair = max(worst_pair, dcotton_pair.at(pt).max_abs())
-    return {"weyl": worst_w, "cotton": worst_c,
-            "cotton_pair": worst_pair, "points": len(pts)}
+    return {"weyl": max_residual([dweyl], pts),
+            "cotton": max_residual([dcotton], pts),
+            "cotton_pair": max_residual([dcotton_pair], pts),
+            "points": len(pts)}
 
 
 def einstein_deviation(geom: ChartGeometry) -> TensorField:

@@ -26,6 +26,7 @@ __all__ = [
     "sym_trace_coefficient", "skew_trace_coefficient",
     "matrix_inverse_exprs", "fraction_matrix_inverse",
     "zero_field", "is_symmetric_pair", "is_skew_pair",
+    "max_magnitude", "max_residual",
 ]
 
 
@@ -119,8 +120,8 @@ class TensorField(Tensor):
 class PointTensor(Tensor):
     """Same shape as TensorField with numeric components at one point."""
 
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.components), default=0)
+    def max_abs(self):
+        return max_magnitude(self.components)
 
     def to_json(self) -> dict:
         comps = []
@@ -139,6 +140,33 @@ class PointTensor(Tensor):
         for c in data["components"]:
             comps.append(Fraction(c) if isinstance(c, str) else c)
         return cls(data["dim"], p, q, comps)
+
+
+def max_magnitude(values):
+    """Largest absolute value: the one fold behind every check residual.
+
+    NaN if any value is NaN, else inf if any is infinite, so a non-finite
+    residual fails its threshold; else the exact maximum (ints and
+    Fractions stay exact), and 0 when there are no values.
+    """
+    worst = 0
+    for v in values:
+        a = abs(v)
+        if a != a:   # NaN; math.isnan would overflow on a huge Fraction
+            return a
+        if a > worst:
+            worst = a
+    return worst
+
+
+def max_residual(fields, points):
+    """max_magnitude of every component of the TensorFields and tractor
+    sections in fields, over a sequence of points."""
+    tensors = (t for f in fields
+               for t in ([f] if isinstance(f, TensorField)
+                         else [g for _, g in f.slots()]))
+    return max_magnitude(c for t in tensors for p in points
+                         for c in t.at(p).components)
 
 
 def zero_field(dim: int, p: int, q: int) -> TensorField:

@@ -37,6 +37,7 @@ from .tensor import (
     TensorField,
     is_skew_pair,
     is_symmetric_pair,
+    max_residual,
 )
 
 __all__ = [
@@ -130,8 +131,8 @@ class Section:
     def point_json(self, point, mode: str | None = None) -> dict:
         return {name: pt.to_json() for name, pt in self.at(point, mode).items()}
 
-    def max_abs_at(self, point, mode: str | None = None) -> float:
-        return max(f.at(point, mode).max_abs() for _, f in self.slots())
+    def max_abs_at(self, point):
+        return max_residual([self], [point])
 
     def __repr__(self):
         names = ",".join(name for name, _ in type(self).SLOT_SPEC)
@@ -589,9 +590,8 @@ def _require_flat(conn: AffineConnection):
     pts = _probe_points(conn.dim, 3)
     if not rational:
         pts = [[float(x) for x in p] for p in pts]
-    for pt in pts:
-        if R.at(pt).max_abs() > 1e-12:
-            raise GeometryError("connection is not flat")
+    if not max_residual([R], pts) <= 1e-12:
+        raise GeometryError("connection is not flat")
 
 
 def _rational(e: Expr) -> bool:

@@ -23,7 +23,14 @@ from .expr import Expr, ZERO, as_expr, const, cos, diff, sin, var
 from .geometry import AffineConnection, ChartGeometry, covariant_derivative
 from .kernel import eval_table
 from .program import compile_table
-from .tensor import PointTensor, TensorField, trace_free_skew, trace_free_sym
+from .tensor import (
+    PointTensor,
+    TensorField,
+    max_magnitude,
+    max_residual,
+    trace_free_skew,
+    trace_free_sym,
+)
 from .tractor import (
     CotractorSection,
     S2CotractorSection,
@@ -507,13 +514,13 @@ def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
             T = _segment_matrix(bundle, seg, conn_steps)
             hol = np.linalg.solve(T, hol @ T)
         mats.append(hol)
-    eye = np.eye(bundle.rank)
-    stacked = np.vstack([m - eye for m in mats])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    full = np.zeros(bundle.rank)
-    full[:len(sv)] = sv
-    fixed = int(np.sum(full < sv_tol))
-    return HolonomyReport(bundle.rank, mats, full.tolist(), fixed, seed)
+    stacked = np.vstack([m - np.eye(bundle.rank) for m in mats])
+    # No rank can be read off a non-finite holonomy (svd would raise);
+    # NaN singular values let the caller fail the check they decide.
+    sv = np.linalg.svd(stacked, compute_uv=False) \
+        if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
+    fixed = int(np.sum(sv < sv_tol))
+    return HolonomyReport(bundle.rank, mats, sv.tolist(), fixed, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +579,17 @@ def solution_correspondence(bundle: TransportBundle, section: Section,
     """Max-abs residual of the source PDE for a parallel section.
 
     Raises NotParallelError when the connection applied to the section
-    exceeds parallel_tol at any sample point.
+    exceeds parallel_tol at any sample point, and returns NaN when that
+    parallel residual is NaN.
     """
     pts = list(points)
-    family = bundle.nabla(bundle.context, section)
-    worst_parallel = 0.0
-    for pt in pts:
-        for member in family:
-            worst_parallel = max(worst_parallel,
-                                 float(member.max_abs_at(pt)))
-    if worst_parallel > parallel_tol:
+    parallel = max_residual(bundle.nabla(bundle.context, section), pts)
+    if parallel > parallel_tol:
         raise NotParallelError(
-            "section is not parallel: residual %.3e" % worst_parallel)
-    res = _pde_residual_field(bundle, section)
-    worst = 0.0
-    for pt in pts:
-        worst = max(worst, float(res.at(pt).max_abs()))
-    return worst
+            "section is not parallel: residual %.3e" % parallel)
+    if parallel != parallel:
+        return parallel   # NaN: not shown parallel, so no residual passes
+    return max_residual([_pde_residual_field(bundle, section)], pts)
 
 
 def transported_sampler(bundle: TransportBundle, base_point, initial_vec,
@@ -628,7 +629,7 @@ def sampled_pde_residual(bundle: TransportBundle, sampler: Callable,
     cls = bundle.section_cls
     lead = cls.SLOT_SPEC[0][0]
     p, q = cls.SLOT_SPEC[0][1]
-    worst = 0.0
+    values = []
     for pt in points:
         centre = bundle.unflatten_point(sampler(pt))[lead]
         grads = []
@@ -653,7 +654,7 @@ def sampled_pde_residual(bundle: TransportBundle, sampler: Callable,
             U = PointTensor(n, 2, 1, comps)
             tf = trace_free_sym(U) if cls is S2TractorSection \
                 else trace_free_skew(U)
-            worst = max(worst, tf.max_abs())
+            values.extend(tf.components)
         elif cls is TractorSection:
             comps = []
             for c in range(n):
@@ -662,8 +663,8 @@ def sampled_pde_residual(bundle: TransportBundle, sampler: Callable,
                     for d in range(n):
                         val += float(gpt[c, a, d]) * float(centre[d])
                     comps.append(val)
-            worst = max(worst, _tf_11(PointTensor(n, 1, 1, comps)).max_abs())
+            values.extend(_tf_11(PointTensor(n, 1, 1, comps)).components)
         else:
             raise TransportError(
                 "sampled residual covers the prolongation bundles only")
-    return worst
+    return max_magnitude(values)

@@ -5,16 +5,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from protract.expr import Expr, parse
-from protract.tensor import TensorField
-from protract.geometry import ChartGeometry
-from protract.tractor import (
-    CotractorSection,
-    S2CotractorSection,
-    S2TractorSection,
-    SkewTractorSection,
-    TractorSection,
+from protract.cli import (
+    _rand_cotractor as cotractor_section,
+    _rand_field as poly_field,
+    _rand_poly as poly,
+    _rand_s2cotractor as s2_cotractor_section,
+    _rand_s2tractor as s2_tractor_section,
+    _rand_tractor as tractor_section,
 )
+from protract.expr import parse
+from protract.geometry import ChartGeometry
+from protract.tensor import TensorField
+from protract.tractor import SkewTractorSection
 
 
 def rng_for(seed: int) -> random.Random:
@@ -36,32 +38,6 @@ def float_points(rng: random.Random, dim: int, count: int,
     return [[rng.uniform(lo, hi) for _ in range(dim)] for _ in range(count)]
 
 
-def poly(rng: random.Random, dim: int, terms: int = 3) -> Expr:
-    names = ["1"] + ["x%d" % i for i in range(dim)]
-    parts = []
-    for _ in range(terms):
-        c = rng.randint(-4, 4)
-        if c:
-            parts.append("%d/4*%s*%s"
-                         % (c, rng.choice(names), rng.choice(names)))
-    return parse("+".join(parts) if parts else "0", dim)
-
-
-def poly_field(rng: random.Random, dim: int, p: int, q: int,
-               sym: str | None = None) -> TensorField:
-    comps = [poly(rng, dim) for _ in range(dim ** (p + q))]
-    if sym and p + q == 2:
-        for b in range(dim):
-            comps[b * dim + b] = comps[b * dim + b] if sym == "sym" \
-                else parse("0", dim)
-            for c in range(b + 1, dim):
-                if sym == "sym":
-                    comps[c * dim + b] = comps[b * dim + c]
-                else:
-                    comps[c * dim + b] = parse("0", dim) - comps[b * dim + c]
-    return TensorField(dim, p, q, comps)
-
-
 def random_metric(rng: random.Random, dim: int) -> ChartGeometry:
     """Diagonally dominant polynomial metric, invertible on the box."""
     rows = [["0"] * dim for _ in range(dim)]
@@ -75,28 +51,6 @@ def random_metric(rng: random.Random, dim: int) -> ChartGeometry:
     entries = [parse(rows[i][j], dim) for i in range(dim)
                for j in range(dim)]
     return ChartGeometry(TensorField(dim, 0, 2, entries))
-
-
-def tractor_section(rng, dim) -> TractorSection:
-    return TractorSection(poly_field(rng, dim, 1, 0), poly(rng, dim),
-                          validate=False)
-
-
-def cotractor_section(rng, dim) -> CotractorSection:
-    return CotractorSection(poly(rng, dim), poly_field(rng, dim, 0, 1),
-                            validate=False)
-
-
-def s2_tractor_section(rng, dim) -> S2TractorSection:
-    return S2TractorSection(poly_field(rng, dim, 2, 0, "sym"),
-                            poly_field(rng, dim, 1, 0), poly(rng, dim),
-                            validate=False)
-
-
-def s2_cotractor_section(rng, dim) -> S2CotractorSection:
-    return S2CotractorSection(poly_field(rng, dim, 0, 2, "sym"),
-                              poly_field(rng, dim, 0, 1), poly(rng, dim),
-                              validate=False)
 
 
 def skew_section(rng, dim) -> SkewTractorSection:

@@ -6,12 +6,16 @@ errors (unknown suite, unknown bundle) raise SystemExit(2) instead.
 """
 
 import contextlib
+import importlib
 import io
 import json
+import math
 
 import pytest
 
+from protract import expr, kernel
 from protract.cli import main
+from protract.geometry import ChartGeometry
 
 
 def run_cli(argv, json_path=None):
@@ -362,3 +366,83 @@ class TestCurvatureCommand:
              "--json", str(path)], json_path=path)
         assert rc == 0
         assert all(v == 0.0 for v in report["metrics"]["values"]["riemann"])
+
+
+@pytest.fixture
+def inject_nan(monkeypatch):
+    """inject_nan(index): NaN into one slot of every float evaluation.
+
+    Every kernel table evaluation gets NaN written at component index,
+    and every duality sample (a tree-walker evaluate call) whose position
+    in its run of 200 is index. Screening sample points through
+    check_invertible_at stays clean, so the suites still find points to
+    evaluate their residuals at.
+    """
+    def install(index):
+        real_table, real_evaluate = kernel.eval_table, expr.evaluate
+        real_screen = ChartGeometry.check_invertible_at
+        state = {"on": True, "calls": 0}
+
+        def eval_table(table, point, *args, **kwargs):
+            out = real_table(table, point, *args, **kwargs)
+            if state["on"]:
+                out[index] = math.nan
+            return out
+
+        def evaluate(e, point, *args, **kwargs):
+            value = real_evaluate(e, point, *args, **kwargs)
+            position = state["calls"] % 200
+            state["calls"] += 1
+            return math.nan if position == index % 200 else value
+
+        def screen(self, point):
+            state["on"] = False
+            try:
+                return real_screen(self, point)
+            finally:
+                state["on"] = True
+
+        monkeypatch.setattr(kernel, "eval_table", eval_table)
+        # the package exports a function named transport over the module
+        monkeypatch.setattr(importlib.import_module("protract.transport"),
+                            "eval_table", eval_table)
+        monkeypatch.setattr(expr, "evaluate", evaluate)
+        monkeypatch.setattr(ChartGeometry, "check_invertible_at", screen)
+    return install
+
+
+class TestNonFiniteResiduals:
+    """A NaN anywhere in a residual fails its check: it never vanishes
+    into a max fold or a branch decision."""
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("suite", ["duality", "invariance", "einstein",
+                                       "prolong", "holonomy", "bianchi"])
+    def test_every_suite_fails(self, tmp_path, inject_nan, suite, index):
+        inject_nan(index)
+        path = tmp_path / "r.json"
+        rc, out, err, report = run_cli(
+            ["check", "--spec", "sphere2", "--suite", suite, "--steps", "20",
+             "--json", str(path)], json_path=path)
+        assert rc == 1, out
+        assert err == ""
+        assert report["status"] == "fail"
+        assert report["checks"]
+        for check in report["checks"]:
+            assert not check["pass"] and math.isnan(check["residual"]), check
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    def test_transport_fails_with_nan_order_residual(self, tmp_path,
+                                                     inject_nan, index):
+        inject_nan(index)
+        path = tmp_path / "r.json"
+        rc, out, _, report = run_cli(
+            ["transport", "tractor", "circle:0.2,0.1,0.55", "--spec",
+             "sphere2", "--steps", "16", "--json", str(path)],
+            json_path=path)
+        assert rc == 1, out
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert math.isnan(by_name["rk4_order"]["residual"])
+        assert math.isnan(report["metrics"]["observed_order"])
+        assert not by_name["rk4_order"]["pass"]
+        assert not by_name["reverse_transport"]["pass"]

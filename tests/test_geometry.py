@@ -102,6 +102,16 @@ class TestLeviCivita:
             geom.check_invertible_at((Fraction(0), Fraction(1)))
         geom.check_invertible_at((Fraction(1), Fraction(1)))
 
+    @pytest.mark.parametrize("x0", [float("nan"), float("inf")])
+    def test_nonfinite_metric_is_singular(self, x0):
+        g = TensorField(2, 0, 2, [parse("1 + x0^2", 2), parse("0", 2),
+                                  parse("0", 2), parse("1", 2)])
+        geom = ChartGeometry(g)
+        with pytest.raises(SingularMetricError):
+            geom.check_invertible_at((x0, 0.5))
+        assert not invertible(geom, (x0, 0.5))
+        geom.check_invertible_at((0.5, 0.5))
+
     def test_asymmetric_metric_rejected(self):
         comps = [parse(s, 2) for s in ("1", "x0", "0", "1")]
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Multi-index arrays: products, contractions, projectors."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from protract.tensor import (
     is_symmetric_pair,
     kronecker_delta,
     lower_index,
+    max_magnitude,
+    max_residual,
     raise_index,
     skew_trace_coefficient,
     sym_trace_coefficient,
@@ -307,6 +310,46 @@ class TestZeroField:
         pt = z.at([Fraction(1), Fraction(2), Fraction(3)])
         assert all(c == 0 for c in pt.components)
         assert pt.max_abs() == 0
+
+
+class TestMaxMagnitude:
+    @pytest.mark.parametrize("values", [
+        [1.0, math.nan], [math.nan, 1.0], [math.inf, math.nan],
+        [math.nan, -math.inf], [Fraction(10 ** 400), math.nan]])
+    def test_nan_wins(self, values):
+        assert math.isnan(max_magnitude(values))
+        assert math.isnan(PointTensor(2, 1, 0, values).max_abs())
+
+    @pytest.mark.parametrize("values", [
+        [1.0, math.inf], [-math.inf, 2.0], [Fraction(10 ** 400), -math.inf]])
+    def test_inf_without_nan_gives_inf(self, values):
+        assert max_magnitude(values) == math.inf
+        assert PointTensor(2, 1, 0, values).max_abs() == math.inf
+
+    def test_exact_values_stay_exact(self):
+        got = max_magnitude([Fraction(1, 3), Fraction(-3, 7), 0])
+        assert got == Fraction(3, 7) and isinstance(got, Fraction)
+        huge = Fraction(10 ** 400, 3)
+        assert max_magnitude([1, -huge]) == huge
+        assert max_magnitude([-2, 1]) == 2
+
+    def test_nothing_to_fold_gives_zero(self):
+        f = TensorField(2, 0, 1, [parse("x0", 2), parse("x1", 2)])
+        assert max_magnitude([]) == 0
+        assert max_residual([f], []) == 0
+
+    def test_residual_over_fields_sections_and_points(self):
+        from protract.tractor import TractorSection
+        f = TensorField(2, 0, 1, [parse("x0", 2), parse("x1", 2)])
+        s = TractorSection(TensorField(2, 1, 0, [parse("x0*x1", 2),
+                                                 parse("1", 2)]),
+                           parse("-3*x1", 2), validate=False)
+        pts = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2), Fraction(1)]]
+        assert max_residual([f], pts) == 2
+        got = max_residual([f, s], pts)
+        assert got == 3 and isinstance(got, (int, Fraction))
+        assert max_residual([s], [[0.5, math.nan]]) != max_residual(
+            [s], [[0.5, math.nan]])
 
 
 @settings(max_examples=40, deadline=None)
