@@ -522,6 +522,11 @@ def _value_json(pt_tensor) -> list:
 def cmd_curvature(spec: GeometrySpec, point, tol: float | None,
                   seed: int | None) -> Report:
     report = Report("curvature", spec.digest)
+    if point is not None:
+        try:
+            spec.geom.check_invertible_at(point)
+        except (GeometryError, EvalDomainError) as e:
+            raise SpecError("--point: %s" % e) from e
     pack = derive_pack(spec.geom)
     pts = _eval_points(spec, seed=seed)
     show = [point] if point is not None else pts[:1]
@@ -721,6 +726,8 @@ def main(argv=None) -> int:
                 vals = [float(v) for v in args.point.split(",")]
                 if len(vals) != spec.dim:
                     raise SpecError("--point needs %d coordinates" % spec.dim)
+                if not all(map(math.isfinite, vals)):
+                    raise SpecError("--point coordinates must be finite")
                 point = [Fraction(v).limit_denominator(10**6)
                          for v in vals] if spec.mode == "rational" else vals
             report = cmd_curvature(spec, point, args.tol, args.seed)

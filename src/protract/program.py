@@ -1,9 +1,10 @@
 """Compilation of expression DAGs to flat stack-machine tables.
 
-A CompiledTable evaluates a whole family of expressions at one point in
-a single pass. Subtrees shared by identity between entries are computed
-once per evaluation and kept in slots, which matters because curvature
-and connection components share most of their structure.
+A CompiledTable evaluates a whole family of expressions in a single pass
+over its tape (kernel.eval_table runs that pass over a batch of points).
+Subtrees shared by identity between entries are computed once per
+evaluation and kept in slots, which matters because curvature and
+connection components share most of their structure.
 
 Opcodes (one int arg each, unused args are 0):
 
@@ -17,14 +18,13 @@ Opcodes (one int arg each, unused args are 0):
     LOAD s    push slots[s]
     STORE s   slots[s] = top (top stays)
     OUT k     out[k] = top, pop
+    TAKE s    push slots[s] and free slot s (the last LOAD of s)
 
 Float-mode only; exact rational evaluation stays on the AST walker in
 expr.evaluate.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .expr import Add, Call, Const, Expr, Mul, Neg, Pow, Var, _walk_unique, as_expr
 
@@ -40,29 +40,23 @@ OP_EXP = 8
 OP_LOAD = 9
 OP_STORE = 10
 OP_OUT = 11
+OP_TAKE = 12
 
 _CALL_OPS = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP}
 
 
 class CompiledTable:
     __slots__ = ("ops", "args", "consts", "n_out", "n_slots", "stack_need",
-                 "max_var", "_lists")
+                 "max_var")
 
     def __init__(self, ops, args, consts, n_out, n_slots, stack_need, max_var):
-        self.ops = np.asarray(ops, dtype=np.int32)
-        self.args = np.asarray(args, dtype=np.int32)
-        self.consts = np.asarray(consts, dtype=np.float64)
+        self.ops = ops
+        self.args = args
+        self.consts = consts
         self.n_out = n_out
         self.n_slots = n_slots
         self.stack_need = stack_need
         self.max_var = max_var
-        self._lists = None
-
-    def as_lists(self):
-        """Plain-list views for the pure-Python interpreter."""
-        if self._lists is None:
-            self._lists = (self.ops.tolist(), self.args.tolist(), self.consts.tolist())
-        return self._lists
 
     def __len__(self):
         return len(self.ops)
@@ -150,6 +144,14 @@ def compile_table(exprs) -> CompiledTable:
                     slot_of[nid] = slot
                     emit(OP_STORE, slot, 0)
         emit(OP_OUT, k, -1)
+
+    # the last LOAD of each slot frees it, so a batched evaluation keeps
+    # only the slots still to be read alive
+    freed = set()
+    for i in range(len(ops) - 1, -1, -1):
+        if ops[i] == OP_LOAD and args[i] not in freed:
+            freed.add(args[i])
+            ops[i] = OP_TAKE
 
     return CompiledTable(ops, args, consts, len(roots), len(slot_of), peak, max_var)
 

@@ -97,24 +97,30 @@ class TensorField(Tensor):
         """Evaluate every component at one point.
 
         Rational points (int/Fraction coordinates, or mode="rational")
-        go through the exact tree walker; float points go through a
-        compiled stack program cached on first use.
+        go through the exact tree walker; float points are a one-row
+        at_many call.
         """
-        rational_pt = all(isinstance(x, (int, Fraction)) for x in point)
-        if mode == "rational" or (mode is None and rational_pt):
+        if mode == "rational" or (mode is None and _is_rational_point(point)):
             vals = [evaluate(c, point, "rational") for c in self.components]
-            return PointTensor(self.dim, self.p, self.q, vals)
+        else:
+            vals = self.at_many([point])[0].tolist()
+        return PointTensor(self.dim, self.p, self.q, vals)
+
+    def at_many(self, points):
+        """Float values of every component at N points, as an (N,
+        components) array, from one batched run of a compiled table
+        cached on first use."""
         table = self._table
         if table is None:
             from .program import compile_table
             table = compile_table(self.components)
             object.__setattr__(self, "_table", table)
         from .kernel import eval_table
-        pt = [float(x) for x in point]
-        if table.max_var >= len(pt):
-            raise ValueError("point has fewer coordinates than the field uses")
-        out = eval_table(table, pt)
-        return PointTensor(self.dim, self.p, self.q, [float(v) for v in out])
+        return eval_table(table, points)
+
+
+def _is_rational_point(point) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in point)
 
 
 class PointTensor(Tensor):
@@ -161,12 +167,24 @@ def max_magnitude(values):
 
 def max_residual(fields, points):
     """max_magnitude of every component of the TensorFields and tractor
-    sections in fields, over a sequence of points."""
+    sections in fields, over a sequence of points.
+
+    Rational points are evaluated exactly one by one; the float points
+    go to each field in one at_many batch.
+    """
+    exact = [p for p in points if _is_rational_point(p)]
+    floats = [p for p in points if not _is_rational_point(p)]
+
+    def values(t):
+        for p in exact:
+            yield from t.at(p).components
+        if floats:
+            yield from t.at_many(floats).ravel().tolist()
+
     tensors = (t for f in fields
                for t in ([f] if isinstance(f, TensorField)
                          else [g for _, g in f.slots()]))
-    return max_magnitude(c for t in tensors for p in points
-                         for c in t.at(p).components)
+    return max_magnitude(c for t in tensors for c in values(t))
 
 
 def zero_field(dim: int, p: int, q: int) -> TensorField:

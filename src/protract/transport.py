@@ -102,8 +102,13 @@ class CurveSegment:
 
     def sample(self, u: float):
         """Position and velocity arrays at parameter u."""
-        out = eval_table(self._table, [u])
-        return out[:self.dim], out[self.dim:]
+        pos, vel = self.sample_many([u])
+        return pos[0], vel[0]
+
+    def sample_many(self, us):
+        """Position and velocity arrays, (N, dim) each, at N parameters."""
+        out = eval_table(self._table, [[u] for u in us])
+        return out[:, :self.dim], out[:, self.dim:]
 
     def point(self, u: float):
         return self.sample(u)[0]
@@ -353,12 +358,13 @@ class TransportBundle:
                     entries[(a * r + i) * r + j] = col[i]
         self._A_table = compile_table(entries)
 
-    def coefficients_at(self, x) -> np.ndarray:
-        """A stacked (n, rank, rank) array of connection coefficients."""
+    def coefficients_at(self, points) -> np.ndarray:
+        """Connection coefficients at N points, as an (N, n, rank, rank)
+        array: one stack of n coefficient matrices per point."""
         if self._A_table is None:
             self._build_A()
-        flat = eval_table(self._A_table, list(x))
-        return np.asarray(flat).reshape(self.dim, self.rank, self.rank)
+        flat = eval_table(self._A_table, points)
+        return flat.reshape(len(flat), self.dim, self.rank, self.rank)
 
 
 def cotractor_bundle(geom: ChartGeometry) -> TransportBundle:
@@ -397,29 +403,35 @@ def tangent_bundle(geom: ChartGeometry) -> TransportBundle:
 
 def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
                     steps: int) -> np.ndarray:
-    """RK4 propagator for one segment acting on coordinate vectors."""
+    """RK4 propagator for one segment acting on coordinate vectors.
+
+    The curve and the connection coefficients are evaluated once, in
+    one batch, at all 2*steps + 1 RK4 nodes; only the product of the
+    step propagators runs point by point.
+    """
     r = bundle.rank
     u0, u1 = float(seg.u0), float(seg.u1)
     h = (u1 - u0) / steps
     eye = np.eye(r)
 
-    def M(u: float) -> np.ndarray:
-        x, v = seg.sample(u)
-        A = bundle.coefficients_at(x)
-        return -np.tensordot(np.asarray(v), A, axes=1)
-
-    S = eye
-    m_lo = M(u0)
+    # node 2k is the start of step k (the end of step k-1), node 2k+1
+    # its midpoint
+    nodes = [u0]
     for k in range(steps):
         u = u0 + k * h
-        m_mid = M(u + 0.5 * h)
-        m_hi = M(u + h)
-        k1 = m_lo
+        nodes += (u + 0.5 * h, u + h)
+    xs, vs = seg.sample_many(nodes)
+    M = [-np.tensordot(v, A, axes=1)
+         for v, A in zip(vs, bundle.coefficients_at(xs))]
+
+    S = eye
+    for k in range(steps):
+        k1 = M[2 * k]
+        m_mid = M[2 * k + 1]
         k2 = m_mid @ (eye + 0.5 * h * k1)
         k3 = m_mid @ (eye + 0.5 * h * k2)
-        k4 = m_hi @ (eye + h * k3)
+        k4 = M[2 * k + 2] @ (eye + h * k3)
         S = (eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) @ S
-        m_lo = m_hi
     return S
 
 

@@ -359,6 +359,22 @@ class TestCurvatureCommand:
         assert rc == 2
         assert "--point" in err
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("point", ["nan,0.1", "inf,0"])
+    def test_nonfinite_point_rejected(self, point, mode):
+        rc, out, err, _ = run_cli(
+            ["curvature", "--spec", "sphere2", "--mode", mode,
+             "--point", point])
+        assert rc == 2
+        assert "--point" in err and out == ""
+
+    def test_singular_point_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, metric=[["1", "0"], ["0", "x0"]])
+        rc, out, err, _ = run_cli(
+            ["curvature", "--spec", str(spec), "--point", "0,0.5"])
+        assert rc == 2
+        assert "--point" in err and "singular" in err and out == ""
+
     def test_mode_override_accepted(self, tmp_path):
         path = tmp_path / "r.json"
         rc, _, _, report = run_cli(
@@ -372,8 +388,8 @@ class TestCurvatureCommand:
 def inject_nan(monkeypatch):
     """inject_nan(index): NaN into one slot of every float evaluation.
 
-    Every kernel table evaluation gets NaN written at component index,
-    and every duality sample (a tree-walker evaluate call) whose position
+    Every kernel table evaluation gets NaN written at component index
+    of every row (every point of the batch), and every duality sample (a tree-walker evaluate call) whose position
     in its run of 200 is index. Screening sample points through
     check_invertible_at stays clean, so the suites still find points to
     evaluate their residuals at.
@@ -383,10 +399,10 @@ def inject_nan(monkeypatch):
         real_screen = ChartGeometry.check_invertible_at
         state = {"on": True, "calls": 0}
 
-        def eval_table(table, point, *args, **kwargs):
-            out = real_table(table, point, *args, **kwargs)
+        def eval_table(table, points):
+            out = real_table(table, points)
             if state["on"]:
-                out[index] = math.nan
+                out[..., index] = math.nan
             return out
 
         def evaluate(e, point, *args, **kwargs):

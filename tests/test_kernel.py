@@ -1,62 +1,107 @@
-"""Compiled evaluation tables and backend parity."""
+"""Compiled evaluation tables and the batched float kernel."""
 
-from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
 
-from protract.expr import diff, evaluate, parse
-from protract.kernel import BACKEND, available_backends, eval_scalar, eval_table
-from protract.program import compile_table
+from protract.expr import Pow, diff, evaluate, parse
+from protract.kernel import eval_table
+from protract.program import OP_LOAD, OP_TAKE, compile_table
 
 from gen import rng_for
 from test_expr import _random_smooth_expr
 
-BACKENDS = available_backends()
+
+def _bitwise_equal(a, b) -> bool:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool(np.all(
+        (np.isnan(a) & np.isnan(b)) | (a.view(np.uint64) == b.view(np.uint64))))
 
 
-def test_active_backend_is_available():
-    assert BACKEND in BACKENDS
-    assert "python" in BACKENDS
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_table_matches_tree_evaluation(backend):
+def test_table_matches_tree_evaluation():
     rng = rng_for("kernel-parity")
     for _ in range(40):
         dim = rng.randint(1, 4)
         exprs = [_random_smooth_expr(rng, dim, depth=3) for _ in range(rng.randint(1, 6))]
         table = compile_table(exprs)
-        x = [rng.uniform(-0.6, 0.6) for _ in range(dim)]
-        got = eval_table(table, x, backend=backend)
-        want = [evaluate(e, tuple(x)) for e in exprs]
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        points = [[rng.uniform(-0.6, 0.6) for _ in range(dim)]
+                  for _ in range(rng.randint(2, 9))]
+        got = eval_table(table, points)
+        assert got.shape == (len(points), len(exprs))
+        for row, x in zip(got, points):
+            want = [evaluate(e, tuple(x)) for e in exprs]
+            assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend build")
-def test_backends_agree_bitwise_on_rational_tables():
-    rng = rng_for("kernel-cross")
+def test_batch_rows_equal_single_point_calls_bitwise():
+    rng = rng_for("kernel-batch")
+    specials = (0.0, math.nan, math.inf, -math.inf, 1e300, -1e300)
     for _ in range(30):
         dim = rng.randint(1, 3)
         exprs = [_random_smooth_expr(rng, dim, depth=4) for _ in range(4)]
+        exprs.append(Pow(exprs[0], -rng.randint(1, 3)))
         table = compile_table(exprs)
-        x = [rng.uniform(-0.5, 0.5) for _ in range(dim)]
-        outs = [eval_table(table, x, backend=b) for b in BACKENDS]
-        for other in outs[1:]:
-            assert np.allclose(outs[0], other, rtol=1e-14, atol=1e-15)
+        points = [[rng.uniform(-0.5, 0.5) for _ in range(dim)] for _ in range(6)]
+        points += [[rng.choice(specials) for _ in range(dim)] for _ in range(4)]
+        batch = eval_table(table, points)
+        for row, x in zip(batch, points):
+            assert _bitwise_equal(row, eval_table(table, [x])[0])
 
 
-def test_eval_scalar():
-    table = compile_table([parse("x0^2 + x1", 2)])
-    assert eval_scalar(table, [2.0, 1.0]) == pytest.approx(5.0)
+def test_result_is_c_contiguous_float64():
+    table = compile_table([parse("x0", 1), parse("x0^2", 1), parse("2", 1)])
+    out = eval_table(table, [[3.0], [-1.0]])
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tolist() == [[3.0, 9.0, 2.0], [-1.0, 1.0, 2.0]]
 
 
-def test_out_buffer_reused():
-    table = compile_table([parse("x0", 1), parse("x0^2", 1)])
-    out = np.empty(2)
-    res = eval_table(table, [3.0], out=out)
-    assert res is out
-    assert out.tolist() == [3.0, 9.0]
+def test_empty_batch():
+    table = compile_table([parse("x0 + 1", 1)])
+    assert eval_table(table, np.empty((0, 1))).shape == (0, 1)
+
+
+def test_zero_to_negative_power_is_nan():
+    table = compile_table([Pow(parse("x0", 1), -2), Pow(parse("x0", 1), -1)])
+    out = eval_table(table, [[0.0], [-0.0], [2.0]])
+    assert np.isnan(out[:2]).all()
+    assert out[2].tolist() == [0.25, 0.5]
+
+
+def test_exp_overflow_saturates_to_inf():
+    table = compile_table([parse("exp(x0)", 1)])
+    out = eval_table(table, [[1000.0], [-1000.0], [1.0]])
+    assert out[:, 0].tolist() == [math.inf, 0.0, math.exp(1.0)]
+
+
+def test_nan_propagates():
+    table = compile_table([parse("x0 * x1 + 1", 2), parse("x1", 2)])
+    out = eval_table(table, [[math.nan, 2.0], [1.0, 2.0]])
+    assert math.isnan(out[0, 0]) and out[0, 1] == 2.0
+    assert out[1].tolist() == [3.0, 2.0]
+
+
+def test_sin_and_cos_of_infinity_are_nan():
+    table = compile_table([parse("sin(x0)", 1), parse("cos(x0)", 1)])
+    out = eval_table(table, [[math.inf], [-math.inf], [0.5]])
+    assert np.isnan(out[:2]).all()
+    assert out[2].tolist() == [math.sin(0.5), math.cos(0.5)]
+
+
+def test_shared_subtrees_go_through_slots():
+    shared = parse("sin(x0) * x1 + x0^3", 2)
+    exprs = [shared, shared * parse("x1", 2), shared + parse("2", 2),
+             parse("x0 - x1", 2) * shared]
+    table = compile_table(exprs)
+    loads = [a for op, a in zip(table.ops, table.args) if op == OP_LOAD]
+    takes = [a for op, a in zip(table.ops, table.args) if op == OP_TAKE]
+    assert table.n_slots >= 1 and sorted(takes) == list(range(table.n_slots))
+    assert len(loads) + len(takes) >= 3
+    points = [[0.3, -0.7], [1.2, 0.5], [-2.0, 0.25]]
+    for row, x in zip(eval_table(table, points), points):
+        assert np.allclose(row, [evaluate(e, tuple(x)) for e in exprs],
+                           rtol=1e-14, atol=0)
 
 
 def test_max_var_tracked():
@@ -69,13 +114,20 @@ def test_derivative_tables():
     # Tables built from differentiated trees evaluate consistently too.
     e = parse("sin(x0^2) * exp(x1/4)", 2)
     table = compile_table([diff(e, 0), diff(e, 1)])
-    x = [0.4, -0.3]
-    want = [evaluate(diff(e, i), tuple(x)) for i in range(2)]
-    got = eval_table(table, x)
-    assert np.allclose(got, want, rtol=1e-13)
+    points = [[0.4, -0.3], [-0.2, 0.7]]
+    got = eval_table(table, points)
+    for row, x in zip(got, points):
+        want = [evaluate(diff(e, i), tuple(x)) for i in range(2)]
+        assert np.allclose(row, want, rtol=1e-13)
 
 
 def test_point_shorter_than_max_var_rejected():
     table = compile_table([parse("x3", 4)])
-    with pytest.raises((IndexError, ValueError)):
-        eval_table(table, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        eval_table(table, [[1.0, 2.0]])
+
+
+def test_points_must_be_two_dimensional():
+    table = compile_table([parse("x0", 1)])
+    with pytest.raises(ValueError):
+        eval_table(table, [1.0])

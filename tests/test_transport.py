@@ -141,8 +141,10 @@ class TestBundleMachinery:
         # only the sigma slot couples (to -mu_a); products of the direction
         # matrices vanish, which is why flat loops transport trivially
         bundle = cotractor_bundle(flat2)
-        A = bundle.coefficients_at([0.3, -0.4])
-        assert A.shape == (2, 3, 3)
+        stacked = bundle.coefficients_at([[0.3, -0.4], [1.5, 2.0]])
+        assert stacked.shape == (2, 2, 3, 3)
+        assert np.array_equal(stacked[0], stacked[1])
+        A = stacked[0]
         for a in range(2):
             expected = np.zeros((3, 3))
             expected[0, 1 + a] = -1.0
