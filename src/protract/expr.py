@@ -7,6 +7,14 @@ functions below, which apply local constant folding only (zero sums,
 one products, power 0) and never any deeper rewriting; correctness is
 checked by evaluation, not by normal forms.
 
+Nodes are interned (hash-consed): constructing a node equal in kind,
+payload and children to a live one returns that node, so structurally
+equal expressions are the same object, == is identity and hashing is
+O(1). Every walk that memoises by identity (evaluate, diff, to_text,
+program.compile_table) therefore shares equal subtrees. An interned node
+is shared by every expression that contains it, so nodes are immutable:
+setting or deleting an attribute raises.
+
 Two arithmetic modes exist and are never mixed inside one computation:
 rational mode evaluates with fractions.Fraction exactly and refuses
 transcendental nodes, float mode uses 64-bit floats. Grammar accepted
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -69,34 +78,41 @@ class ExactModeError(ExprError):
     """Exact rational evaluation requested through sin/cos/exp."""
 
 
+# (class, fields, field types) -> live node; an entry leaves with its node
+_INTERNED = weakref.WeakValueDictionary()
+
+
 class Expr:
-    __slots__ = ("_hash", "__weakref__")
+    """Base node. A subclass lists its fields in __slots__, in constructor
+    order; children are Expr fields, or a tuple of Expr for Add and Mul."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+        # equal payloads of other types (1 and True, Fraction(1, 2) and
+        # 0.5) hash alike, so the types keep their nodes apart
+        key = (cls, fields, tuple(map(type, fields)))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _INTERNED[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("expression nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("expression nodes are immutable")
 
     def children(self) -> tuple:
         return ()
 
-    def _payload(self):
-        return None
-
     # subclasses: _value(child_values, point, rational) -> number
     # subclasses: _deriv(child_derivs, coord) -> Expr
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented
-        if self._payload() != other._payload():
-            return False
-        a, b = self.children(), other.children()
-        return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = _structural_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         return "<Expr %s>" % to_text(self)
@@ -133,12 +149,6 @@ class Expr:
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", value)
-
-    def _payload(self):
-        return self.value
-
     def _value(self, vals, point, rational):
         return self.value if rational else float(self.value)
 
@@ -148,12 +158,6 @@ class Const(Expr):
 
 class Var(Expr):
     __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
-    def _payload(self):
-        return self.index
 
     def _value(self, vals, point, rational):
         x = point[self.index]
@@ -165,9 +169,6 @@ class Var(Expr):
 
 class Add(Expr):
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
 
     def children(self):
         return self.terms
@@ -184,9 +185,6 @@ class Add(Expr):
 
 class Mul(Expr):
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
 
     def children(self):
         return self.factors
@@ -208,15 +206,8 @@ class Mul(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
     def children(self):
         return (self.base,)
-
-    def _payload(self):
-        return self.exponent
 
     def _value(self, vals, point, rational):
         b = vals[0]
@@ -235,9 +226,6 @@ class Pow(Expr):
 class Neg(Expr):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
     def children(self):
         return (self.arg,)
 
@@ -254,15 +242,8 @@ _FLOAT_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 class Call(Expr):
     __slots__ = ("name", "arg")
 
-    def __init__(self, name: str, arg: Expr):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-
     def children(self):
         return (self.arg,)
-
-    def _payload(self):
-        return self.name
 
     def _value(self, vals, point, rational):
         if rational:
@@ -277,7 +258,6 @@ class Call(Expr):
             return mul(Call("cos", self.arg), derivs[0])
         if self.name == "cos":
             return neg(mul(Call("sin", self.arg), derivs[0]))
-        # exp: reuse this node so repeated differentiation shares structure
         return mul(self, derivs[0])
 
 
@@ -295,14 +275,7 @@ def as_expr(x) -> Expr:
 
 def const(value: Number) -> Expr:
     """Rational constant. Floats are converted exactly (binary expansion)."""
-    if isinstance(value, float):
-        value = Fraction(value)
-    v = Fraction(value)
-    if v == 0:
-        return ZERO
-    if v == 1:
-        return ONE
-    return Const(v)
+    return Const(Fraction(value))
 
 
 def var(index: int) -> Expr:
@@ -435,12 +408,6 @@ def _postorder_apply(root: Expr, fn):
         work.pop()
         results[nid] = fn(node, [results[id(c)] for c in node.children()])
     return results[id(root)]
-
-
-def _structural_hash(root: Expr) -> int:
-    return _postorder_apply(
-        root, lambda n, ch: hash((type(n).__name__, n._payload(), tuple(ch)))
-    )
 
 
 def max_var_index(e: Expr) -> int:

@@ -2,9 +2,10 @@
 
 A CompiledTable evaluates a whole family of expressions in a single pass
 over its tape (kernel.eval_table runs that pass over a batch of points).
-Subtrees shared by identity between entries are computed once per
-evaluation and kept in slots, which matters because curvature and
-connection components share most of their structure.
+Subtrees shared between entries are computed once per evaluation and
+kept in slots, which matters because curvature and connection components
+share most of their structure. Sharing is by identity, and expression
+nodes are interned, so every structurally equal subtree is shared.
 
 Opcodes (one int arg each, unused args are 0):
 

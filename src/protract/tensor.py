@@ -16,7 +16,8 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import EvalDomainError, Expr, ZERO, as_expr, const, evaluate, power
+from .expr import (EvalDomainError, Const, ZERO, as_expr, const, evaluate,
+                   is_rational_closed, power)
 
 __all__ = [
     "Tensor", "TensorField", "PointTensor",
@@ -424,7 +425,7 @@ def _pair_relation(T: Tensor, slot_i: int, slot_j: int, sign: int,
     """Check T[.. i .. j ..] == sign * T[.. j .. i ..] by evaluation."""
     n = T.dim
     if isinstance(T, TensorField):
-        rational = all(is_rational_closed_component(c) for c in T.components)
+        rational = all(is_rational_closed(c) for c in T.components)
         points = _probe_points(n, count) if rational else [
             [float(x) for x in pt] for pt in _probe_points(n, count)]
         fields = [T.at(pt) for pt in points]
@@ -448,11 +449,6 @@ def _pair_relation(T: Tensor, slot_i: int, slot_j: int, sign: int,
     return True
 
 
-def is_rational_closed_component(c) -> bool:
-    from .expr import is_rational_closed
-    return is_rational_closed(c) if isinstance(c, Expr) else True
-
-
 def is_symmetric_pair(T: Tensor, slot_i: int, slot_j: int, count: int = 3) -> bool:
     return _pair_relation(T, slot_i, slot_j, 1, count)
 
@@ -471,29 +467,12 @@ def matrix_inverse_exprs(rows):
     not here. Returns (inverse rows, determinant).
     """
     n = len(rows)
-    memo: dict = {}
-
-    def minor_det(row_start: int, cols: tuple) -> Expr:
-        if row_start == n:
-            return as_expr(1)
-        key = (row_start, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = ZERO
-        for pos, c in enumerate(cols):
-            sub = minor_det(row_start + 1, cols[:pos] + cols[pos + 1:])
-            term = rows[row_start][c] * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    det = minor_det(0, tuple(range(n)))
+    det = _plain_det(rows, tuple(range(n)))
     inv = [[None] * n for _ in range(n)]
-    if _is_const(det):
-        if _const_value(det) == 0:
+    if isinstance(det, Const):
+        if det.value == 0:
             raise EvalDomainError("singular matrix")
-        det_inv = as_expr(Fraction(1) / _const_value(det))
+        det_inv = as_expr(Fraction(1) / det.value)
     else:
         det_inv = power(det, -1)
     for i in range(n):
@@ -506,15 +485,6 @@ def matrix_inverse_exprs(rows):
             adj = minor if sign > 0 else -minor
             inv[i][j] = adj * det_inv
     return inv, det
-
-
-def _is_const(e) -> bool:
-    from .expr import Const
-    return isinstance(e, Const)
-
-
-def _const_value(e) -> Fraction:
-    return e.value
 
 
 def _plain_det(rows, cols: tuple):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Expr, ZERO, as_expr
+from .expr import ZERO, as_expr, is_rational_closed
 from .geometry import (
     AffineConnection,
     ChartGeometry,
@@ -586,17 +586,12 @@ def flat_skew_prolong_nabla(s: SkewTractorSection, conn: AffineConnection):
 def _require_flat(conn: AffineConnection):
     from .tensor import _probe_points
     R = riemann(conn)
-    rational = all(_rational(c) for c in R.components)
+    rational = all(is_rational_closed(c) for c in R.components)
     pts = _probe_points(conn.dim, 3)
     if not rational:
         pts = [[float(x) for x in p] for p in pts]
     if not max_residual([R], pts) <= 1e-12:
         raise GeometryError("connection is not flat")
-
-
-def _rational(e: Expr) -> bool:
-    from .expr import is_rational_closed
-    return is_rational_closed(e)
 
 
 def skew_induced_parts(conn: AffineConnection, beta: TensorField):

@@ -138,7 +138,7 @@ def _substitute_param(e: Expr, replacement: Expr) -> Expr:
         if isinstance(node, Neg):
             return neg(ch[0])
         if isinstance(node, Call):
-            return node if ch[0] is node.arg else Call(node.name, ch[0])
+            return Call(node.name, ch[0])
         return node
 
     return _postorder_apply(e, rebuild)

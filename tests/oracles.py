@@ -193,3 +193,21 @@ def solve_projector_coefficient(n: int, u) -> Fraction:
         if rhs != 0:
             return Fraction(lhs) / Fraction(rhs)
     raise ZeroDivisionError("sample tensor has vanishing traces")
+
+
+_PAYLOAD_FIELDS = {"Const": "value", "Var": "index", "Pow": "exponent",
+                   "Call": "name"}
+
+
+def structural_key(e, memo=None):
+    """(node type, payload, child keys), recursively: the structural
+    equality of expressions, computed without relying on interning."""
+    memo = {} if memo is None else memo
+    got = memo.get(id(e))
+    if got is None:
+        name = type(e).__name__
+        field = _PAYLOAD_FIELDS.get(name)
+        payload = getattr(e, field) if field else None
+        got = (name, payload, tuple(structural_key(c, memo) for c in e.children()))
+        memo[id(e)] = got
+    return got

@@ -6,14 +6,13 @@ errors (unknown suite, unknown bundle) raise SystemExit(2) instead.
 """
 
 import contextlib
-import importlib
 import io
 import json
 import math
 
 import pytest
 
-from protract import expr, kernel
+from protract import expr, kernel, transport
 from protract.cli import main
 from protract.geometry import ChartGeometry
 
@@ -419,9 +418,7 @@ def inject_nan(monkeypatch):
                 state["on"] = True
 
         monkeypatch.setattr(kernel, "eval_table", eval_table)
-        # the package exports a function named transport over the module
-        monkeypatch.setattr(importlib.import_module("protract.transport"),
-                            "eval_table", eval_table)
+        monkeypatch.setattr(transport, "eval_table", eval_table)
         monkeypatch.setattr(expr, "evaluate", evaluate)
         monkeypatch.setattr(ChartGeometry, "check_invertible_at", screen)
     return install

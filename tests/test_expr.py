@@ -1,5 +1,7 @@
 """Parser, differentiation, and evaluation of coordinate expressions."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from protract.expr import (
     to_text,
     var,
 )
+from protract.expr import _INTERNED, _walk_unique
 
 from gen import rng_for
 
@@ -318,3 +321,56 @@ def test_property_product_rule(e):
     lhs = evaluate(diff(mul(e, g), 0), p)
     rhs = evaluate(diff(e, 0), p) * evaluate(g, p) + evaluate(e, p) * evaluate(diff(g, 0), p)
     assert lhs == rhs
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_object(self):
+        text = "x0^2*exp(x1/3) - 5/2*sin(x0 + x1)"
+        assert parse(text, 2) is parse(text, 2)
+        assert diff(parse(text, 2), 1) is diff(parse(text, 2), 1)
+        assert const(Fraction(1, 2)) is Const(Fraction(1, 2))
+        assert const(0.5) is const(Fraction(1, 2))
+
+    def test_payload_type_is_part_of_the_key(self):
+        assert Var(True) is not Var(1)
+        assert type(Var(1).index) is int
+        assert Const(0.5) is not Const(Fraction(1, 2))
+
+    def test_identity_matches_structural_equality(self):
+        from oracles import structural_key
+
+        rng = rng_for("intern-structural")
+        roots = []
+        for _ in range(400):
+            make = rng.choice((_random_rational_expr, _random_smooth_expr))
+            roots.append(make(rng, rng.randint(1, 2), rng.randint(0, 3)))
+        memo = {}
+        node_of_key = {}
+        for node in _walk_unique(roots):
+            key = structural_key(node, memo)
+            assert node_of_key.setdefault(key, node) is node
+        # a is b exactly when the keys are equal, and the draws are small
+        # enough that equal roots were built more than once
+        root_keys = [structural_key(r, memo) for r in roots]
+        assert len({id(r) for r in roots}) == len(set(root_keys)) < len(roots) // 2
+
+    def test_dropped_expression_leaves_the_table(self):
+        gc.collect()
+        before = len(_INTERNED)
+        e = parse(" + ".join("%d/7919*x0^%d" % (k, k) for k in range(2, 200)), 1)
+        inner = weakref.ref(e.terms[0])
+        assert len(_INTERNED) > before + 300
+        del e
+        gc.collect()
+        assert inner() is None
+        assert len(_INTERNED) <= before
+
+    def test_nodes_are_immutable(self):
+        e = parse("x0*x1 + 1", 2)
+        with pytest.raises(AttributeError):
+            e.terms = (var(0),)
+        with pytest.raises(AttributeError):
+            del e.terms
+        with pytest.raises(AttributeError):
+            var(0).index = 1
+        assert evaluate(e, (Fraction(2), Fraction(3))) == 7

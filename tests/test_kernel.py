@@ -104,6 +104,15 @@ def test_shared_subtrees_go_through_slots():
                            rtol=1e-14, atol=0)
 
 
+def test_subtree_parsed_twice_gets_one_slot():
+    exprs = [parse("sin(x0)*x1 + 1", 2), parse("x0 - sin(x0)*x1", 2)]
+    table = compile_table(exprs)
+    assert table.n_slots == 1
+    assert [op for op in table.ops if op in (OP_LOAD, OP_TAKE)] == [OP_TAKE]
+    assert eval_table(table, [[0.5, 2.0]]).tolist() == [
+        [math.sin(0.5) * 2.0 + 1.0, 0.5 - math.sin(0.5) * 2.0]]
+
+
 def test_max_var_tracked():
     table = compile_table([parse("x2 + 1", 5)])
     assert table.max_var == 2

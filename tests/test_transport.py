@@ -1,5 +1,6 @@
 """Parallel transport, holonomy counting, and the solution correspondence."""
 
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -294,3 +295,10 @@ class TestTransportedSolutions:
         pts = [[rng.uniform(-0.4, 0.4) for _ in range(3)] for _ in range(4)]
         res = sampled_pde_residual(bundle, sampler, pts, h=1e-4)
         assert res < 1e-6
+
+
+def test_package_attribute_is_the_transport_module():
+    from protract import transport as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.transport is transport
