@@ -1,10 +1,22 @@
-"""Batched float evaluation of compiled tables.
+"""Batched evaluation of compiled tables, exact or float.
 
 eval_table runs a table's tape once over a whole batch of points: every
 opcode acts on a column of N values at a time, so the per-op interpreter
-cost is paid once per batch instead of once per point. Each row of the
-result is bitwise the value a scalar IEEE evaluation of the same tape
-gives at that point:
+cost is paid once per batch instead of once per point. The arithmetic
+follows the batch, by the rule expr.evaluate uses: when every coordinate
+is an int or a Fraction the batch is exact, otherwise it is float.
+
+An exact batch runs over numpy object columns of Fractions and returns
+Fractions:
+
+- ADD, MUL and NEG are Fraction arithmetic, so every row equals
+  expr.evaluate at that point;
+- POW is Fraction powering, and 0**negative raises EvalDomainError;
+- SIN, COS and EXP raise ExactModeError.
+
+A float batch runs over float64 columns. Each row of the result is
+bitwise the value a scalar IEEE evaluation of the same tape gives at
+that point:
 
 - ADD and MUL fold their operands left to right;
 - POW is binary powering on the (inverted, for negative exponents)
@@ -13,20 +25,22 @@ gives at that point:
 - EXP is math.exp per element, saturating to inf on overflow
   (numpy's exp differs from it in the last bit on some inputs).
 
-Nothing raises on bad numerics: nonfinite values propagate and callers
-inspect finiteness where they care.
+Nothing raises on bad float numerics: nonfinite values propagate and
+callers inspect finiteness where they care.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
+from .expr import EvalDomainError, ExactModeError
 from .program import (OP_ADD, OP_CONST, OP_COS, OP_EXP, OP_LOAD, OP_MUL,
                       OP_NEG, OP_POW, OP_SIN, OP_STORE, OP_TAKE, OP_VAR,
-                      CompiledTable)
+                      _CALL_OPS, CompiledTable)
 
 __all__ = ["BACKEND", "eval_table"]
 
@@ -39,18 +53,30 @@ _FOLDS = {OP_ADD: (operator.add, operator.iadd),
 def eval_table(table: CompiledTable, points) -> np.ndarray:
     """Evaluate every entry of a table at N points.
 
-    points is an (N, dim) array-like of floats; the result is an
-    (N, n_out) float64 array whose row i holds the entries at point i.
+    points is an (N, dim) array-like. The result is an (N, n_out) array
+    whose row i holds the entries at point i: an object array of
+    Fractions when every coordinate is an int or a Fraction, otherwise
+    a float64 array.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = points if isinstance(points, np.ndarray) and points.dtype != object \
+        else np.asarray(points, dtype=object)
     if pts.ndim != 2:
         raise ValueError("points must be an (N, dim) array")
     if table.max_var >= pts.shape[1]:
         raise ValueError("point has %d coordinates, table needs %d"
                          % (pts.shape[1], table.max_var + 1))
-    cols = np.ascontiguousarray(pts.T)
-    consts = [np.float64(c) for c in table.consts]
-    out = np.empty((pts.shape[0], table.n_out))
+    if pts.dtype == object and all(isinstance(x, (int, Fraction))
+                                   for x in pts.flat):
+        cols = [np.array([Fraction(x) for x in col], dtype=object)
+                for col in pts.T]
+        consts = table.consts
+        out = np.empty((pts.shape[0], table.n_out), dtype=object)
+        power, calls = _exact_pow, _EXACT_CALLS
+    else:
+        cols = np.ascontiguousarray(pts.T, dtype=np.float64)
+        consts = [np.float64(float(c)) for c in table.consts]
+        out = np.empty((pts.shape[0], table.n_out))
+        power, calls = _ipow, _FLOAT_CALLS
     slots = [None] * table.n_slots
     st = []
     push, pop = st.append, st.pop
@@ -78,27 +104,37 @@ def eval_table(table: CompiledTable, points) -> np.ndarray:
                     acc = fold(acc, t)
                 push(acc)
             elif op == OP_POW:
-                push(_ipow(pop(), a))
+                push(power(pop(), a))
             elif op == OP_NEG:
                 push(-pop())
-            elif op == OP_SIN:
-                push(np.sin(pop()))
-            elif op == OP_COS:
-                push(np.cos(pop()))
-            elif op == OP_EXP:
-                x = np.asarray(pop())
-                push(np.fromiter(map(_exp, x.ravel().tolist()), np.float64,
-                                 x.size).reshape(x.shape))
+            elif op == OP_SIN or op == OP_COS or op == OP_EXP:
+                push(calls[op](pop()))
             else:  # OUT
                 out[:, a] = pop()
     return out
 
 
-def _exp(x: float) -> float:
+def _exp(x):
+    x = np.asarray(x)
+    return np.fromiter(map(_exp1, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)
+
+
+def _exp1(x: float) -> float:
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _not_rational(name: str):
+    def call(x):
+        raise ExactModeError("%s is not rational-closed" % name)
+    return call
+
+
+_FLOAT_CALLS = {OP_SIN: np.sin, OP_COS: np.cos, OP_EXP: _exp}
+_EXACT_CALLS = {op: _not_rational(name) for name, op in _CALL_OPS.items()}
 
 
 def _ipow(base, e: int):
@@ -113,3 +149,10 @@ def _ipow(base, e: int):
         if e:
             base = base * base
     return result
+
+
+def _exact_pow(base, e: int):
+    try:
+        return base ** e
+    except ZeroDivisionError:
+        raise EvalDomainError("zero base with negative exponent") from None

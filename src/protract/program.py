@@ -13,7 +13,7 @@ Opcodes (one int arg each, unused args are 0):
     VAR i     push point[i]
     ADD m     pop m values, push their sum
     MUL m     pop m values, push their product
-    POW e     replace top t by t**e (integer e; 0**negative gives nan)
+    POW e     replace top t by t**e (integer e)
     NEG       negate top
     SIN COS EXP
     LOAD s    push slots[s]
@@ -21,13 +21,17 @@ Opcodes (one int arg each, unused args are 0):
     OUT k     out[k] = top, pop
     TAKE s    push slots[s] and free slot s (the last LOAD of s)
 
-Float-mode only; exact rational evaluation stays on the AST walker in
-expr.evaluate.
+Constants are kept exact (Fractions), so one table serves both
+arithmetic modes: kernel.eval_table runs it over Fraction columns for a
+rational batch and over float64 columns, with each constant rounded
+once, otherwise.
 """
 
 from __future__ import annotations
 
-from .expr import Add, Call, Const, Expr, Mul, Neg, Pow, Var, _walk_unique, as_expr
+from fractions import Fraction
+
+from .expr import Add, Call, Const, Expr, Mul, Neg, Pow, Var, as_expr
 
 OP_CONST = 0
 OP_VAR = 1
@@ -67,25 +71,12 @@ def compile_table(exprs) -> CompiledTable:
     """Compile a family of expressions into one shared-slot table."""
     roots = [as_expr(e) for e in exprs]
 
-    counts: dict[int, int] = {}
-    kind: dict[int, Expr] = {}
-    for r in roots:
-        counts[id(r)] = counts.get(id(r), 0) + 1
-        kind[id(r)] = r
-    for node in _walk_unique(roots):
-        kind[id(node)] = node
-        for c in node.children():
-            counts[id(c)] = counts.get(id(c), 0) + 1
-    shared = {
-        nid for nid, cnt in counts.items()
-        if cnt >= 2 and not isinstance(kind[nid], (Const, Var))
-    }
-
+    slot_of = _shared_nodes(roots)
+    n_slots = 0
     ops: list[int] = []
     args: list[int] = []
-    consts: list[float] = []
-    const_ix: dict[float, int] = {}
-    slot_of: dict[int, int] = {}
+    consts: list[Fraction] = []
+    const_ix: dict[Fraction, int] = {}
     max_var = -1
     depth = 0
     peak = 0
@@ -98,7 +89,7 @@ def compile_table(exprs) -> CompiledTable:
         if depth > peak:
             peak = depth
 
-    def emit_const(value: float):
+    def emit_const(value: Fraction):
         ix = const_ix.get(value)
         if ix is None:
             ix = len(consts)
@@ -117,7 +108,7 @@ def compile_table(exprs) -> CompiledTable:
                     emit(OP_LOAD, slot, 1)
                     continue
                 if isinstance(node, Const):
-                    emit_const(float(node.value))
+                    emit_const(node.value)
                     continue
                 if isinstance(node, Var):
                     if node.index > max_var:
@@ -140,21 +131,42 @@ def compile_table(exprs) -> CompiledTable:
                     emit(_CALL_OPS[node.name], 0, 0)
                 else:
                     raise TypeError("cannot compile %r" % node)
-                if nid in shared:
-                    slot = len(slot_of)
-                    slot_of[nid] = slot
-                    emit(OP_STORE, slot, 0)
+                if nid in slot_of:
+                    slot_of[nid] = n_slots
+                    emit(OP_STORE, n_slots, 0)
+                    n_slots += 1
         emit(OP_OUT, k, -1)
 
     # the last LOAD of each slot frees it, so a batched evaluation keeps
     # only the slots still to be read alive
-    freed = set()
+    freed = bytearray(n_slots)
     for i in range(len(ops) - 1, -1, -1):
-        if ops[i] == OP_LOAD and args[i] not in freed:
-            freed.add(args[i])
+        if ops[i] == OP_LOAD and not freed[args[i]]:
+            freed[args[i]] = 1
             ops[i] = OP_TAKE
 
-    return CompiledTable(ops, args, consts, len(roots), len(slot_of), peak, max_var)
+    return CompiledTable(ops, args, consts, len(roots), n_slots, peak, max_var)
+
+
+def _shared_nodes(roots) -> dict[int, None]:
+    """The ids of the nodes referenced twice, as a root or as a child of
+    a distinct node, each mapped to None (the slot compile_table gives
+    it once the node is emitted). Leaves are never shared: pushing a
+    constant or a coordinate costs no more than loading a slot."""
+    seen: set[int] = set()
+    shared: dict[int, None] = {}
+    refs = list(roots)
+    while refs:
+        node = refs.pop()
+        if isinstance(node, (Const, Var)):
+            continue
+        nid = id(node)
+        if nid in seen:
+            shared[nid] = None
+        else:
+            seen.add(nid)
+            refs.extend(node.children())
+    return shared
 
 
 def compile_expr(e: Expr) -> CompiledTable:

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import (EvalDomainError, Const, ZERO, as_expr, const, evaluate,
+from .expr import (EvalDomainError, Const, ZERO, as_expr, const,
                    is_rational_closed, power)
 
 __all__ = [
@@ -94,23 +94,17 @@ class TensorField(Tensor):
     def __init__(self, dim, p, q, components):
         super().__init__(dim, p, q, [as_expr(c) for c in components])
 
-    def at(self, point, mode: str | None = None) -> "PointTensor":
-        """Evaluate every component at one point.
-
-        Rational points (int/Fraction coordinates, or mode="rational")
-        go through the exact tree walker; float points are a one-row
-        at_many call.
-        """
-        if mode == "rational" or (mode is None and _is_rational_point(point)):
-            vals = [evaluate(c, point, "rational") for c in self.components]
-        else:
-            vals = self.at_many([point])[0].tolist()
-        return PointTensor(self.dim, self.p, self.q, vals)
+    def at(self, point) -> "PointTensor":
+        """Every component at one point: one row of at_many, exact
+        Fractions at a point of int/Fraction coordinates, floats
+        otherwise."""
+        return PointTensor(self.dim, self.p, self.q,
+                           self.at_many([point])[0].tolist())
 
     def at_many(self, points):
-        """Float values of every component at N points, as an (N,
-        components) array, from one batched run of a compiled table
-        cached on first use."""
+        """Every component at N points, as an (N, components) array, from
+        one batched run of a compiled table cached on first use; see
+        kernel.eval_table for the two arithmetic modes."""
         table = self._table
         if table is None:
             from .program import compile_table
@@ -170,22 +164,22 @@ def max_residual(fields, points):
     """max_magnitude of every component of the TensorFields and tractor
     sections in fields, over a sequence of points.
 
-    Rational points are evaluated exactly one by one; the float points
-    go to each field in one at_many batch.
+    All the components go into one compiled table, run once over the
+    rational points (exact Fractions) and once over the float points.
     """
+    from .kernel import eval_table
+    from .program import compile_table
+
+    comps = [c for f in fields
+             for t in ([f] if isinstance(f, TensorField)
+                       else [g for _, g in f.slots()])
+             for c in t.components]
     exact = [p for p in points if _is_rational_point(p)]
     floats = [p for p in points if not _is_rational_point(p)]
-
-    def values(t):
-        for p in exact:
-            yield from t.at(p).components
-        if floats:
-            yield from t.at_many(floats).ravel().tolist()
-
-    tensors = (t for f in fields
-               for t in ([f] if isinstance(f, TensorField)
-                         else [g for _, g in f.slots()]))
-    return max_magnitude(c for t in tensors for c in values(t))
+    table = compile_table(comps)
+    return max_magnitude(itertools.chain.from_iterable(
+        eval_table(table, batch).ravel().tolist()
+        for batch in (exact, floats) if batch))
 
 
 def zero_field(dim: int, p: int, q: int) -> TensorField:

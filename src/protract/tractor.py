@@ -125,11 +125,9 @@ class Section:
                                    [factor * c for c in f.components]))
         return type(self)(*out, validate=False)
 
-    def at(self, point, mode: str | None = None) -> dict:
-        return {name: f.at(point, mode) for name, f in self.slots()}
-
-    def point_json(self, point, mode: str | None = None) -> dict:
-        return {name: pt.to_json() for name, pt in self.at(point, mode).items()}
+    def at(self, point) -> dict:
+        """Each slot at one point, by name; see TensorField.at."""
+        return {name: f.at(point) for name, f in self.slots()}
 
     def max_abs_at(self, point):
         return max_residual([self], [point])

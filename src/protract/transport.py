@@ -107,7 +107,9 @@ class CurveSegment:
 
     def sample_many(self, us):
         """Position and velocity arrays, (N, dim) each, at N parameters."""
-        out = eval_table(self._table, [[u] for u in us])
+        # float parameters: an int or Fraction u0/u1 would select exact
+        # arithmetic, which has no sin, cos or exp
+        out = eval_table(self._table, np.asarray(us, dtype=float)[:, None])
         return out[:, :self.dim], out[:, self.dim:]
 
     def point(self, u: float):

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from protract import expr, kernel, transport
+from protract import kernel, transport
 from protract.cli import main
 from protract.geometry import ChartGeometry
 
@@ -385,30 +385,23 @@ class TestCurvatureCommand:
 
 @pytest.fixture
 def inject_nan(monkeypatch):
-    """inject_nan(index): NaN into one slot of every float evaluation.
+    """inject_nan(index): NaN into one slot of every table evaluation.
 
     Every kernel table evaluation gets NaN written at component index
-    of every row (every point of the batch), and every duality sample (a tree-walker evaluate call) whose position
-    in its run of 200 is index. Screening sample points through
-    check_invertible_at stays clean, so the suites still find points to
-    evaluate their residuals at.
+    of every row (every point of the batch). Screening sample points
+    through check_invertible_at stays clean, so the suites still find
+    points to evaluate their residuals at.
     """
     def install(index):
-        real_table, real_evaluate = kernel.eval_table, expr.evaluate
+        real_table = kernel.eval_table
         real_screen = ChartGeometry.check_invertible_at
-        state = {"on": True, "calls": 0}
+        state = {"on": True}
 
         def eval_table(table, points):
             out = real_table(table, points)
             if state["on"]:
                 out[..., index] = math.nan
             return out
-
-        def evaluate(e, point, *args, **kwargs):
-            value = real_evaluate(e, point, *args, **kwargs)
-            position = state["calls"] % 200
-            state["calls"] += 1
-            return math.nan if position == index % 200 else value
 
         def screen(self, point):
             state["on"] = False
@@ -419,7 +412,6 @@ def inject_nan(monkeypatch):
 
         monkeypatch.setattr(kernel, "eval_table", eval_table)
         monkeypatch.setattr(transport, "eval_table", eval_table)
-        monkeypatch.setattr(expr, "evaluate", evaluate)
         monkeypatch.setattr(ChartGeometry, "check_invertible_at", screen)
     return install
 

@@ -1,16 +1,18 @@
-"""Compiled evaluation tables and the batched float kernel."""
+"""Compiled evaluation tables and the batched kernel, exact and float."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from protract.expr import Pow, diff, evaluate, parse
+from protract.expr import (EvalDomainError, ExactModeError, Pow, add, diff,
+                           evaluate, mul, parse)
 from protract.kernel import eval_table
 from protract.program import OP_LOAD, OP_TAKE, compile_table
 
 from gen import rng_for
-from test_expr import _random_smooth_expr
+from test_expr import _random_rational_expr, _random_smooth_expr
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -33,6 +35,23 @@ def test_table_matches_tree_evaluation():
         for row, x in zip(got, points):
             want = [evaluate(e, tuple(x)) for e in exprs]
             assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
+
+    # a rational batch runs exact: every row equals the tree walker
+    rng = rng_for("kernel-parity-exact")
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        base = [_random_rational_expr(rng, dim, depth=3) for _ in range(3)]
+        exprs = base + [add(base[0], base[1]), mul(base[1], base[2], base[0])]
+        points = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                   for _ in range(dim)] for _ in range(rng.randint(1, 6))]
+        for e in exprs[:]:
+            if all(evaluate(e, tuple(x)) != 0 for x in points):
+                exprs.append(Pow(e, -rng.randint(1, 3)))
+        got = eval_table(compile_table(exprs), points)
+        assert got.shape == (len(points), len(exprs))
+        for row, x in zip(got, points):
+            assert all(isinstance(v, Fraction) for v in row)
+            assert row.tolist() == [evaluate(e, tuple(x)) for e in exprs]
 
 
 def test_batch_rows_equal_single_point_calls_bitwise():
@@ -140,3 +159,27 @@ def test_points_must_be_two_dimensional():
     table = compile_table([parse("x0", 1)])
     with pytest.raises(ValueError):
         eval_table(table, [1.0])
+
+
+def test_integer_coordinates_run_exact():
+    table = compile_table([parse("x0/3 + x1^2", 2), parse("1/2", 2)])
+    out = eval_table(table, [[1, 2], [Fraction(3, 2), -1]])
+    assert out.tolist() == [[Fraction(13, 3), Fraction(1, 2)],
+                            [Fraction(3, 2), Fraction(1, 2)]]
+    assert all(isinstance(v, Fraction) for v in out.ravel())
+
+
+def test_exact_zero_to_negative_power_raises():
+    table = compile_table([Pow(parse("x0 - 1", 1), -2)])
+    assert eval_table(table, [[Fraction(3)]]).tolist() == [[Fraction(1, 4)]]
+    with pytest.raises(EvalDomainError):
+        eval_table(table, [[Fraction(3)], [Fraction(1)]])
+
+
+@pytest.mark.parametrize("text", ["sin(x0)", "cos(x0)", "exp(x0)",
+                                  "x0 + exp(x0 - x0^2)"])
+def test_exact_batch_rejects_calls(text):
+    table = compile_table([parse(text, 1)])
+    with pytest.raises(ExactModeError):
+        eval_table(table, [[Fraction(1, 2)]])
+    assert math.isfinite(eval_table(table, [[0.5]])[0, 0])

@@ -351,6 +351,23 @@ class TestMaxMagnitude:
         assert max_residual([s], [[0.5, math.nan]]) != max_residual(
             [s], [[0.5, math.nan]])
 
+    def test_mixed_points_keep_their_own_arithmetic(self):
+        from protract.tractor import TractorSection
+        f = TensorField(2, 0, 1, [parse("x0^2 - 1/3", 2), parse("x1/x0", 2)])
+        s = TractorSection(TensorField(2, 1, 0, [parse("x0*x1", 2),
+                                                 parse("1", 2)]),
+                           parse("-3*x1", 2), validate=False)
+        exact = [[Fraction(1, 3), Fraction(-5, 7)], [2, Fraction(1, 9)]]
+        floats = [[0.1, 0.7], [-0.3, 2.5]]
+        for fields in ([f], [f, s]):
+            mixed = [exact[0], floats[0], exact[1], floats[1]]
+            assert max_residual(fields, mixed) == max(
+                max_residual(fields, exact), max_residual(fields, floats))
+        assert max_residual([f], exact) == Fraction(11, 3)
+        assert isinstance(max_residual([f], exact), Fraction)
+        got = max_residual([f, s], floats)
+        assert isinstance(got, float) and got == pytest.approx(25 / 3)
+
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
