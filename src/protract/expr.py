@@ -11,7 +11,12 @@ Nodes are interned (hash-consed): constructing a node equal in kind,
 payload and children to a live one returns that node, so structurally
 equal expressions are the same object, == is identity and hashing is
 O(1). Every walk that memoises by identity (evaluate, diff, to_text,
-program.compile_table) therefore shares equal subtrees. An interned node
+program.compile_table) therefore shares equal subtrees. The walks take a
+family of roots and memoise across it: diff_all differentiates every
+component of a tensor in one walk, so a subtree the components share is
+differentiated once, and since a derivative depends only on its node the
+results are the very objects one diff per component would build. No memo
+outlives its call. An interned node
 is shared by every expression that contains it, so nodes are immutable:
 setting or deleting an attribute raises.
 
@@ -47,7 +52,7 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Neg", "Call",
     "const", "var", "add", "mul", "power", "neg", "sub", "divide",
     "sin", "cos", "exp",
-    "parse", "diff", "evaluate", "to_text",
+    "parse", "diff", "diff_all", "evaluate", "to_text",
     "max_var_index", "is_rational_closed",
     "ExprError", "ExprSyntaxError", "VariableRangeError",
     "EvalDomainError", "ExactModeError",
@@ -391,10 +396,11 @@ def _walk_unique(roots: Sequence[Expr]):
         stack.extend(node.children())
 
 
-def _postorder_apply(root: Expr, fn):
-    """fn(node, child_results) over the DAG, memoized by identity, no recursion."""
+def _postorder_apply(roots: Sequence[Expr], fn) -> list:
+    """fn(node, child_results) over the union DAG of roots, one result
+    per root; memoized by identity across the roots, no recursion."""
     results = {}
-    work = [root]
+    work = list(roots)
     while work:
         node = work[-1]
         nid = id(node)
@@ -407,7 +413,7 @@ def _postorder_apply(root: Expr, fn):
             continue
         work.pop()
         results[nid] = fn(node, [results[id(c)] for c in node.children()])
-    return results[id(root)]
+    return [results[id(r)] for r in roots]
 
 
 def max_var_index(e: Expr) -> int:
@@ -443,14 +449,21 @@ def evaluate(e: Expr, point: Sequence[Number], mode: str | None = None):
         rational = False
     else:
         raise ExprError("unknown mode %r" % mode)
-    return _postorder_apply(e, lambda n, vals: n._value(vals, point, rational))
+    return _postorder_apply([e], lambda n, vals: n._value(vals, point, rational))[0]
+
+
+def diff_all(exprs: Sequence[Expr], coord: int) -> list:
+    """Exact partial derivatives of a family with respect to coordinate
+    `coord`, in one walk: a subtree the family shares is differentiated
+    once."""
+    if coord < 0:
+        raise ExprError("negative coordinate index")
+    return _postorder_apply(exprs, lambda n, derivs: n._deriv(derivs, coord))
 
 
 def diff(e: Expr, coord: int) -> Expr:
     """Exact partial derivative with respect to coordinate `coord`."""
-    if coord < 0:
-        raise ExprError("negative coordinate index")
-    return _postorder_apply(e, lambda n, derivs: n._deriv(derivs, coord))
+    return diff_all([e], coord)[0]
 
 
 def gradient(e: Expr, dimension: int) -> list:
@@ -590,7 +603,7 @@ _ATOMIC = (Const, Var, Call)
 
 def to_text(e: Expr) -> str:
     """Render to the grammar; parse(to_text(e)) is evaluation-equivalent."""
-    return _postorder_apply(e, _print_node)
+    return _postorder_apply([e], _print_node)[0]
 
 
 def _print_node(node: Expr, ch: list) -> str:

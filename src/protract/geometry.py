@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import EvalDomainError, ZERO, diff, evaluate, is_rational_closed
+from .expr import EvalDomainError, ZERO, diff, diff_all, evaluate, is_rational_closed
 from .tensor import (
     TensorField,
     contract,
@@ -27,7 +27,7 @@ from .tensor import (
 __all__ = [
     "GeometryError", "SingularMetricError",
     "ChartGeometry", "AffineConnection", "CurvaturePack",
-    "levi_civita", "covariant_derivative", "riemann",
+    "levi_civita", "partial_derivative", "covariant_derivative", "riemann",
     "derive_pack", "connection_pack", "verify_bianchi", "torsion",
     "cotton_weyl_relation",
 ]
@@ -160,6 +160,18 @@ def levi_civita(geom: ChartGeometry) -> AffineConnection:
                         dg[a][d][b] + dg[b][d][a] - dg[d][a][b])
                 comps.append(half * total)
     return AffineConnection(TensorField(n, 1, 2, comps), validate=False)
+
+
+def partial_derivative(T: TensorField) -> TensorField:
+    """Coordinate partials of a field, valence (p, q+1) in the index
+    order of covariant_derivative (uppers..., a, lowers...): one
+    diff_all walk over all the components per coordinate."""
+    n, p, q = T.dim, T.p, T.q
+    by_coord = [diff_all(T.components, a) for a in range(n)]
+    lows = n ** q
+    return TensorField(n, p, q + 1, [by_coord[a][up * lows + lo]
+                                     for up in range(n ** p)
+                                     for a in range(n) for lo in range(lows)])
 
 
 def covariant_derivative(conn: AffineConnection, T: TensorField) -> TensorField:

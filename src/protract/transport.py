@@ -143,7 +143,7 @@ def _substitute_param(e: Expr, replacement: Expr) -> Expr:
             return Call(node.name, ch[0])
         return node
 
-    return _postorder_apply(e, rebuild)
+    return _postorder_apply([e], rebuild)[0]
 
 
 def reverse_loop(curve) -> tuple:

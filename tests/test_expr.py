@@ -12,6 +12,7 @@ from protract.expr import (
     Const,
     EvalDomainError,
     ExactModeError,
+    ExprError,
     ExprSyntaxError,
     Mul,
     Pow,
@@ -20,6 +21,7 @@ from protract.expr import (
     add,
     const,
     diff,
+    diff_all,
     evaluate,
     is_rational_closed,
     max_var_index,
@@ -29,7 +31,7 @@ from protract.expr import (
     to_text,
     var,
 )
-from protract.expr import _INTERNED, _walk_unique
+from protract.expr import _INTERNED, _postorder_apply, _print_node, _walk_unique
 
 from gen import rng_for
 
@@ -268,6 +270,55 @@ class TestDerivativeOracle:
             for _ in range(20):
                 p = (Fraction(rng.randint(-30, 30), 31), Fraction(rng.randint(-30, 30), 31))
                 assert evaluate(e, p) == evaluate(back, p)
+
+
+def _sharing_families(name, count=60):
+    """Families of random rational DAGs in which several members contain
+    the same subtrees, and one member appears twice."""
+    rng = rng_for(name)
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+        shared = [_random_rational_expr(rng, dim, 3) for _ in range(3)]
+        family = [rng.choice((add, mul))(_random_rational_expr(rng, dim, 2),
+                                         rng.choice(shared))
+                  for _ in range(rng.randint(1, 6))]
+        yield dim, family + shared + [family[0]]
+
+
+class TestFamilyWalk:
+    """One memoised walk over a family against one walk per member."""
+
+    def test_diff_all_is_diff_per_member(self):
+        for dim, family in _sharing_families("diff-all"):
+            for a in range(dim + 1):
+                got = diff_all(family, a)
+                assert len(got) == len(family)
+                for e, d in zip(family, got):
+                    assert d is diff(e, a)
+
+    def test_diff_all_empty_and_negative(self):
+        assert diff_all([], 0) == []
+        with pytest.raises(ExprError):
+            diff_all([var(0)], -1)
+
+    def test_several_roots_equal_single_roots(self):
+        p = (Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7))
+        for dim, family in _sharing_families("postorder-roots"):
+            calls = []
+
+            def value(node, vals):
+                calls.append(node)
+                return node._value(vals, p, True)
+
+            assert _postorder_apply(family, value) == [
+                _postorder_apply([e], value)[0] for e in family]
+            assert _postorder_apply(family, _print_node) == [
+                to_text(e) for e in family]
+            # the family walk visits each distinct node once
+            calls.clear()
+            _postorder_apply(family, value)
+            assert len(calls) == len({id(n) for n in calls}) \
+                == len(list(_walk_unique(family)))
 
 
 # Hypothesis strategies mirror the seeded corpora above so shrinking can

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from protract.expr import evaluate, parse
+from protract.cli import load_geometry_spec
+from protract.expr import diff, evaluate, parse
 from protract.geometry import (
     AffineConnection,
     ChartGeometry,
@@ -15,6 +16,7 @@ from protract.geometry import (
     covariant_derivative,
     derive_pack,
     levi_civita,
+    partial_derivative,
     riemann,
     torsion,
     verify_bianchi,
@@ -116,6 +118,28 @@ class TestLeviCivita:
         comps = [parse(s, 2) for s in ("1", "x0", "0", "1")]
         with pytest.raises(ValueError):
             ChartGeometry(TensorField(2, 0, 2, comps))
+
+
+class TestPartialDerivative:
+    @pytest.mark.parametrize("name", ["nonEinstein3", "sphere2"])
+    def test_is_diff_per_component(self, name):
+        # one diff_all walk per coordinate against one diff per component
+        import itertools
+
+        geom = load_geometry_spec(name).geom
+        conn = geom.connection()
+        for T in (geom.metric, conn.gamma, riemann(conn)):
+            dT = partial_derivative(T)
+            n, p, q = T.dim, T.p, T.q
+            assert (dT.dim, dT.p, dT.q) == (n, p, q + 1)
+            for multi in itertools.product(range(n), repeat=p + q + 1):
+                up, a, lo = multi[:p], multi[p], multi[p + 1:]
+                assert dT[multi] is diff(T[up + lo], a)
+
+    def test_scalar_field_is_its_gradient(self):
+        f = TensorField(2, 0, 0, [parse("x0^2*x1", 2)])
+        assert partial_derivative(f).components == (parse("2*x0*x1", 2),
+                                                     parse("x0^2", 2))
 
 
 class TestCovariantDerivative:
