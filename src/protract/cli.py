@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .expr import EvalDomainError, Expr, ExprError, gradient, parse
+from .expr import EvalDomainError, Expr, ExprError, parse
 from .geometry import (
     ChartGeometry,
     GeometryError,
     cotton_weyl_relation,
-    derive_pack,
     verify_bianchi,
 )
 from .projective import (
@@ -54,7 +53,6 @@ from .tractor import (
     tractor_nabla,
 )
 from .transport import (
-    NonClosedLoopError,
     TransportError,
     circle_loop,
     cotractor_bundle,
@@ -481,7 +479,7 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
 def _suite_bianchi(spec: GeometrySpec, report: Report, seed: int,
                    tol: float | None):
     pts = _eval_points(spec)
-    _add_bianchi_checks(spec, report, derive_pack(spec.geom), pts, tol)
+    _add_bianchi_checks(spec, report, spec.geom.pack(), pts, tol)
 
 
 def _add_bianchi_checks(spec: GeometrySpec, report: Report, pack, pts,
@@ -535,7 +533,7 @@ def cmd_curvature(spec: GeometrySpec, point, tol: float | None,
             spec.geom.check_invertible_at(point)
         except (GeometryError, EvalDomainError) as e:
             raise SpecError("--point: %s" % e) from e
-    pack = derive_pack(spec.geom)
+    pack = spec.geom.pack()
     pts = _eval_points(spec, seed=seed)
     show = [point] if point is not None else pts[:1]
     values = {}

@@ -16,9 +16,9 @@ family of roots and memoise across it: diff_all differentiates every
 component of a tensor in one walk, so a subtree the components share is
 differentiated once, and since a derivative depends only on its node the
 results are the very objects one diff per component would build. No memo
-outlives its call. An interned node
-is shared by every expression that contains it, so nodes are immutable:
-setting or deleting an attribute raises.
+outlives its call. An interned node is shared by every expression that
+contains it, so nodes are immutable: setting or deleting an attribute
+raises.
 
 Two arithmetic modes exist and are never mixed inside one computation:
 rational mode evaluates with fractions.Fraction exactly and refuses
@@ -449,7 +449,8 @@ def evaluate(e: Expr, point: Sequence[Number], mode: str | None = None):
         rational = False
     else:
         raise ExprError("unknown mode %r" % mode)
-    return _postorder_apply([e], lambda n, vals: n._value(vals, point, rational))[0]
+    return _postorder_apply(
+        [e], lambda n, vals: n._value(vals, point, rational))[0]
 
 
 def diff_all(exprs: Sequence[Expr], coord: int) -> list:

@@ -9,11 +9,12 @@ convention cannot drift.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import EvalDomainError, ZERO, diff, diff_all, evaluate, is_rational_closed
+from .expr import EvalDomainError, ZERO, diff_all
 from .tensor import (
     TensorField,
     contract,
@@ -81,12 +82,8 @@ class ChartGeometry:
             got = TensorField(n, 2, 0, [inv[i][j] for i in range(n)
                                         for j in range(n)])
             self._cache["inverse"] = got
-            self._cache["det"] = det
+            self._cache["det"] = TensorField(n, 0, 0, [det])
         return got
-
-    def metric_determinant(self):
-        self.metric_inverse()
-        return self._cache["det"]
 
     def check_invertible_at(self, point) -> None:
         """Raise SingularMetricError when det g is negligible at the point.
@@ -95,15 +92,13 @@ class ChartGeometry:
         the evaluated metric (or exact zero in rational mode). A
         non-finite determinant or metric entry counts as singular.
         """
-        det = self.metric_determinant()
-        g_pt = self.metric.at(point)
-        d = evaluate(det, point) if isinstance(
-            g_pt.components[0], Fraction) else float(
-                evaluate(det, [float(x) for x in point]))
+        self.metric_inverse()
+        d = self._cache["det"].at(point).components[0]
         if isinstance(d, Fraction):
             if d == 0:
                 raise SingularMetricError("metric is singular at the point")
             return
+        g_pt = self.metric.at(point)
         bound = 1.0
         for i in range(self.dim):
             bound *= max_magnitude(g_pt[i, j] for j in range(self.dim))
@@ -125,9 +120,6 @@ class ChartGeometry:
             self._cache["pack"] = got
         return got
 
-    def is_rational(self) -> bool:
-        return all(is_rational_closed(c) for c in self.metric.components)
-
     def __repr__(self):
         return "<ChartGeometry dim=%d>" % self.dim
 
@@ -145,10 +137,8 @@ class CurvaturePack:
 def levi_civita(geom: ChartGeometry) -> AffineConnection:
     """Koszul formula: gamma^c_ab = g^cd(d_a g_db + d_b g_da - d_d g_ab)/2."""
     n = geom.dim
-    g = geom.metric
     ginv = geom.metric_inverse()
-    dg = [[[diff(g[i, j], k) for j in range(n)] for i in range(n)]
-          for k in range(n)]
+    dg = partial_derivative(geom.metric)  # [a][d][b] = d_a g_db
     half = Fraction(1, 2)
     comps = []
     for c in range(n):
@@ -157,7 +147,7 @@ def levi_civita(geom: ChartGeometry) -> AffineConnection:
                 total = ZERO
                 for d in range(n):
                     total = total + ginv[c, d] * (
-                        dg[a][d][b] + dg[b][d][a] - dg[d][a][b])
+                        dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
                 comps.append(half * total)
     return AffineConnection(TensorField(n, 1, 2, comps), validate=False)
 
@@ -186,12 +176,11 @@ def covariant_derivative(conn: AffineConnection, T: TensorField) -> TensorField:
     n, p, q = T.dim, T.p, T.q
     gamma = conn.gamma
     out = []
-    import itertools
-    for multi in itertools.product(range(n), repeat=p + q + 1):
+    for multi, val in zip(itertools.product(range(n), repeat=p + q + 1),
+                          partial_derivative(T).components):
         up = multi[:p]
         a = multi[p]
         lo = multi[p + 1:]
-        val = diff(T.components[T.flat(up + lo)], a)
         for i in range(p):
             for e in range(n):
                 repl = up[:i] + (e,) + up[i + 1:]
@@ -208,14 +197,13 @@ def riemann(conn: AffineConnection) -> TensorField:
     """Curvature of the connection, stored as [c][a][b][d]."""
     n = conn.dim
     gamma = conn.gamma
-    dgamma = [[[[diff(gamma[c, a, b], k) for b in range(n)]
-                for a in range(n)] for c in range(n)] for k in range(n)]
+    dgamma = partial_derivative(gamma)  # [c][a][b][d] = d_a gamma^c_bd
     comps = []
     for c in range(n):
         for a in range(n):
             for b in range(n):
                 for d in range(n):
-                    val = dgamma[a][c][b][d] - dgamma[b][c][a][d]
+                    val = dgamma[c, a, b, d] - dgamma[c, b, a, d]
                     for e in range(n):
                         val = val + gamma[c, a, e] * gamma[e, b, d] \
                             - gamma[c, b, e] * gamma[e, a, d]

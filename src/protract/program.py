@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Add, Call, Const, Expr, Mul, Neg, Pow, Var, as_expr
+from .expr import Add, Call, Const, Mul, Neg, Pow, Var, as_expr
 
 OP_CONST = 0
 OP_VAR = 1
@@ -168,6 +168,3 @@ def _shared_nodes(roots) -> dict[int, None]:
             refs.extend(node.children())
     return shared
 
-
-def compile_expr(e: Expr) -> CompiledTable:
-    return compile_table([e])

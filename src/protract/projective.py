@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Expr, ZERO, diff
+from .expr import Expr, ZERO, gradient
 from .geometry import (
     AffineConnection,
     ChartGeometry,
     GeometryError,
     connection_pack,
-    levi_civita,
 )
 from .tensor import TensorField, max_residual
 
@@ -51,7 +50,7 @@ class Upsilon:
 
 def gradient_upsilon(phi: Expr, dim: int) -> Upsilon:
     """Exact one-form d(phi); the only kind the invariance suite accepts."""
-    return Upsilon(TensorField(dim, 0, 1, [diff(phi, a) for a in range(dim)]))
+    return Upsilon(TensorField(dim, 0, 1, gradient(phi, dim)))
 
 
 def projective_change(conn: AffineConnection, ups: Upsilon) -> AffineConnection:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Expr, ZERO, as_expr, const, cos, diff, sin, var
+from .expr import Expr, ZERO, as_expr, const, cos, diff_all, sin, var
 from .geometry import AffineConnection, ChartGeometry, covariant_derivative
 from .kernel import eval_table
 from .program import compile_table
@@ -89,7 +89,7 @@ class CurveSegment:
         comps = tuple(as_expr(c) for c in components)
         self.dim = len(comps)
         self.components = comps
-        self.velocity = tuple(diff(c, 0) for c in comps)
+        self.velocity = tuple(diff_all(comps, 0))
         self.u0 = u0
         self.u1 = u1
         if not float(u1) > float(u0):
@@ -290,27 +290,28 @@ class TransportBundle:
         vec[j] = Fraction(1)
         return self.constant_section(vec)
 
-    def constant_section(self, vec) -> Section:
-        fields = []
-        k = 0
+    def _expand(self, vec, zero) -> list:
+        """Per slot, the full component list of the coordinate vector
+        vec: each entry at its layout place, mirrored onto its symmetric
+        (v) or skew (-v) partner; the places vec does not set hold zero."""
         dim = self.dim
-        for si, (name, (p, q)) in enumerate(self.section_cls.SLOT_SPEC):
-            size = dim ** (p + q)
-            comps = [ZERO] * size
+        spec = self.section_cls.SLOT_SPEC
+        slots = [[zero] * dim ** (p + q) for _, (p, q) in spec]
+        for (si, flat), val in zip(self.layout, vec):
+            comps = slots[si]
+            comps[flat] = val
+            name, (p, q) = spec[si]
             sym = self.section_cls.SLOT_SYM.get(name)
-            while k < len(self.layout) and self.layout[k][0] == si:
-                _, flat = self.layout[k]
-                val = as_expr(vec[k])
-                comps[flat] = comps[flat] + val
-                if p + q == 2:
-                    b, c = divmod(flat, dim)
-                    if sym == "sym" and b != c:
-                        comps[c * dim + b] = comps[c * dim + b] + val
-                    elif sym == "skew":
-                        comps[c * dim + b] = comps[c * dim + b] - val
-                k += 1
-            fields.append(TensorField(dim, p, q, comps))
-        return self.section_cls(*fields, validate=False)
+            if p + q == 2 and sym is not None:
+                b, c = divmod(flat, dim)
+                comps[c * dim + b] = val if sym == "sym" else -val
+        return slots
+
+    def constant_section(self, vec) -> Section:
+        slots = self._expand([as_expr(v) for v in vec], ZERO)
+        return self.section_cls(*[
+            TensorField(self.dim, p, q, comps) for comps, (_, (p, q))
+            in zip(slots, self.section_cls.SLOT_SPEC)], validate=False)
 
     def flatten_fields(self, section: Section) -> list:
         out = []
@@ -327,25 +328,10 @@ class TransportBundle:
         return out
 
     def unflatten_point(self, vec) -> dict:
-        dim = self.dim
-        out = {}
-        k = 0
-        for si, (name, (p, q)) in enumerate(self.section_cls.SLOT_SPEC):
-            comps = [0.0] * dim ** (p + q)
-            sym = self.section_cls.SLOT_SYM.get(name)
-            while k < len(self.layout) and self.layout[k][0] == si:
-                _, flat = self.layout[k]
-                val = float(vec[k])
-                comps[flat] = val
-                if p + q == 2:
-                    b, c = divmod(flat, dim)
-                    if sym == "sym" and b != c:
-                        comps[c * dim + b] = val
-                    elif sym == "skew":
-                        comps[c * dim + b] = -val
-                k += 1
-            out[name] = PointTensor(dim, p, q, comps)
-        return out
+        slots = self._expand([float(v) for v in vec], 0.0)
+        return {name: PointTensor(self.dim, p, q, comps)
+                for comps, (name, (p, q))
+                in zip(slots, self.section_cls.SLOT_SPEC)}
 
     # --- connection coefficients ---
 
@@ -407,9 +393,9 @@ def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
                     steps: int) -> np.ndarray:
     """RK4 propagator for one segment acting on coordinate vectors.
 
-    The curve and the connection coefficients are evaluated once, in
-    one batch, at all 2*steps + 1 RK4 nodes; only the product of the
-    step propagators runs point by point.
+    The curve, the connection coefficients and the node matrices
+    -v^a A_a are formed once, in one batch, at all 2*steps + 1 RK4
+    nodes; only the product of the step propagators runs step by step.
     """
     r = bundle.rank
     u0, u1 = float(seg.u0), float(seg.u1)
@@ -423,8 +409,9 @@ def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
         u = u0 + k * h
         nodes += (u + 0.5 * h, u + h)
     xs, vs = seg.sample_many(nodes)
-    M = [-np.tensordot(v, A, axes=1)
-         for v, A in zip(vs, bundle.coefficients_at(xs))]
+    N, dim = vs.shape
+    A = bundle.coefficients_at(xs).reshape(N, dim, r * r)
+    M = -(vs[:, None, :] @ A).reshape(N, r, r)
 
     S = eye
     for k in range(steps):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protract.cli import load_geometry_spec
-from protract.expr import diff, evaluate, parse
+from protract.expr import EvalDomainError, diff, evaluate, parse
 from protract.geometry import (
     AffineConnection,
     ChartGeometry,
@@ -112,6 +112,17 @@ class TestLeviCivita:
         with pytest.raises(SingularMetricError):
             geom.check_invertible_at((x0, 0.5))
         assert not invertible(geom, (x0, 0.5))
+        geom.check_invertible_at((0.5, 0.5))
+
+    def test_pole_is_singular_at_a_float_point(self):
+        # a float 0**-k evaluates to NaN, so the determinant is non-finite
+        g = TensorField(2, 0, 2, [parse("x0^-1", 2), parse("0", 2),
+                                  parse("0", 2), parse("1", 2)])
+        geom = ChartGeometry(g)
+        with pytest.raises(SingularMetricError):
+            geom.check_invertible_at((0.0, 0.5))
+        with pytest.raises(EvalDomainError):
+            geom.check_invertible_at((Fraction(0), Fraction(1, 2)))
         geom.check_invertible_at((0.5, 0.5))
 
     def test_asymmetric_metric_rejected(self):
