@@ -167,4 +167,3 @@ def _shared_nodes(roots) -> dict[int, None]:
             seen.add(nid)
             refs.extend(node.children())
     return shared
-

@@ -195,6 +195,34 @@ class TestTransport:
         rev = loop_matrix(bundle, reverse_loop(loop), steps=600)
         assert np.max(np.abs(rev @ fwd - np.eye(3))) < 1e-8
 
+    @pytest.mark.parametrize("make", [tractor_bundle, s2_tractor_bundle])
+    def test_segment_matrix_is_per_node_rk4_bitwise(self, sphere2, make):
+        # reference: each node matrix -v^a A_a from its own tensordot
+        from protract.transport import _segment_matrix
+
+        bundle = make(sphere2)
+        eye = np.eye(bundle.rank)
+        steps = 40
+        for seg in circle_loop([0.1, 0.2], 0.45) + (
+                line_segment([0.0, 0.0], [0.4, 0.3]),):
+            u0, u1 = float(seg.u0), float(seg.u1)
+            h = (u1 - u0) / steps
+            nodes = [u0]
+            for k in range(steps):
+                u = u0 + k * h
+                nodes += (u + 0.5 * h, u + h)
+            xs, vs = seg.sample_many(nodes)
+            M = [-np.tensordot(v, A, axes=1)
+                 for v, A in zip(vs, bundle.coefficients_at(xs))]
+            S = eye
+            for k in range(steps):
+                k1, m_mid = M[2 * k], M[2 * k + 1]
+                k2 = m_mid @ (eye + 0.5 * h * k1)
+                k3 = m_mid @ (eye + 0.5 * h * k2)
+                k4 = M[2 * k + 2] @ (eye + h * k3)
+                S = (eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) @ S
+            assert _segment_matrix(bundle, seg, steps).tobytes() == S.tobytes()
+
     def test_rk4_observed_order(self, sphere2):
         bundle = tangent_bundle(sphere2)
         loop = circle_loop([0.15, -0.1], 0.5)
