@@ -1,8 +1,11 @@
 """Batched evaluation of compiled tables, exact or float.
 
-eval_table runs a table's tape once over a whole batch of points: every
-opcode acts on a column of N values at a time, so the per-op interpreter
-cost is paid once per batch instead of once per point. The arithmetic
+eval_table runs a table's register tape once over a whole batch of
+points: every instruction reads its operand registers and writes its own
+register, a column of N values (or a constant), so the per-instruction
+interpreter cost is paid once per batch instead of once per point. A
+register is dropped at its last reader, so only the values still to be
+read stay alive; the entries are copied out at the end. The arithmetic
 follows the batch, by the rule expr.evaluate uses: when every coordinate
 is an int or a Fraction the batch is exact, otherwise it is float.
 
@@ -38,9 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import EvalDomainError, ExactModeError
-from .program import (OP_ADD, OP_CONST, OP_COS, OP_EXP, OP_LOAD, OP_MUL,
-                      OP_NEG, OP_POW, OP_SIN, OP_STORE, OP_TAKE, OP_VAR,
-                      _CALL_OPS, CompiledTable)
+from .program import (OP_ADD, OP_CONST, OP_COS, OP_EXP, OP_MUL, OP_NEG,
+                      OP_POW, OP_SIN, OP_VAR, _CALL_OPS, CompiledTable)
 
 __all__ = ["BACKEND", "eval_table"]
 
@@ -69,49 +71,51 @@ def eval_table(table: CompiledTable, points) -> np.ndarray:
                                    for x in pts.flat):
         cols = [np.array([Fraction(x) for x in col], dtype=object)
                 for col in pts.T]
-        consts = table.consts
+        const = _exact_const
         out = np.empty((pts.shape[0], table.n_out), dtype=object)
         power, calls = _exact_pow, _EXACT_CALLS
     else:
         cols = np.ascontiguousarray(pts.T, dtype=np.float64)
-        consts = [np.float64(float(c)) for c in table.consts]
+        const = _float_const
         out = np.empty((pts.shape[0], table.n_out))
         power, calls = _ipow, _FLOAT_CALLS
-    slots = [None] * table.n_slots
-    st = []
-    push, pop = st.append, st.pop
+    regs = [None] * len(table)
+    operands, starts, last_read = table.operands, table.starts, table.last_read
     with np.errstate(all="ignore"):
-        for op, a in zip(table.ops, table.args):
+        for i, (op, a) in enumerate(zip(table.ops, table.args)):
+            xs = operands[starts[i]:starts[i + 1]]
             if op == OP_CONST:
-                push(consts[a])
+                v = const(a)
             elif op == OP_VAR:
-                push(cols[a])
-            elif op == OP_LOAD:
-                push(slots[a])
-            elif op == OP_TAKE:
-                push(slots[a])
-                slots[a] = None
-            elif op == OP_STORE:
-                slots[a] = st[-1]
+                v = cols[a]
             elif op == OP_ADD or op == OP_MUL:
                 first, fold = _FOLDS[op]
-                terms = st[-a:]
-                del st[-a:]
                 # a fresh accumulator, so the in-place folds never touch
-                # a column, slot or constant still in use
-                acc = first(terms[0], terms[1])
-                for t in terms[2:]:
-                    acc = fold(acc, t)
-                push(acc)
+                # a column, constant or register still in use
+                v = first(regs[xs[0]], regs[xs[1]])
+                for r in xs[2:]:
+                    v = fold(v, regs[r])
             elif op == OP_POW:
-                push(power(pop(), a))
+                v = power(regs[xs[0]], a)
             elif op == OP_NEG:
-                push(-pop())
-            elif op == OP_SIN or op == OP_COS or op == OP_EXP:
-                push(calls[op](pop()))
-            else:  # OUT
-                out[:, a] = pop()
+                v = -regs[xs[0]]
+            else:   # SIN, COS, EXP
+                v = calls[op](regs[xs[0]])
+            regs[i] = v
+            for r in xs:
+                if last_read[r] == i:
+                    regs[r] = None
+    for k, r in enumerate(table.outputs):
+        out[:, k] = regs[r]
     return out
+
+
+def _exact_const(c):
+    return c
+
+
+def _float_const(c) -> np.float64:
+    return np.float64(float(c))
 
 
 def _exp(x):

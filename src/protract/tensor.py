@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import (EvalDomainError, Const, ZERO, as_expr, const,
-                   is_rational_closed, power)
+from .expr import (EvalDomainError, Call, Const, ZERO, _walk_unique, as_expr,
+                   const, power)
 
 __all__ = [
     "Tensor", "TensorField", "PointTensor",
@@ -406,11 +406,16 @@ _PROBE_SEEDS = (Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3),
                 Fraction(5, 11), Fraction(-4, 9))
 
 
-def _probe_points(dim: int, count: int = 3):
+def _probe_points(components, dim: int, count: int = 3):
+    """count fixed probe points: exact Fractions when no component has a
+    sin, cos or exp node, floats otherwise."""
+    rational = not any(isinstance(node, Call)
+                       for node in _walk_unique(components))
     pts = []
     for k in range(count):
-        pts.append([_PROBE_SEEDS[(k + i) % len(_PROBE_SEEDS)] + Fraction(i - k, 13)
-                    for i in range(dim)])
+        pt = [_PROBE_SEEDS[(k + i) % len(_PROBE_SEEDS)] + Fraction(i - k, 13)
+              for i in range(dim)]
+        pts.append(pt if rational else [float(x) for x in pt])
     return pts
 
 
@@ -419,13 +424,10 @@ def _pair_relation(T: Tensor, slot_i: int, slot_j: int, sign: int,
     """Check T[.. i .. j ..] == sign * T[.. j .. i ..] by evaluation."""
     n = T.dim
     if isinstance(T, TensorField):
-        rational = all(is_rational_closed(c) for c in T.components)
-        points = _probe_points(n, count) if rational else [
-            [float(x) for x in pt] for pt in _probe_points(n, count)]
-        fields = [T.at(pt) for pt in points]
+        rows = T.at_many(_probe_points(T.components, n, count)).tolist()
     else:
-        fields = [T]
-    for F in fields:
+        rows = [T.components]
+    for comps in rows:
         for multi in _ranges(n, T.rank):
             if multi[slot_i] > multi[slot_j]:
                 continue
@@ -433,8 +435,8 @@ def _pair_relation(T: Tensor, slot_i: int, slot_j: int, sign: int,
                 continue
             swapped = list(multi)
             swapped[slot_i], swapped[slot_j] = multi[slot_j], multi[slot_i]
-            a = F.components[F.flat(multi)]
-            b = F.components[F.flat(swapped)]
+            a = comps[T.flat(multi)]
+            b = comps[T.flat(swapped)]
             if isinstance(a, Fraction) and isinstance(b, Fraction):
                 if a != sign * b:
                     return False

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import ZERO, as_expr, is_rational_closed
+from .expr import ZERO, add, as_expr
 from .geometry import (
     AffineConnection,
     ChartGeometry,
@@ -116,14 +116,6 @@ class Section:
             raise ValueError("section type mismatch")
         return type(self)(*[a - b for a, b in
                             zip(self._fields, other._fields)], validate=False)
-
-    def scaled(self, factor) -> "Section":
-        """Multiply every slot componentwise; factor may be Expr or number."""
-        out = []
-        for f in self._fields:
-            out.append(TensorField(f.dim, f.p, f.q,
-                                   [factor * c for c in f.components]))
-        return type(self)(*out, validate=False)
 
     def at(self, point) -> dict:
         """Each slot at one point, by name; see TensorField.at."""
@@ -584,11 +576,7 @@ def flat_skew_prolong_nabla(s: SkewTractorSection, conn: AffineConnection):
 def _require_flat(conn: AffineConnection):
     from .tensor import _probe_points
     R = riemann(conn)
-    rational = all(is_rational_closed(c) for c in R.components)
-    pts = _probe_points(conn.dim, 3)
-    if not rational:
-        pts = [[float(x) for x in p] for p in pts]
-    if not max_residual([R], pts) <= 1e-12:
+    if not max_residual([R], _probe_points(R.components, conn.dim)) <= 1e-12:
         raise GeometryError("connection is not flat")
 
 
@@ -601,10 +589,10 @@ def skew_induced_parts(conn: AffineConnection, beta: TensorField):
     dbeta = covariant_derivative(conn, beta)   # [b][c][a]
     k1 = Fraction(1, n - 1)
     nu = TensorField(n, 1, 0, [
-        k1 * _sum(dbeta[d, c, d] for d in range(n)) for c in range(n)])
+        k1 * add(*[dbeta[d, c, d] for d in range(n)]) for c in range(n)])
     dnu = covariant_derivative(conn, nu)        # [b][a]
     k2 = Fraction(1, n - 2)
-    rho = k2 * _sum(dnu[b, b] for b in range(n))
+    rho = k2 * add(*[dnu[b, b] for b in range(n)])
     return nu, _scalar(n, rho)
 
 
@@ -618,21 +606,15 @@ def induced_s2_section(geom: ChartGeometry, t: TensorField) -> S2TractorSection:
     dt = covariant_derivative(conn, t)          # [b][c][a]
     k_nu = Fraction(-1, n + 1)
     nu = TensorField(n, 1, 0, [
-        k_nu * _sum(dt[d, c, d] for d in range(n)) for c in range(n)])
+        k_nu * add(*[dt[d, c, d] for d in range(n)]) for c in range(n)])
     dnu = covariant_derivative(conn, nu)        # [c][a]
     invn = Fraction(1, n)
-    rho = -invn * _sum(dnu[a, a] for a in range(n)) \
-        + invn * _sum(P[d, e] * t[e, d] for d in range(n) for e in range(n))
+    rho = -invn * add(*[dnu[a, a] for a in range(n)]) \
+        + invn * add(*[P[d, e] * t[e, d]
+                       for d in range(n) for e in range(n)])
     return S2TractorSection(t, nu, _scalar(n, rho), validate=False)
 
 
 def metric_lift(geom: ChartGeometry) -> S2TractorSection:
     """The canonical section over t = inverse metric."""
     return induced_s2_section(geom, geom.metric_inverse())
-
-
-def _sum(items):
-    total = ZERO
-    for it in items:
-        total = total + it
-    return total

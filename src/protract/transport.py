@@ -112,9 +112,6 @@ class CurveSegment:
         out = eval_table(self._table, np.asarray(us, dtype=float)[:, None])
         return out[:, :self.dim], out[:, self.dim:]
 
-    def point(self, u: float):
-        return self.sample(u)[0]
-
     def reversed(self) -> "CurveSegment":
         u = var(0)
         total = as_expr(self.u0) + as_expr(self.u1)
@@ -157,12 +154,13 @@ def _as_loop(curve) -> tuple:
     return tuple(curve)
 
 
+def _endpoints(seg: CurveSegment) -> np.ndarray:
+    """The start and end points of a segment, as the rows of one batch."""
+    return seg.sample_many([float(seg.u0), float(seg.u1)])[0]
+
+
 def _check_closed(loop: tuple, tol: float = 1e-12):
-    pts = []
-    for seg in loop:
-        a = np.asarray(seg.point(float(seg.u0)))
-        b = np.asarray(seg.point(float(seg.u1)))
-        pts.append((a, b))
+    pts = [_endpoints(seg) for seg in loop]
     for i, (_, end) in enumerate(pts):
         nxt = pts[(i + 1) % len(pts)][0]
         if float(np.max(np.abs(end - nxt))) > tol:
@@ -504,11 +502,11 @@ def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
     at unrelated points and the upper-bound property would be lost.
     """
     loop_list = [_as_loop(lp) for lp in loops]
-    base = [float(c) for c in loop_list[0][0].point(float(loop_list[0][0].u0))]
+    base = _endpoints(loop_list[0][0])[0].tolist()
     mats = []
     for loop in loop_list:
         hol = loop_matrix(bundle, loop, steps, check_closed=True)
-        start = [float(c) for c in loop[0].point(float(loop[0].u0))]
+        start = _endpoints(loop[0])[0].tolist()
         if max(abs(a - b) for a, b in zip(base, start)) > 1e-12:
             seg = line_segment(base, start)
             conn_steps = max(50, round((steps or 1000) * seg.length))

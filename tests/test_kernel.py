@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from protract.expr import (EvalDomainError, ExactModeError, Pow, add, diff,
-                           evaluate, mul, parse)
+from protract.expr import (EvalDomainError, ExactModeError, Pow, _walk_unique,
+                           add, diff, evaluate, mul, parse)
 from protract.kernel import eval_table
-from protract.program import OP_LOAD, OP_TAKE, compile_table
+from protract.program import OP_CONST, OP_MUL, OP_VAR, compile_table
 
 from gen import rng_for
 from test_expr import _random_rational_expr, _random_smooth_expr
@@ -108,15 +108,45 @@ def test_sin_and_cos_of_infinity_are_nan():
     assert out[2].tolist() == [math.sin(0.5), math.cos(0.5)]
 
 
+def _operands(table, i):
+    return list(table.operands[table.starts[i]:table.starts[i + 1]])
+
+
+def _assert_register_tape(table, exprs):
+    """One instruction per distinct node, operands before their reader,
+    last_read at each register's last reader and past the tape for an
+    output, n_slots the non-leaf registers read twice or more."""
+    assert len(table) == len(list(_walk_unique(exprs)))
+    reads = [0] * len(table)
+    last = [None] * len(table)
+    assert len(table.starts) == len(table) + 1
+    for i in range(len(table)):
+        for r in _operands(table, i):
+            assert 0 <= r < i
+            reads[r] += 1
+            last[r] = i
+    for r in table.outputs:
+        reads[r] += 1
+        last[r] = len(table)
+    assert list(table.last_read) == last
+    assert table.n_slots == sum(
+        1 for op, n in zip(table.ops, reads)
+        if n > 1 and op not in (OP_CONST, OP_VAR))
+
+
 def test_shared_subtrees_go_through_slots():
     shared = parse("sin(x0) * x1 + x0^3", 2)
     exprs = [shared, shared * parse("x1", 2), shared + parse("2", 2),
              parse("x0 - x1", 2) * shared]
     table = compile_table(exprs)
-    loads = [a for op, a in zip(table.ops, table.args) if op == OP_LOAD]
-    takes = [a for op, a in zip(table.ops, table.args) if op == OP_TAKE]
-    assert table.n_slots >= 1 and sorted(takes) == list(range(table.n_slots))
-    assert len(loads) + len(takes) >= 3
+    _assert_register_tape(table, exprs)
+    # the shared subtree is one instruction, read by the two products
+    # and kept to the end as the first entry
+    reg = table.outputs[0]
+    readers = [i for i in range(len(table)) if reg in _operands(table, i)]
+    assert readers == sorted(table.outputs[k] for k in (1, 3))
+    assert table.last_read[reg] == len(table)
+    assert table.n_slots >= 2
     points = [[0.3, -0.7], [1.2, 0.5], [-2.0, 0.25]]
     for row, x in zip(eval_table(table, points), points):
         assert np.allclose(row, [evaluate(e, tuple(x)) for e in exprs],
@@ -126,8 +156,14 @@ def test_shared_subtrees_go_through_slots():
 def test_subtree_parsed_twice_gets_one_slot():
     exprs = [parse("sin(x0)*x1 + 1", 2), parse("x0 - sin(x0)*x1", 2)]
     table = compile_table(exprs)
+    _assert_register_tape(table, exprs)
     assert table.n_slots == 1
-    assert [op for op in table.ops if op in (OP_LOAD, OP_TAKE)] == [OP_TAKE]
+    prods = [i for i, op in enumerate(table.ops) if op == OP_MUL]
+    assert len(prods) == 1
+    # the product is read twice; its last_read is the later reader
+    readers = [i for i in range(len(table))
+               if prods[0] in _operands(table, i)]
+    assert len(readers) == 2 and table.last_read[prods[0]] == readers[-1]
     assert eval_table(table, [[0.5, 2.0]]).tolist() == [
         [math.sin(0.5) * 2.0 + 1.0, 0.5 - math.sin(0.5) * 2.0]]
 
