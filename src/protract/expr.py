@@ -280,7 +280,9 @@ def as_expr(x) -> Expr:
 
 def const(value: Number) -> Expr:
     """Rational constant. Floats are converted exactly (binary expansion)."""
-    return Const(Fraction(value))
+    # a Fraction (as add and mul fold them) needs no copy: the node is the
+    # same interned object either way
+    return Const(value if type(value) is Fraction else Fraction(value))
 
 
 def var(index: int) -> Expr:

@@ -4,7 +4,11 @@ A bundle connection acting on sections with constant coefficients has no
 derivative terms left, so applying it to a basis of frozen constant
 sections reads off the coefficient matrices A_a(x) directly. Transport
 then solves s'(u) = -v^a(u) A_a(c(u)) s(u) with classical fixed-step
-RK4; since the right side is linear, whole frames transport as matrices.
+RK4; since the right side is linear, whole frames transport as matrices,
+and each RK4 step is one propagator matrix. A loop is transported as one
+batch: the coefficients at the RK4 nodes of all its segments come from
+one evaluation, and every step propagator from stacked matrix products;
+only the product of the propagators runs step by step.
 
 Curves are expression vectors in the single parameter x0; loops are
 tuples of curve segments chained end to end.
@@ -387,39 +391,58 @@ def tangent_bundle(geom: ChartGeometry) -> TransportBundle:
 # ---------------------------------------------------------------------------
 # transport
 
-def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
-                    steps: int) -> np.ndarray:
-    """RK4 propagator for one segment acting on coordinate vectors.
+def _propagators(bundle: TransportBundle, jobs) -> list:
+    """RK4 propagators, acting on coordinate vectors, of the segments of
+    (segment, steps) jobs.
 
-    The curve, the connection coefficients and the node matrices
-    -v^a A_a are formed once, in one batch, at all 2*steps + 1 RK4
-    nodes; only the product of the step propagators runs step by step.
+    The curves are sampled per segment at their 2*steps + 1 RK4 nodes;
+    the connection coefficients and the node matrices -v^a A_a are then
+    formed once for the nodes of all jobs, and the step propagators of
+    each job in one batch. Only the product of the step propagators runs
+    step by step.
     """
     r = bundle.rank
-    u0, u1 = float(seg.u0), float(seg.u1)
-    h = (u1 - u0) / steps
     eye = np.eye(r)
+    hs, xs, vs = [], [], []
+    for seg, steps in jobs:
+        u0, u1 = float(seg.u0), float(seg.u1)
+        h = (u1 - u0) / steps
+        # node 2k is the start of step k (the end of step k-1), node 2k+1
+        # its midpoint
+        nodes = [u0]
+        for k in range(steps):
+            u = u0 + k * h
+            nodes += (u + 0.5 * h, u + h)
+        pos, vel = seg.sample_many(nodes)
+        hs.append(h)
+        xs.append(pos)
+        vs.append(vel)
+    v = np.concatenate(vs)
+    N, dim = v.shape
+    A = bundle.coefficients_at(np.concatenate(xs)).reshape(N, dim, r * r)
+    M = -(v[:, None, :] @ A).reshape(N, r, r)
 
-    # node 2k is the start of step k (the end of step k-1), node 2k+1
-    # its midpoint
-    nodes = [u0]
-    for k in range(steps):
-        u = u0 + k * h
-        nodes += (u + 0.5 * h, u + h)
-    xs, vs = seg.sample_many(nodes)
-    N, dim = vs.shape
-    A = bundle.coefficients_at(xs).reshape(N, dim, r * r)
-    M = -(vs[:, None, :] @ A).reshape(N, r, r)
-
-    S = eye
-    for k in range(steps):
-        k1 = M[2 * k]
-        m_mid = M[2 * k + 1]
+    out = []
+    start = 0
+    for h, vel in zip(hs, vs):
+        Mj = M[start:start + len(vel)]
+        start += len(vel)
+        k1 = Mj[0:-1:2]
+        m_mid = Mj[1::2]
         k2 = m_mid @ (eye + 0.5 * h * k1)
         k3 = m_mid @ (eye + 0.5 * h * k2)
-        k4 = M[2 * k + 2] @ (eye + h * k3)
-        S = (eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) @ S
-    return S
+        k4 = Mj[2::2] @ (eye + h * k3)
+        S = eye
+        for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
+            S = P @ S
+        out.append(S)
+    return out
+
+
+def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
+                    steps: int) -> np.ndarray:
+    """RK4 propagator for one segment: the one-job case of _propagators."""
+    return _propagators(bundle, [(seg, steps)])[0]
 
 
 def _split_steps(loop: tuple, steps: int | None) -> list:
@@ -444,10 +467,9 @@ def loop_matrix(bundle: TransportBundle, curve, steps: int | None = None,
     loop = _as_loop(curve)
     if check_closed:
         _check_closed(loop)
-    per_seg = _split_steps(loop, steps)
     S = np.eye(bundle.rank)
-    for seg, s in zip(loop, per_seg):
-        S = _segment_matrix(bundle, seg, s) @ S
+    for P in _propagators(bundle, zip(loop, _split_steps(loop, steps))):
+        S = P @ S
     return S
 
 

@@ -41,6 +41,29 @@ from gen import rng_for
 from oracles import central_diff, richardson_order
 
 
+def _rk4_reference(bundle, seg, steps):
+    """Per-node RK4 propagator of one segment: each node matrix -v^a A_a
+    from its own tensordot, each step formed alone."""
+    eye = np.eye(bundle.rank)
+    u0, u1 = float(seg.u0), float(seg.u1)
+    h = (u1 - u0) / steps
+    nodes = [u0]
+    for k in range(steps):
+        u = u0 + k * h
+        nodes += (u + 0.5 * h, u + h)
+    xs, vs = seg.sample_many(nodes)
+    M = [-np.tensordot(v, A, axes=1)
+         for v, A in zip(vs, bundle.coefficients_at(xs))]
+    S = eye
+    for k in range(steps):
+        k1, m_mid = M[2 * k], M[2 * k + 1]
+        k2 = m_mid @ (eye + 0.5 * h * k1)
+        k3 = m_mid @ (eye + 0.5 * h * k2)
+        k4 = M[2 * k + 2] @ (eye + h * k3)
+        S = (eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) @ S
+    return S
+
+
 class TestCurves:
     def test_line_segment_endpoints(self):
         seg = line_segment([0, 0], [1, 2])
@@ -197,31 +220,71 @@ class TestTransport:
 
     @pytest.mark.parametrize("make", [tractor_bundle, s2_tractor_bundle])
     def test_segment_matrix_is_per_node_rk4_bitwise(self, sphere2, make):
-        # reference: each node matrix -v^a A_a from its own tensordot
         from protract.transport import _segment_matrix
 
         bundle = make(sphere2)
-        eye = np.eye(bundle.rank)
         steps = 40
         for seg in circle_loop([0.1, 0.2], 0.45) + (
                 line_segment([0.0, 0.0], [0.4, 0.3]),):
-            u0, u1 = float(seg.u0), float(seg.u1)
-            h = (u1 - u0) / steps
-            nodes = [u0]
-            for k in range(steps):
-                u = u0 + k * h
-                nodes += (u + 0.5 * h, u + h)
-            xs, vs = seg.sample_many(nodes)
-            M = [-np.tensordot(v, A, axes=1)
-                 for v, A in zip(vs, bundle.coefficients_at(xs))]
-            S = eye
-            for k in range(steps):
-                k1, m_mid = M[2 * k], M[2 * k + 1]
-                k2 = m_mid @ (eye + 0.5 * h * k1)
-                k3 = m_mid @ (eye + 0.5 * h * k2)
-                k4 = M[2 * k + 2] @ (eye + h * k3)
-                S = (eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) @ S
+            S = _rk4_reference(bundle, seg, steps)
             assert _segment_matrix(bundle, seg, steps).tobytes() == S.tobytes()
+
+    @pytest.mark.parametrize("make", [tractor_bundle, s2_tractor_bundle])
+    def test_loop_matrix_is_per_node_rk4_bitwise(self, sphere2, make):
+        # the whole loop is one batch; its product must still equal the
+        # per-node reference applied segment by segment
+        from protract.transport import _split_steps
+
+        bundle = make(sphere2)
+        steps = 60
+        for loop in (rectangle_loop([-0.2, 0.1], 0.5, 0.3),
+                     circle_loop([0.1, 0.2], 0.45)):
+            S = np.eye(bundle.rank)
+            for seg, s in zip(loop, _split_steps(loop, steps)):
+                S = _rk4_reference(bundle, seg, s) @ S
+            assert loop_matrix(bundle, loop, steps).tobytes() == S.tobytes()
+
+    def test_one_coefficient_batch_per_loop(self, sphere2, monkeypatch):
+        from protract.transport import TransportBundle, _endpoints, _split_steps
+
+        rows = []
+        inner = TransportBundle.coefficients_at
+
+        def counted(self, points):
+            rows.append(len(points))
+            return inner(self, points)
+
+        monkeypatch.setattr(TransportBundle, "coefficients_at", counted)
+        bundle = tractor_bundle(sphere2)
+        steps = 80
+
+        def loop_rows(loop):
+            return sum(2 * s + 1 for s in _split_steps(loop, steps))
+
+        rect = rectangle_loop([-0.2, 0.1], 0.5, 0.3)
+        circle = circle_loop([0.1, 0.2], 0.45)
+        for loop in (rect, circle):
+            rows.clear()
+            loop_matrix(bundle, loop, steps)
+            assert rows == [loop_rows(loop)]
+
+        # holonomy: one call per loop, then one per lasso connector from
+        # the first loop's start
+        loops = seeded_loops([[-1, 1], [-1, 1]], 4, seed=12)
+        base = _endpoints(loops[0][0])[0]
+        expected = []
+        for loop in loops:
+            expected.append(loop_rows(loop))
+            start = _endpoints(loop[0])[0]
+            if np.max(np.abs(start - base)) > 1e-12:
+                seg = line_segment(base.tolist(), start.tolist())
+                expected.append(2 * max(50, round(steps * seg.length)) + 1)
+        rows.clear()
+        holonomy_dimension(bundle, loops, steps=steps)
+        assert rows == expected
+        assert len(rows) > len(loops)
+        # no batch is larger than one loop's nodes: the memory bound
+        assert max(rows) <= max(loop_rows(loop) for loop in loops)
 
     def test_rk4_observed_order(self, sphere2):
         bundle = tangent_bundle(sphere2)
