@@ -294,7 +294,7 @@ def var(index: int) -> Expr:
 def add(*terms: Expr) -> Expr:
     """Sum with local folding: flatten, combine constants, drop zeros."""
     flat = []
-    c = Fraction(0)
+    c = 0   # an int start: the first constant makes it a Fraction
     for t in terms:
         if isinstance(t, Add):
             items: Iterable[Expr] = t.terms
@@ -317,7 +317,7 @@ def add(*terms: Expr) -> Expr:
 def mul(*factors: Expr) -> Expr:
     """Product with local folding: flatten, combine constants, short-circuit zero."""
     flat = []
-    c = Fraction(1)
+    c = 1
     for f in factors:
         if isinstance(f, Mul):
             items: Iterable[Expr] = f.factors

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import EvalDomainError, ZERO, diff_all
+from .expr import EvalDomainError, ZERO, add, diff_all, mul, neg
 from .tensor import (
     TensorField,
     contract,
@@ -181,15 +181,20 @@ def covariant_derivative(conn: AffineConnection, T: TensorField) -> TensorField:
         up = multi[:p]
         a = multi[p]
         lo = multi[p + 1:]
+        # one add per component: a running sum would build and intern
+        # an intermediate Add per term only to flatten it again
+        terms = [val]
         for i in range(p):
             for e in range(n):
                 repl = up[:i] + (e,) + up[i + 1:]
-                val = val + gamma[up[i], a, e] * T.components[T.flat(repl + lo)]
+                terms.append(mul(gamma[up[i], a, e],
+                                 T.components[T.flat(repl + lo)]))
         for j in range(q):
             for e in range(n):
                 repl = lo[:j] + (e,) + lo[j + 1:]
-                val = val - gamma[e, a, lo[j]] * T.components[T.flat(up + repl)]
-        out.append(val)
+                terms.append(neg(mul(gamma[e, a, lo[j]],
+                                     T.components[T.flat(up + repl)])))
+        out.append(add(*terms))
     return TensorField(n, p, q + 1, out)
 
 

@@ -1,25 +1,33 @@
 """Batched evaluation of compiled tables, exact or float.
 
-eval_table runs a table's register tape once over a whole batch of
-points: every instruction reads its operand registers and writes its own
-register, a column of N values (or a constant), so the per-instruction
-interpreter cost is paid once per batch instead of once per point. A
+eval_table runs a table's register tape with one walker for both
+arithmetic modes: every instruction reads its operand registers and
+writes its own register, through the arithmetic the mode passes in. A
 register is dropped at its last reader, so only the values still to be
 read stay alive; the entries are copied out at the end. The arithmetic
 follows the batch, by the rule expr.evaluate uses: when every coordinate
 is an int or a Fraction the batch is exact, otherwise it is float.
 
-An exact batch runs over numpy object columns of Fractions and returns
-Fractions:
+An exact batch is walked once per row. Its registers are plain
+(numerator, denominator) int pairs in lowest terms with a positive
+denominator, and only the entries become Fractions, at the end:
 
-- ADD, MUL and NEG are Fraction arithmetic, so every row equals
-  expr.evaluate at that point;
-- POW is Fraction powering, and 0**negative raises EvalDomainError;
-- SIN, COS and EXP raise ExactModeError.
+- MUL cross-cancels before it multiplies: gcd(n1, d2) and gcd(n2, d1);
+- ADD adds the numerators over an equal denominator and reduces by one
+  gcd; otherwise it adds over lcm(d1, d2) and reduces by the gcd of the
+  new numerator with gcd(d1, d2) alone, as fractions.Fraction does;
+- POW inverts the base for a negative exponent, keeping the denominator
+  positive, and 0**negative raises EvalDomainError;
+- NEG flips the numerator's sign;
+- a table with SIN, COS or EXP raises ExactModeError.
 
-A float batch runs over float64 columns. Each row of the result is
-bitwise the value a scalar IEEE evaluation of the same tape gives at
-that point:
+Every step keeps its result in lowest terms, so every row equals
+expr.evaluate at that point.
+
+A float batch is walked once over float64 columns of N values (or
+constants), so the per-instruction interpreter cost is paid once per
+batch instead of once per point. Each row of the result is bitwise the
+value a scalar IEEE evaluation of the same tape gives at that point:
 
 - ADD and MUL fold their operands left to right;
 - POW is binary powering on the (inverted, for negative exponents)
@@ -35,21 +43,17 @@ callers inspect finiteness where they care.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .expr import EvalDomainError, ExactModeError
-from .program import (OP_ADD, OP_CONST, OP_COS, OP_EXP, OP_MUL, OP_NEG,
-                      OP_POW, OP_SIN, OP_VAR, _CALL_OPS, CompiledTable)
+from .program import OP_VAR, _CALL_OPS, CompiledTable
 
 __all__ = ["BACKEND", "eval_table"]
 
 BACKEND = "numpy"   # names the evaluator in benchmark run records
-
-_FOLDS = {OP_ADD: (operator.add, operator.iadd),
-          OP_MUL: (operator.mul, operator.imul)}
 
 
 def eval_table(table: CompiledTable, points) -> np.ndarray:
@@ -69,53 +73,85 @@ def eval_table(table: CompiledTable, points) -> np.ndarray:
                          % (pts.shape[1], table.max_var + 1))
     if pts.dtype == object and all(isinstance(x, (int, Fraction))
                                    for x in pts.flat):
-        cols = [np.array([Fraction(x) for x in col], dtype=object)
-                for col in pts.T]
-        const = _exact_const
+        if not _CALL_NAMES.keys().isdisjoint(table.ops):
+            name = next(_CALL_NAMES[op] for op in table.ops
+                        if op in _CALL_NAMES)
+            raise ExactModeError("%s is not rational-closed" % name)
         out = np.empty((pts.shape[0], table.n_out), dtype=object)
-        power, calls = _exact_pow, _EXACT_CALLS
-    else:
-        cols = np.ascontiguousarray(pts.T, dtype=np.float64)
-        const = _float_const
-        out = np.empty((pts.shape[0], table.n_out))
-        power, calls = _ipow, _FLOAT_CALLS
-    regs = [None] * len(table)
-    operands, starts, last_read = table.operands, table.starts, table.last_read
+        for k, row in enumerate(pts.tolist()):
+            pairs = [(x.numerator, x.denominator) for x in row]
+            out[k] = [Fraction(n, d)
+                      for n, d in _walk(table, pairs.__getitem__, _PAIRS)]
+        return out
+    cols = np.ascontiguousarray(pts.T, dtype=np.float64)
+    out = np.empty((pts.shape[0], table.n_out))
     with np.errstate(all="ignore"):
-        for i, (op, a) in enumerate(zip(table.ops, table.args)):
-            xs = operands[starts[i]:starts[i + 1]]
-            if op == OP_CONST:
-                v = const(a)
-            elif op == OP_VAR:
-                v = cols[a]
-            elif op == OP_ADD or op == OP_MUL:
-                first, fold = _FOLDS[op]
-                # a fresh accumulator, so the in-place folds never touch
-                # a column, constant or register still in use
-                v = first(regs[xs[0]], regs[xs[1]])
-                for r in xs[2:]:
-                    v = fold(v, regs[r])
-            elif op == OP_POW:
-                v = power(regs[xs[0]], a)
-            elif op == OP_NEG:
-                v = -regs[xs[0]]
-            else:   # SIN, COS, EXP
-                v = calls[op](regs[xs[0]])
-            regs[i] = v
-            for r in xs:
-                if last_read[r] == i:
-                    regs[r] = None
-    for k, r in enumerate(table.outputs):
-        out[:, k] = regs[r]
+        values = _walk(table, cols.__getitem__, _FLOAT)
+    for k, v in enumerate(values):
+        out[:, k] = v
     return out
 
 
-def _exact_const(c):
-    return c
+def _walk(table: CompiledTable, load, steps) -> list:
+    """Run the tape once and return the entries' values.
+
+    load(k) gives coordinate k. steps[op](regs, operands, arg) gives the
+    value of any other instruction from the registers it reads."""
+    regs = [None] * len(table)
+    operands, starts, last_read = table.operands, table.starts, table.last_read
+    for i, (op, a) in enumerate(zip(table.ops, table.args)):
+        xs = operands[starts[i]:starts[i + 1]]
+        regs[i] = load(a) if op == OP_VAR else steps[op](regs, xs, a)
+        for r in xs:
+            if last_read[r] == i:
+                regs[r] = None
+    return [regs[r] for r in table.outputs]
 
 
-def _float_const(c) -> np.float64:
+# ---------------------------------------------------------------------------
+# float64 columns
+
+def _float_const(regs, xs, c) -> np.float64:
     return np.float64(float(c))
+
+
+def _float_add(regs, xs, a):
+    # a fresh accumulator, so the in-place fold never touches a column,
+    # constant or register still in use
+    v = regs[xs[0]] + regs[xs[1]]
+    for r in xs[2:]:
+        v += regs[r]
+    return v
+
+
+def _float_mul(regs, xs, a):
+    v = regs[xs[0]] * regs[xs[1]]
+    for r in xs[2:]:
+        v *= regs[r]
+    return v
+
+
+def _float_pow(regs, xs, e: int):
+    base = regs[xs[0]]
+    if e < 0:
+        base = np.where(base == 0.0, np.nan, 1.0 / base)
+        e = -e
+    result = np.float64(1.0)   # 1.0 * x == x, so the first product is exact
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def _float_neg(regs, xs, a):
+    return -regs[xs[0]]
+
+
+def _float_call(fn):
+    return lambda regs, xs, a: fn(regs[xs[0]])
 
 
 def _exp(x):
@@ -131,32 +167,70 @@ def _exp1(x: float) -> float:
         return math.inf
 
 
-def _not_rational(name: str):
-    def call(x):
-        raise ExactModeError("%s is not rational-closed" % name)
-    return call
+# ---------------------------------------------------------------------------
+# exact (numerator, denominator) pairs in lowest terms, denominator > 0
+
+def _pair_const(regs, xs, c: Fraction):
+    return c.numerator, c.denominator
 
 
-_FLOAT_CALLS = {OP_SIN: np.sin, OP_COS: np.cos, OP_EXP: _exp}
-_EXACT_CALLS = {op: _not_rational(name) for name, op in _CALL_OPS.items()}
+def _pair_add(regs, xs, a):
+    n, d = regs[xs[0]]
+    for r in xs[1:]:
+        n2, d2 = regs[r]
+        if d == d2:
+            n += n2
+            if d != 1:
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+            continue
+        # over the divisor g = gcd(d, d2): n/d + n2/d2 = t / (s * d2)
+        # with s = d/g, and a common factor of t and s * d2 divides g
+        g = gcd(d, d2)
+        if g == 1:
+            n = n * d2 + d * n2
+            d *= d2
+            continue
+        s = d // g
+        t = n * (d2 // g) + n2 * s
+        g = gcd(t, g)
+        n, d = t // g, s * (d2 // g)
+    return n, d
 
 
-def _ipow(base, e: int):
+def _pair_mul(regs, xs, a):
+    n, d = regs[xs[0]]
+    for r in xs[1:]:
+        n2, d2 = regs[r]
+        g1 = gcd(n, d2)
+        g2 = gcd(n2, d)
+        n = (n // g1) * (n2 // g2)
+        d = (d // g2) * (d2 // g1)
+    return n, d
+
+
+def _pair_pow(regs, xs, e: int):
+    n, d = regs[xs[0]]
     if e < 0:
-        base = np.where(base == 0.0, np.nan, 1.0 / base)
-        e = -e
-    result = np.float64(1.0)   # 1.0 * x == x, so the first product is exact
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+        if n == 0:
+            raise EvalDomainError("zero base with negative exponent")
+        n, d, e = (d, n, -e) if n > 0 else (-d, -n, -e)
+    return n ** e, d ** e
 
 
-def _exact_pow(base, e: int):
-    try:
-        return base ** e
-    except ZeroDivisionError:
-        raise EvalDomainError("zero base with negative exponent") from None
+def _pair_neg(regs, xs, a):
+    n, d = regs[xs[0]]
+    return -n, d
+
+
+_CALL_NAMES = {op: name for name, op in _CALL_OPS.items()}
+
+# indexed by op code: CONST, VAR (loaded by the walker), ADD, MUL, POW,
+# NEG, then SIN, COS, EXP
+_FLOAT = (_float_const, None, _float_add, _float_mul, _float_pow,
+          _float_neg, _float_call(np.sin), _float_call(np.cos),
+          _float_call(_exp))
+_PAIRS = (_pair_const, None, _pair_add, _pair_mul, _pair_pow,
+          _pair_neg)

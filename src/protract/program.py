@@ -24,8 +24,9 @@ outputs are the root registers; their last_read is len(table), so they
 outlive the tape.
 
 Constants are kept exact, so one table serves both arithmetic modes:
-kernel.eval_table runs it over Fraction columns for a rational batch and
-over float64 columns, with each constant rounded once, otherwise.
+for a rational batch kernel.eval_table runs it once per point over
+(numerator, denominator) int pairs, and otherwise once over float64
+columns, with each constant rounded once.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 Everything here recomputes quantities from first principles with plain
 float arithmetic and central differences, or with Fraction row
 reduction, deliberately avoiding the library's symbolic derivative,
-Christoffel, and curvature code paths.
+Christoffel, and curvature code paths. The exceptions are references
+for a symbolic construction: structural_key compares expressions
+without interning, and covariant_derivative_sequential builds the
+connection derivative from the expression constructors term by term.
 """
 
 from __future__ import annotations
@@ -211,3 +214,32 @@ def structural_key(e, memo=None):
         got = (name, payload, tuple(structural_key(c, memo) for c in e.children()))
         memo[id(e)] = got
     return got
+
+
+def covariant_derivative_sequential(conn, T):
+    """The connection derivative as a running sum, val = val + G*T per
+    upper slot and val = val - G*T per lower slot, each partial taken by
+    one expr.diff per component: the term-by-term construction that
+    geometry.covariant_derivative's single add per component replaces.
+    Same valence and index order, (uppers..., a, lowers...)."""
+    import itertools
+
+    from protract.expr import diff
+    from protract.tensor import TensorField
+
+    n, p, q = T.dim, T.p, T.q
+    gamma = conn.gamma
+    out = []
+    for multi in itertools.product(range(n), repeat=p + q + 1):
+        up, a, lo = multi[:p], multi[p], multi[p + 1:]
+        val = diff(T.components[T.flat(up + lo)], a)
+        for i in range(p):
+            for e in range(n):
+                repl = up[:i] + (e,) + up[i + 1:]
+                val = val + gamma[up[i], a, e] * T.components[T.flat(repl + lo)]
+        for j in range(q):
+            for e in range(n):
+                repl = lo[:j] + (e,) + lo[j + 1:]
+                val = val - gamma[e, a, lo[j]] * T.components[T.flat(up + repl)]
+        out.append(val)
+    return TensorField(n, p, q + 1, out)

@@ -24,7 +24,8 @@ from protract.geometry import (
 from protract.tensor import TensorField, contract, tensor_product, zero_field
 
 from gen import invertible, poly_field, random_metric, rational_points, rng_for
-from oracles import commutator_family, fd_christoffel, fd_curvature_stack
+from oracles import (commutator_family, covariant_derivative_sequential,
+                     fd_christoffel, fd_curvature_stack)
 
 
 def _flat(n):
@@ -50,6 +51,11 @@ def _tensor_nabla(conn, field):
             comps.append(d[idx[:p] + (a,) + idx[p:]])
         out.append(TensorField(n, p, q, comps))
     return out
+
+
+def _assert_same_nodes(got, want):
+    assert (got.dim, got.p, got.q) == (want.dim, want.p, want.q)
+    assert all(g is w for g, w in zip(got.components, want.components))
 
 
 class TestLeviCivita:
@@ -187,6 +193,28 @@ class TestCovariantDerivative:
                         want = (duv.components[b * n + a] * wv.components[c]
                                 + uv.components[b] * dwv.components[a * n + c])
                         assert got == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_components_are_the_sequential_sums(self, n):
+        # one add per component builds the very nodes the running sum
+        # val = val +- G*T built, on metrics, random fields and curvature
+        rng = rng_for("nabla-sequential-%d" % n)
+        geom = random_metric(rng, n)
+        conn = geom.connection()
+        fields = [geom.metric, poly_field(rng, n, 1, 0),
+                  poly_field(rng, n, 1, 1), poly_field(rng, n, 0, 2)]
+        if n < 4:
+            fields.append(riemann(conn))
+        for field in fields:
+            _assert_same_nodes(covariant_derivative(conn, field),
+                               covariant_derivative_sequential(conn, field))
+
+    def test_components_are_the_sequential_sums_on_sphere3(self, sphere3):
+        conn = sphere3.connection()
+        pack = sphere3.pack()
+        for field in (sphere3.metric, pack.schouten, pack.riemann):
+            _assert_same_nodes(covariant_derivative(conn, field),
+                               covariant_derivative_sequential(conn, field))
 
     def test_new_slot_is_first_covariant(self):
         geom = _flat(2)

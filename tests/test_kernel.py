@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from protract.expr import (EvalDomainError, ExactModeError, Pow, _walk_unique,
-                           add, diff, evaluate, mul, parse)
+                           add, const, diff, evaluate, mul, neg, parse)
+from protract import kernel
 from protract.kernel import eval_table
 from protract.program import OP_CONST, OP_MUL, OP_VAR, compile_table
 
@@ -219,3 +220,95 @@ def test_exact_batch_rejects_calls(text):
     with pytest.raises(ExactModeError):
         eval_table(table, [[Fraction(1, 2)]])
     assert math.isfinite(eval_table(table, [[0.5]])[0, 0])
+
+
+def _assert_exact_rows(exprs, points):
+    """eval_table equals expr.evaluate at every point, and every value
+    is a Fraction in lowest terms with a positive denominator; so is
+    every (numerator, denominator) pair the tape walk leaves in an
+    entry's register, before it becomes a Fraction."""
+    table = compile_table(exprs)
+    got = eval_table(table, points)
+    assert got.dtype == object and got.shape == (len(points), len(exprs))
+    for row, x in zip(got, points):
+        want = [evaluate(e, tuple(x)) for e in exprs]
+        for v in row:
+            assert type(v) is Fraction
+            assert v.denominator > 0
+            assert math.gcd(v.numerator, v.denominator) == 1
+        assert row.tolist() == want
+        coords = [(Fraction(c).numerator, Fraction(c).denominator) for c in x]
+        for (n, d), w in zip(kernel._walk(table, coords.__getitem__,
+                                          kernel._PAIRS), want):
+            assert type(n) is int and type(d) is int
+            assert (n, d) == (w.numerator, w.denominator)
+    return got
+
+
+def test_exact_negative_bases_under_negative_exponents():
+    x0, x1 = parse("x0", 2), parse("x1", 2)
+    base = parse("x0 - x1", 2)
+    exprs = [Pow(base, k) for k in (-1, -2, -3, -4, -5)]
+    exprs += [Pow(neg(x0), -3), Pow(neg(x0), -2), mul(Pow(x1, -1), x0),
+              Pow(const(Fraction(-2, 3)), -3), Pow(const(Fraction(-2, 3)), -2)]
+    points = [[Fraction(1, 3), Fraction(5, 6)], [Fraction(-7, 4), 3],
+              [-2, Fraction(-1, 9)]]
+    got = _assert_exact_rows(exprs, points)
+    # (1/3 - 5/6)^-3 = (-1/2)^-3 = -8, and ^-2 = 4
+    assert got[0, 2] == -8 and got[0, 1] == 4
+
+
+def test_exact_zero_intermediates_with_non_unit_denominators():
+    # x0 - x1 is 0 at (2/3, 2/3): the sum of -2/3 and 2/3 over the
+    # denominator 3, which must come out as 0/1 wherever it is read
+    x0, x1 = parse("x0", 2), parse("x1", 2)
+    zero = parse("x0 - x1", 2)
+    exprs = [zero, add(zero, x0), add(x0, zero, x1), add(zero, const(Fraction(1, 5))),
+             mul(zero, x1), mul(x1, zero, x0), mul(zero, Pow(x0, -1)),
+             Pow(zero, 2), Pow(zero, 3), Pow(add(zero, x1), -2),
+             add(mul(zero, x0), Pow(zero, 2), neg(zero), const(Fraction(3, 7))),
+             neg(zero)]
+    got = _assert_exact_rows(exprs, [[Fraction(2, 3), Fraction(2, 3)],
+                                     [Fraction(5, 12), Fraction(5, 12)],
+                                     [Fraction(1, 2), Fraction(1, 3)]])
+    assert got[0].tolist() == [0, Fraction(2, 3), Fraction(4, 3), Fraction(1, 5),
+                               0, 0, 0, 0, 0, Fraction(9, 4), Fraction(3, 7), 0]
+
+
+def test_exact_values_of_hundreds_of_bits():
+    rng = rng_for("kernel-exact-big")
+    big = Fraction(2 ** 251 + 3, 3 ** 163)
+    exprs = [Pow(parse("x0 + 1/7", 2), 9), parse("x0^3 * x1 - x1^2/5", 2),
+             Pow(parse("x0 * x1 - 1", 2), -4)]
+    exprs += [_random_rational_expr(rng, 2, depth=4) for _ in range(8)]
+    got = _assert_exact_rows(exprs, [[big, Fraction(-(5 ** 97), 7 ** 90)],
+                                     [Fraction(3 ** 130, 2 ** 200), 11]])
+    assert got[0, 0].numerator.bit_length() >= 2000
+    assert got[1, 2].denominator.bit_length() >= 200
+
+
+def test_exact_mixed_int_and_fraction_coordinates():
+    rng = rng_for("kernel-exact-mixed")
+    exprs = [_random_rational_expr(rng, 3, depth=4) for _ in range(12)]
+    exprs.append(Pow(parse("x0 + x1 + x2 + 1/2", 3), -3))
+    _assert_exact_rows(exprs, [[1, Fraction(2, 3), -4],
+                               [Fraction(-5, 7), -2, Fraction(9, 4)],
+                               [0, Fraction(0), Fraction(1, 2)]])
+
+
+def test_exact_second_row_domain_error():
+    table = compile_table([parse("x0 + x1", 2), Pow(parse("x0 - x1", 2), -3)])
+    first = [Fraction(1, 2), Fraction(1, 3)]
+    assert eval_table(table, [first]).tolist() == [[Fraction(5, 6), 216]]
+    with pytest.raises(EvalDomainError):
+        eval_table(table, [first, [Fraction(2, 3), Fraction(4, 6)]])
+
+
+def test_exact_empty_batch():
+    table = compile_table([parse("x0 + x1/3", 2), parse("x1^-2", 2)])
+    out = eval_table(table, np.empty((0, 2), dtype=object))
+    assert out.dtype == object and out.shape == (0, 2)
+    # the exact mode refuses sin, cos and exp whatever the rows
+    with pytest.raises(ExactModeError):
+        eval_table(compile_table([parse("x0 + sin(x1)", 2)]),
+                   np.empty((0, 2), dtype=object))
