@@ -10,7 +10,12 @@ checked by evaluation, not by normal forms.
 Nodes are interned (hash-consed): constructing a node equal in kind,
 payload and children to a live one returns that node, so structurally
 equal expressions are the same object, == is identity and hashing is
-O(1). Every walk that memoises by identity (evaluate, diff, to_text,
+O(1). The table is a plain dict from (class, fields, field types) to a
+weakref.KeyedRef of the node, and one shared callback removes the entry
+when its node dies, so a hit costs one C-level dict lookup. In the
+constant folds of add and mul, a lone Fraction constant is its own
+fold: the interned node is reused, with no Fraction arithmetic. Every
+walk that memoises by identity (evaluate, diff, to_text,
 program.compile_table) therefore shares equal subtrees. The walks take a
 family of roots and memoise across it: diff_all differentiates every
 component of a tensor in one walk, so a subtree the components share is
@@ -83,8 +88,15 @@ class ExactModeError(ExprError):
     """Exact rational evaluation requested through sin/cos/exp."""
 
 
-# (class, fields, field types) -> live node; an entry leaves with its node
-_INTERNED = weakref.WeakValueDictionary()
+# (class, fields, field types) -> weakref.KeyedRef to the live node; an
+# entry leaves with its node, through the one shared callback _forget
+_INTERNED = {}
+
+
+def _forget(ref):
+    # a node built after this ref's node died may hold the key already
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
 
 
 class Expr:
@@ -99,12 +111,13 @@ class Expr:
         # equal payloads of other types (1 and True, Fraction(1, 2) and
         # 0.5) hash alike, so the types keep their nodes apart
         key = (cls, fields, tuple(map(type, fields)))
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(node, name, value)
-            _INTERNED[key] = node
+            _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
     def __setattr__(self, name, value):
@@ -201,10 +214,12 @@ class Mul(Expr):
         return total
 
     def _deriv(self, derivs, coord):
+        # a factor with derivative ZERO gives a ZERO term, which add drops
         fs = self.factors
         terms = []
         for i, d in enumerate(derivs):
-            terms.append(mul(*fs[:i], d, *fs[i + 1:]))
+            if d is not ZERO:
+                terms.append(mul(*fs[:i], d, *fs[i + 1:]))
         return add(*terms)
 
 
@@ -294,7 +309,7 @@ def var(index: int) -> Expr:
 def add(*terms: Expr) -> Expr:
     """Sum with local folding: flatten, combine constants, drop zeros."""
     flat = []
-    c = 0   # an int start: the first constant makes it a Fraction
+    consts = []
     for t in terms:
         if isinstance(t, Add):
             items: Iterable[Expr] = t.terms
@@ -302,11 +317,19 @@ def add(*terms: Expr) -> Expr:
             items = (t,)
         for item in items:
             if isinstance(item, Const):
-                c += item.value
+                consts.append(item)
             else:
                 flat.append(item)
-    if c != 0:
-        flat.append(const(c))
+    if len(consts) == 1 and type(consts[0].value) is Fraction:
+        # a lone interned Fraction constant is its own fold
+        if consts[0] is not ZERO:
+            flat.append(consts[0])
+    elif consts:
+        c = 0
+        for item in consts:
+            c += item.value
+        if c != 0:
+            flat.append(const(c))
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -317,7 +340,7 @@ def add(*terms: Expr) -> Expr:
 def mul(*factors: Expr) -> Expr:
     """Product with local folding: flatten, combine constants, short-circuit zero."""
     flat = []
-    c = 1
+    consts = []
     for f in factors:
         if isinstance(f, Mul):
             items: Iterable[Expr] = f.factors
@@ -325,15 +348,28 @@ def mul(*factors: Expr) -> Expr:
             items = (f,)
         for item in items:
             if isinstance(item, Const):
-                c *= item.value
-                if c == 0:
-                    return ZERO
+                consts.append(item)
             else:
                 flat.append(item)
-    if not flat:
-        return const(c)
-    if c != 1:
-        flat.insert(0, const(c))
+    if len(consts) == 1 and type(consts[0].value) is Fraction:
+        # a lone interned Fraction constant is its own fold
+        k = consts[0]
+        if k is ZERO or not flat:
+            return k
+        if k is not ONE:
+            flat.insert(0, k)
+    elif consts:
+        c = 1
+        for item in consts:
+            c *= item.value
+            if c == 0:
+                return ZERO
+        if not flat:
+            return const(c)
+        if c != 1:
+            flat.insert(0, const(c))
+    elif not flat:
+        return ONE
     if len(flat) == 1:
         return flat[0]
     return Mul(tuple(flat))

@@ -5,8 +5,11 @@ float arithmetic and central differences, or with Fraction row
 reduction, deliberately avoiding the library's symbolic derivative,
 Christoffel, and curvature code paths. The exceptions are references
 for a symbolic construction: structural_key compares expressions
-without interning, and covariant_derivative_sequential builds the
-connection derivative from the expression constructors term by term.
+without interning, covariant_derivative_sequential builds the
+connection derivative from the expression constructors term by term,
+add_fold_reference and mul_fold_reference fold every constant by
+Fraction arithmetic, and diff_reference differentiates with them and
+without skipping zero terms.
 """
 
 from __future__ import annotations
@@ -243,3 +246,101 @@ def covariant_derivative_sequential(conn, T):
                 val = val - gamma[e, a, lo[j]] * T.components[T.flat(up + repl)]
         out.append(val)
     return TensorField(n, p, q + 1, out)
+
+
+def add_fold_reference(*terms):
+    """expr.add as it was before a lone constant became its own fold:
+    every constant is summed from int 0 and re-interned through const."""
+    from protract.expr import ZERO, Add, Const, const
+
+    flat = []
+    c = 0
+    for t in terms:
+        if isinstance(t, Add):
+            items = t.terms
+        else:
+            items = (t,)
+        for item in items:
+            if isinstance(item, Const):
+                c += item.value
+            else:
+                flat.append(item)
+    if c != 0:
+        flat.append(const(c))
+    if not flat:
+        return ZERO
+    if len(flat) == 1:
+        return flat[0]
+    return Add(tuple(flat))
+
+
+def mul_fold_reference(*factors):
+    """expr.mul as it was before a lone constant became its own fold:
+    every constant is multiplied from int 1 and re-interned through const."""
+    from protract.expr import ZERO, Const, Mul, const
+
+    flat = []
+    c = 1
+    for f in factors:
+        if isinstance(f, Mul):
+            items = f.factors
+        else:
+            items = (f,)
+        for item in items:
+            if isinstance(item, Const):
+                c *= item.value
+                if c == 0:
+                    return ZERO
+            else:
+                flat.append(item)
+    if not flat:
+        return const(c)
+    if c != 1:
+        flat.insert(0, const(c))
+    if len(flat) == 1:
+        return flat[0]
+    return Mul(tuple(flat))
+
+
+def diff_reference(exprs, coord):
+    """Partial derivatives of a family by a memoised tree walk, built
+    with the reference folds above. A product gets one term per factor,
+    also for a factor whose derivative is zero: the rule that
+    Mul._deriv's zero skip replaces."""
+    from protract.expr import (ONE, ZERO, Add, Call, Const, Mul, Neg, Pow,
+                               Var, const, neg, power)
+
+    add, mul = add_fold_reference, mul_fold_reference
+    memo = {}
+
+    def d(e):
+        got = memo.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, Const):
+            got = ZERO
+        elif isinstance(e, Var):
+            got = ONE if e.index == coord else ZERO
+        elif isinstance(e, Add):
+            got = add(*[d(t) for t in e.terms])
+        elif isinstance(e, Mul):
+            fs = e.factors
+            got = add(*[mul(*fs[:i], d(f), *fs[i + 1:])
+                        for i, f in enumerate(fs)])
+        elif isinstance(e, Pow):
+            got = mul(const(e.exponent), power(e.base, e.exponent - 1),
+                      d(e.base))
+        elif isinstance(e, Neg):
+            got = neg(d(e.arg))
+        elif isinstance(e, Call) and e.name == "sin":
+            got = mul(Call("cos", e.arg), d(e.arg))
+        elif isinstance(e, Call) and e.name == "cos":
+            got = neg(mul(Call("sin", e.arg), d(e.arg)))
+        elif isinstance(e, Call):
+            got = mul(e, d(e.arg))
+        else:
+            raise TypeError("unknown node %r" % (e,))
+        memo[id(e)] = got
+        return got
+
+    return [d(e) for e in exprs]

@@ -31,7 +31,8 @@ from protract.expr import (
     to_text,
     var,
 )
-from protract.expr import _INTERNED, _postorder_apply, _print_node, _walk_unique
+from protract.expr import (ONE, ZERO, _INTERNED, _forget, _postorder_apply,
+                           _print_node, _walk_unique)
 
 from gen import rng_for
 
@@ -416,6 +417,20 @@ class TestInterning:
         assert inner() is None
         assert len(_INTERNED) <= before
 
+    def test_late_callback_leaves_a_newer_entry(self):
+        key = (Var, (7919,), (int,))
+        old = Var(7919)
+        stale = _INTERNED[key]
+        del old
+        gc.collect()
+        assert stale() is None and key not in _INTERNED
+        node = Var(7919)
+        newer = _INTERNED[key]
+        # the dead node's callback arrives after its key was taken again
+        _forget(stale)
+        assert _INTERNED[key] is newer
+        assert Var(7919) is node
+
     def test_nodes_are_immutable(self):
         e = parse("x0*x1 + 1", 2)
         with pytest.raises(AttributeError):
@@ -425,3 +440,102 @@ class TestInterning:
         with pytest.raises(AttributeError):
             var(0).index = 1
         assert evaluate(e, (Fraction(2), Fraction(3))) == 7
+
+
+def _fold_arguments(rng):
+    """A random argument list for add and mul: variables, Fraction
+    constants, ZERO and ONE, Const(0.5) and Const(2) payloads, constant
+    pairs whose sum is 0 or whose product is 1, and nested sums and
+    products, some of them holding constants."""
+    args = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(8)
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+        if kind == 0:
+            args.append(var(rng.randrange(3)))
+        elif kind == 1:
+            args.append(rng.choice((ZERO, ONE)))
+        elif kind == 2:
+            args.append(const(q))
+        elif kind == 3:
+            args.append(rng.choice((Const(0.5), Const(2))))
+        elif kind == 4:
+            args.extend((const(q), const(-q)))
+        elif kind == 5:
+            args.extend((const(q), const(1 / q)))
+        elif kind == 6:
+            args.append(rng.choice((add, mul))(*_fold_arguments(rng)))
+        else:
+            inner = (rng.choice((const(q), Const(0.5), Const(2))),
+                     var(rng.randrange(3)))
+            args.append(rng.choice((Add, Mul))(inner))
+    rng.shuffle(args)
+    return args
+
+
+class TestConstantFolds:
+    """add and mul against the folds that combine every constant by
+    Fraction arithmetic (oracles.add_fold_reference and
+    mul_fold_reference)."""
+
+    def test_folds_are_the_reference_folds(self):
+        from oracles import add_fold_reference, mul_fold_reference
+
+        rng = rng_for("constant-folds")
+        for _ in range(2500):
+            args = _fold_arguments(rng)
+            assert add(*args) is add_fold_reference(*args)
+            assert mul(*args) is mul_fold_reference(*args)
+
+    def test_lone_constant_needs_no_fraction_arithmetic(self, monkeypatch):
+        x0, x1 = var(0), var(1)
+        k = const(Fraction(3, 7))
+        product, total = Mul((k, x0, x1)), Add((x0, k))
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in a lone-constant fold")
+
+        with monkeypatch.context() as m:
+            for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                         "__eq__", "__hash__"):
+                m.setattr(Fraction, name, refuse)
+            got = [mul(k, x0, x1), add(x0, k), mul(ZERO, x0), mul(ONE, x0),
+                   add(ZERO, x0)]
+        assert got[0] is product
+        assert got[1] is total
+        assert got[2] is ZERO
+        assert got[3] is x0
+        assert got[4] is x0
+
+
+class TestDerivativeReference:
+    """diff_all against oracles.diff_reference, which keeps a product's
+    terms whose factor derivative is zero and folds with the reference
+    folds."""
+
+    @staticmethod
+    def _assert_same(family, coord):
+        from oracles import diff_reference
+
+        got = diff_all(family, coord)
+        want = diff_reference(family, coord)
+        assert len(got) == len(want) == len(family)
+        for g, w in zip(got, want):
+            assert g is w
+        return got
+
+    def test_random_families(self):
+        rng = rng_for("diff-reference")
+        for _ in range(150):
+            dim = rng.randint(1, 3)
+            make = rng.choice((_random_rational_expr, _random_smooth_expr))
+            family = [make(rng, dim, rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 5))]
+            for a in range(dim + 1):
+                first = self._assert_same(family, a)
+                self._assert_same(first, rng.randrange(dim))
+
+    def test_sphere3_metric_and_riemann(self, sphere3):
+        for field in (sphere3.metric, sphere3.pack().riemann):
+            for a in range(3):
+                self._assert_same(list(field.components), a)
