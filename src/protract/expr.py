@@ -307,7 +307,13 @@ def var(index: int) -> Expr:
 
 
 def add(*terms: Expr) -> Expr:
-    """Sum with local folding: flatten, combine constants, drop zeros."""
+    """Sum with local folding: flatten, combine constants, drop zeros.
+
+    One add(*terms) is the same interned node as the left fold
+    ZERO + t1 + t2 + ..., because a nested Add is flattened and every
+    constant is combined into one trailing term; so a formula builds each
+    component with one call, not with a running sum.
+    """
     flat = []
     consts = []
     for t in terms:
@@ -440,17 +446,21 @@ def _postorder_apply(roots: Sequence[Expr], fn) -> list:
     results = {}
     work = list(roots)
     while work:
-        node = work[-1]
-        nid = id(node)
-        if nid in results:
-            work.pop()
+        node = work.pop()
+        if type(node) is tuple:
+            # a node whose pending children are done: everything pushed
+            # above it has been popped, and popped only once computed
+            node, children = node
+        elif id(node) in results:
             continue
-        pending = [c for c in node.children() if id(c) not in results]
-        if pending:
-            work.extend(pending)
-            continue
-        work.pop()
-        results[nid] = fn(node, [results[id(c)] for c in node.children()])
+        else:
+            children = node.children()
+            pending = [c for c in children if id(c) not in results]
+            if pending:
+                work.append((node, children))
+                work.extend(pending)
+                continue
+        results[id(node)] = fn(node, [results[id(c)] for c in children])
     return [results[id(r)] for r in roots]
 
 

@@ -140,15 +140,10 @@ def levi_civita(geom: ChartGeometry) -> AffineConnection:
     ginv = geom.metric_inverse()
     dg = partial_derivative(geom.metric)  # [a][d][b] = d_a g_db
     half = Fraction(1, 2)
-    comps = []
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = ZERO
-                for d in range(n):
-                    total = total + ginv[c, d] * (
-                        dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                comps.append(half * total)
+    comps = [half * add(*[ginv[c, d] * (dg[a, d, b] + dg[b, d, a]
+                                        - dg[d, a, b])
+                          for d in range(n)])
+             for c in range(n) for a in range(n) for b in range(n)]
     return AffineConnection(TensorField(n, 1, 2, comps), validate=False)
 
 
@@ -181,8 +176,6 @@ def covariant_derivative(conn: AffineConnection, T: TensorField) -> TensorField:
         up = multi[:p]
         a = multi[p]
         lo = multi[p + 1:]
-        # one add per component: a running sum would build and intern
-        # an intermediate Add per term only to flatten it again
         terms = [val]
         for i in range(p):
             for e in range(n):
@@ -204,15 +197,12 @@ def riemann(conn: AffineConnection) -> TensorField:
     gamma = conn.gamma
     dgamma = partial_derivative(gamma)  # [c][a][b][d] = d_a gamma^c_bd
     comps = []
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    val = dgamma[c, a, b, d] - dgamma[c, b, a, d]
-                    for e in range(n):
-                        val = val + gamma[c, a, e] * gamma[e, b, d] \
-                            - gamma[c, b, e] * gamma[e, a, d]
-                    comps.append(val)
+    for c, a, b, d in itertools.product(range(n), repeat=4):
+        terms = [dgamma[c, a, b, d], -dgamma[c, b, a, d]]
+        for e in range(n):
+            terms.append(gamma[c, a, e] * gamma[e, b, d])
+            terms.append(-(gamma[c, b, e] * gamma[e, a, d]))
+        comps.append(add(*terms))
     return TensorField(n, 1, 3, comps)
 
 
@@ -276,11 +266,9 @@ def derive_pack(geom: ChartGeometry) -> CurvaturePack:
     riem = riemann(conn)
     ricci = _ricci(riem)
     ginv = geom.metric_inverse()
-    total = ZERO
-    for b in range(n):
-        for d in range(n):
-            total = total + ginv[b, d] * ricci[b, d]
-    scalar = TensorField(n, 0, 0, [total])
+    scalar = TensorField(n, 0, 0, [add(*[ginv[b, d] * ricci[b, d]
+                                         for b in range(n)
+                                         for d in range(n)])])
     schouten = ricci.scaled(Fraction(1, n - 1))
     weyl = _weyl(riem, schouten)
     cotton = _cotton(conn, schouten)
@@ -342,13 +330,7 @@ def cotton_weyl_relation(pack: CurvaturePack, conn: AffineConnection,
     C = pack.cotton
     n = W.dim
     dW = covariant_derivative(conn, W)  # [c][e][a][b][d] = nabla_e W_ab^c_d
-    comps = []
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                val = (n - 2) * C[a, b, d]
-                div = ZERO
-                for c in range(n):
-                    div = div + dW[c, c, a, b, d]
-                comps.append(val - div)
+    comps = [(n - 2) * C[a, b, d] - add(*[dW[c, c, a, b, d]
+                                           for c in range(n)])
+             for a in range(n) for b in range(n) for d in range(n)]
     return max_residual([TensorField(n, 0, 3, comps)], list(points))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Expr, ZERO, gradient
+from .expr import Expr, add, gradient
 from .geometry import (
     AffineConnection,
     ChartGeometry,
@@ -100,14 +100,9 @@ def check_weyl_cotton_invariance(geom: ChartGeometry, ups: Upsilon,
     # The pair (W, C) is the true invariant: C picks up a Y.W shift when
     # the connection moves, so record the shift-corrected residual too.
     n = geom.dim
-    shifted = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                shift = ZERO
-                for d in range(n):
-                    shift = shift + ups[d] * pack.weyl[d, a, b, c]
-                shifted.append(dcotton[a, b, c] - shift)
+    shifted = [dcotton[a, b, c] - add(*[ups[d] * pack.weyl[d, a, b, c]
+                                        for d in range(n)])
+               for a in range(n) for b in range(n) for c in range(n)]
     dcotton_pair = TensorField(n, 0, 3, shifted)
     pts = list(points)
     return {"weyl": max_residual([dweyl], pts),

@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import (EvalDomainError, Call, Const, ZERO, _walk_unique, as_expr,
-                   const, power)
+from .expr import (EvalDomainError, Call, Const, ZERO, _walk_unique, add,
+                   as_expr, const, power)
 
 __all__ = [
     "Tensor", "TensorField", "PointTensor",
@@ -486,12 +486,11 @@ def matrix_inverse_exprs(rows):
 def _plain_det(rows, cols: tuple):
     if not cols:
         return as_expr(1)
-    total = ZERO
+    terms = []
     for pos, c in enumerate(cols):
-        sub = _plain_det(rows[1:], cols[:pos] + cols[pos + 1:])
-        term = rows[0][c] * sub
-        total = total + (term if pos % 2 == 0 else -term)
-    return total
+        term = rows[0][c] * _plain_det(rows[1:], cols[:pos] + cols[pos + 1:])
+        terms.append(term if pos % 2 == 0 else -term)
+    return add(*terms)
 
 
 def fraction_matrix_inverse(rows):

@@ -196,9 +196,7 @@ def tractor_nabla(geom: ChartGeometry, s: TractorSection):
     family = []
     for a in range(n):
         top = [dnu[b, a] + (rho if a == b else ZERO) for b in range(n)]
-        bottom = drho[a]
-        for b in range(n):
-            bottom = bottom - P[a, b] * s.nu[b]
+        bottom = add(drho[a], *[-(P[a, b] * s.nu[b]) for b in range(n)])
         family.append(TractorSection(TensorField(n, 1, 0, top),
                                      _scalar(n, bottom), validate=False))
     return family
@@ -218,10 +216,8 @@ def tractor_cotractor_pairing(u: TractorSection, v: CotractorSection):
     """Scalar nu^b mu_b + rho sigma; the pairing the dual connections share."""
     if u.dim != v.dim:
         raise GeometryError("dimension mismatch")
-    total = u.rho.components[0] * v.sigma.components[0]
-    for b in range(u.dim):
-        total = total + u.nu[b] * v.mu[b]
-    return total
+    return add(u.rho.components[0] * v.sigma.components[0],
+               *[u.nu[b] * v.mu[b] for b in range(u.dim)])
 
 
 def s2_cotractor_dual_pairing(u: S2TractorSection, v: S2CotractorSection):
@@ -229,12 +225,11 @@ def s2_cotractor_dual_pairing(u: S2TractorSection, v: S2CotractorSection):
     if u.dim != v.dim:
         raise GeometryError("dimension mismatch")
     n = u.dim
-    total = u.rho.components[0] * v.sigma.components[0]
+    terms = [u.rho.components[0] * v.sigma.components[0]]
     for c in range(n):
-        total = total + v.mu[c] * u.nu[c]
-        for b in range(n):
-            total = total + v.beta[b, c] * u.t[b, c]
-    return total
+        terms.append(v.mu[c] * u.nu[c])
+        terms += [v.beta[b, c] * u.t[b, c] for b in range(n)]
+    return add(*terms)
 
 
 def tractor_curvature(geom: ChartGeometry, s: Section):
@@ -255,12 +250,9 @@ def tractor_curvature(geom: ChartGeometry, s: Section):
         for a in range(n):
             row = []
             for b in range(n):
-                bottom = []
-                for c in range(n):
-                    val = C[a, b, c] * sigma
-                    for d in range(n):
-                        val = val - W[d, a, b, c] * s.mu[d]
-                    bottom.append(val)
+                bottom = [add(C[a, b, c] * sigma,
+                              *[-(W[d, a, b, c] * s.mu[d]) for d in range(n)])
+                          for c in range(n)]
                 row.append(CotractorSection(
                     _scalar(n, ZERO), TensorField(n, 0, 1, bottom),
                     validate=False))
@@ -270,15 +262,9 @@ def tractor_curvature(geom: ChartGeometry, s: Section):
         for a in range(n):
             row = []
             for b in range(n):
-                top = []
-                for c in range(n):
-                    val = ZERO
-                    for d in range(n):
-                        val = val + W[c, a, b, d] * s.nu[d]
-                    top.append(val)
-                bottom = ZERO
-                for d in range(n):
-                    bottom = bottom - C[a, b, d] * s.nu[d]
+                top = [add(*[W[c, a, b, d] * s.nu[d] for d in range(n)])
+                       for c in range(n)]
+                bottom = add(*[-(C[a, b, d] * s.nu[d]) for d in range(n)])
                 row.append(TractorSection(TensorField(n, 1, 0, top),
                                           _scalar(n, bottom), validate=False))
             grid.append(row)
@@ -308,9 +294,7 @@ def proj_prolong_nabla(geom: ChartGeometry, s: TractorSection):
     family = []
     for a in range(n):
         top = [dnu[c, a] - (mu if a == c else ZERO) for c in range(n)]
-        bottom = dmu[a]
-        for d in range(n):
-            bottom = bottom + k * (ricci[a, d] * s.nu[d])
+        bottom = add(dmu[a], *[k * (ricci[a, d] * s.nu[d]) for d in range(n)])
         family.append(TractorSection(TensorField(n, 1, 0, top),
                                      _scalar(n, bottom), validate=False))
     return family
@@ -334,33 +318,36 @@ def metrisability_prolong_nabla(geom: ChartGeometry, s: S2TractorSection):
     drho = covariant_derivative(conn, s.rho)   # [a]
     family = []
     for a in range(n):
-        slot1 = []
-        for b in range(n):
-            for c in range(n):
-                val = dt[b, c, a]
-                if a == b:
-                    val = val + s.nu[c]
-                if a == c:
-                    val = val + s.nu[b]
-                slot1.append(val)
         slot2 = []
         for c in range(n):
-            val = dnu[c, a] + (rho if a == c else ZERO)
+            terms = [dnu[c, a], rho if a == c else ZERO]
             for b in range(n):
-                val = val - P[a, b] * s.t[c, b]
-                for d in range(n):
-                    val = val + invn * (W[c, a, b, d] * s.t[b, d])
-            slot2.append(val)
-        val3 = drho[a]
-        for d in range(n):
-            val3 = val3 - 2 * (P[a, d] * s.nu[d])
-        for b in range(n):
-            for d in range(n):
-                val3 = val3 - 2 * invn * (s.t[b, d] * C[a, b, d])
-        family.append(S2TractorSection(TensorField(n, 2, 0, slot1),
+                terms.append(-(P[a, b] * s.t[c, b]))
+                terms += [invn * (W[c, a, b, d] * s.t[b, d]) for d in range(n)]
+            slot2.append(add(*terms))
+        val3 = add(drho[a], *[-(2 * (P[a, d] * s.nu[d])) for d in range(n)],
+                   *[-(2 * invn * (s.t[b, d] * C[a, b, d]))
+                     for b in range(n) for d in range(n)])
+        family.append(S2TractorSection(_s2_top_slot(dt, s.nu, a),
                                        TensorField(n, 1, 0, slot2),
                                        _scalar(n, val3), validate=False))
     return family
+
+
+def _s2_top_slot(dt: TensorField, nu: TensorField, a: int) -> TensorField:
+    """nabla_a t^bc + delta_a^b nu^c + delta_a^c nu^b, with dt stored
+    [b][c][a]; the first slot of both S2T connections."""
+    n = nu.dim
+    slot = []
+    for b in range(n):
+        for c in range(n):
+            val = dt[b, c, a]
+            if a == b:
+                val = val + nu[c]
+            if a == c:
+                val = val + nu[b]
+            slot.append(val)
+    return TensorField(n, 2, 0, slot)
 
 
 def s2_dual_nabla(geom: ChartGeometry, s: S2CotractorSection):
@@ -388,15 +375,12 @@ def s2_dual_nabla(geom: ChartGeometry, s: S2CotractorSection):
     dsig = covariant_derivative(conn, s.sigma)   # [a]
     family = []
     for a in range(n):
-        slot1 = []
-        for b in range(n):
-            for c in range(n):
-                val = dbeta[a, b, c] \
-                    + half * (s.mu[b] * P[a, c] + s.mu[c] * P[a, b]) \
-                    + c_k * (sigma * (C[a, b, c] + C[a, c, b]))
-                for e in range(n):
-                    val = val - w_k * (s.mu[e] * (W[e, a, b, c] + W[e, a, c, b]))
-                slot1.append(val)
+        slot1 = [add(dbeta[a, b, c],
+                     half * (s.mu[b] * P[a, c] + s.mu[c] * P[a, b]),
+                     c_k * (sigma * (C[a, b, c] + C[a, c, b])),
+                     *[-(w_k * (s.mu[e] * (W[e, a, b, c] + W[e, a, c, b])))
+                       for e in range(n)])
+                 for b in range(n) for c in range(n)]
         slot2 = [dmu[a, c] - 2 * s.beta[a, c] + 2 * (P[a, c] * sigma)
                  for c in range(n)]
         slot3 = dsig[a] - s.mu[a]
@@ -423,25 +407,11 @@ def s2_tractor_nabla(geom: ChartGeometry, s: S2TractorSection):
     drho = covariant_derivative(conn, s.rho)
     family = []
     for e in range(n):
-        slot1 = []
-        for b in range(n):
-            for c in range(n):
-                val = dt[b, c, e]
-                if e == b:
-                    val = val + s.nu[c]
-                if e == c:
-                    val = val + s.nu[b]
-                slot1.append(val)
-        slot2 = []
-        for c in range(n):
-            val = dnu[c, e] + (rho if e == c else ZERO)
-            for b in range(n):
-                val = val - P[e, b] * s.t[b, c]
-            slot2.append(val)
-        val3 = drho[e]
-        for b in range(n):
-            val3 = val3 - 2 * (P[e, b] * s.nu[b])
-        family.append(S2TractorSection(TensorField(n, 2, 0, slot1),
+        slot2 = [add(dnu[c, e], rho if e == c else ZERO,
+                     *[-(P[e, b] * s.t[b, c]) for b in range(n)])
+                 for c in range(n)]
+        val3 = add(drho[e], *[-(2 * (P[e, b] * s.nu[b])) for b in range(n)])
+        family.append(S2TractorSection(_s2_top_slot(dt, s.nu, e),
                                        TensorField(n, 1, 0, slot2),
                                        _scalar(n, val3), validate=False))
     return family
@@ -454,8 +424,10 @@ def s2_tractor_nabla_expanded(geom: ChartGeometry, s: S2TractorSection):
     over formal symbols with the derivative rules nabla_a B_b = -P_ab E
     and nabla_a E = B_a. Differentiating term by term and re-collecting
     coefficients of the tensor-product monomials must reproduce
-    s2_tractor_nabla; the mixed-slot coefficients are collected from the
-    B.E and E.B monomials separately and asserted equal.
+    s2_tractor_nabla. The mixed-slot coefficients are collected from the
+    B.E and E.B monomials separately: the B.E collection is the nu slot,
+    and the E.B one is kept as ``_expansion_eb`` so that the two can be
+    checked equal.
     """
     n = geom.dim
     pack = geom.pack()
@@ -498,7 +470,6 @@ def s2_tractor_nabla_expanded(geom: ChartGeometry, s: S2TractorSection):
         family.append(S2TractorSection(TensorField(n, 2, 0, slot1),
                                        TensorField(n, 1, 0, be),
                                        _scalar(n, ee), validate=False))
-        # the two mixed collections must agree; keep eb to make that checkable
         family[-1]._expansion_eb = TensorField(n, 1, 0, eb)  # type: ignore
     return family
 
@@ -520,21 +491,11 @@ def metrisability_obstruction(geom: ChartGeometry, t: TensorField):
     pack = geom.pack()
     W, C = pack.weyl, pack.cotton
     invn = Fraction(1, n)
-    vec = []
-    for c in range(n):
-        for a in range(n):
-            val = ZERO
-            for b in range(n):
-                for d in range(n):
-                    val = val - invn * (W[c, a, b, d] * t[b, d])
-            vec.append(val)
-    scal = []
-    for a in range(n):
-        val = ZERO
-        for b in range(n):
-            for d in range(n):
-                val = val + 2 * invn * (C[a, b, d] * t[b, d])
-        scal.append(val)
+    pairs = [(b, d) for b in range(n) for d in range(n)]
+    vec = [add(*[-(invn * (W[c, a, b, d] * t[b, d])) for b, d in pairs])
+           for c in range(n) for a in range(n)]
+    scal = [add(*[2 * invn * (C[a, b, d] * t[b, d]) for b, d in pairs])
+            for a in range(n)]
     return TensorField(n, 1, 1, vec), TensorField(n, 0, 1, scal)
 
 

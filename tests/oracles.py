@@ -8,8 +8,9 @@ for a symbolic construction: structural_key compares expressions
 without interning, covariant_derivative_sequential builds the
 connection derivative from the expression constructors term by term,
 add_fold_reference and mul_fold_reference fold every constant by
-Fraction arithmetic, and diff_reference differentiates with them and
-without skipping zero terms.
+Fraction arithmetic, diff_reference differentiates with them and
+without skipping zero terms, and postorder_apply_reference is the DAG
+walk that fetches and scans a node's children again when it revisits it.
 """
 
 from __future__ import annotations
@@ -344,3 +345,26 @@ def diff_reference(exprs, coord):
         return got
 
     return [d(e) for e in exprs]
+
+
+def postorder_apply_reference(roots, fn) -> list:
+    """expr._postorder_apply as it was before a node's children were
+    fetched once per node: a node stays on the stack while its pending
+    children are computed, and on its next visit it fetches its children
+    again, scans them again for pending ones, and then gathers their
+    results."""
+    results = {}
+    work = list(roots)
+    while work:
+        node = work[-1]
+        nid = id(node)
+        if nid in results:
+            work.pop()
+            continue
+        pending = [c for c in node.children() if id(c) not in results]
+        if pending:
+            work.extend(pending)
+            continue
+        work.pop()
+        results[nid] = fn(node, [results[id(c)] for c in node.children()])
+    return [results[id(r)] for r in roots]

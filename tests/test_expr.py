@@ -32,7 +32,7 @@ from protract.expr import (
     var,
 )
 from protract.expr import (ONE, ZERO, _INTERNED, _forget, _postorder_apply,
-                           _print_node, _walk_unique)
+                           _print_node, _walk_unique, neg)
 
 from gen import rng_for
 
@@ -322,6 +322,61 @@ class TestFamilyWalk:
                 == len(list(_walk_unique(family)))
 
 
+class TestWalkOrder:
+    """_postorder_apply against oracles.postorder_apply_reference, the
+    walk that fetches and scans a node's children again on its revisit."""
+
+    @staticmethod
+    def _families():
+        x = var(0)
+        # repeated children and a root that is a child of another root
+        yield [Add((x, x)), Mul((x, Add((x, x)), x)), x]
+        yield from (family for _, family in _sharing_families("walk-order"))
+
+    def test_same_calls_in_the_same_order(self):
+        from oracles import postorder_apply_reference
+
+        for family in self._families():
+            logs = ([], [])
+
+            def recorder(log):
+                def fn(node, vals):
+                    log.append((node, vals))
+                    return len(log)
+                return fn
+
+            got = _postorder_apply(family, recorder(logs[0]))
+            want = postorder_apply_reference(family, recorder(logs[1]))
+            assert got == want
+            assert len(logs[0]) == len(logs[1])
+            for (n0, v0), (n1, v1) in zip(*logs):
+                assert n0 is n1 and v0 == v1
+
+    def test_outputs_under_the_reference_walk(self, monkeypatch):
+        import protract.expr as expr_mod
+        import protract.program as program_mod
+        from oracles import postorder_apply_reference
+        from protract.program import compile_table
+
+        def snapshot(family):
+            table = compile_table(family)
+            return ([diff_all(family, a) for a in range(3)],
+                    [to_text(e) for e in family],
+                    [getattr(table, k) for k in type(table).__slots__])
+
+        families = list(self._families())
+        got = [snapshot(f) for f in families]
+        with monkeypatch.context() as m:
+            m.setattr(expr_mod, "_postorder_apply", postorder_apply_reference)
+            m.setattr(program_mod, "_postorder_apply",
+                      postorder_apply_reference)
+            want = [snapshot(f) for f in families]
+        for (d0, t0, c0), (d1, t1, c1) in zip(got, want):
+            assert all(a is b for da, db in zip(d0, d1)
+                       for a, b in zip(da, db))
+            assert t0 == t1 and c0 == c1
+
+
 # Hypothesis strategies mirror the seeded corpora above so shrinking can
 # find minimal counterexamples if a rewrite breaks an identity.
 
@@ -506,6 +561,55 @@ class TestConstantFolds:
         assert got[2] is ZERO
         assert got[3] is x0
         assert got[4] is x0
+
+
+def _signed_terms(rng):
+    """0-8 (term, plus) pairs: variables, ZERO and ONE, Fraction
+    constants, constant pairs that cancel, nested Add, Mul, Neg and Pow
+    terms, and sums that carry a constant."""
+    length = rng.randint(0, 8)
+    terms = []
+    while len(terms) < length:
+        kind = rng.randrange(8)
+        plus = rng.random() < 0.5
+        q = const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                           rng.randint(1, 5)))
+        sub = _random_rational_expr(rng, 2, 2)
+        if kind == 0:
+            term = var(rng.randrange(2))
+        elif kind == 1:
+            term = rng.choice((ZERO, ONE))
+        elif kind == 2:
+            # a constant and a later term that cancels it
+            terms.append((q, plus))
+            term, plus = rng.choice(((q, not plus), (neg(q), plus)))
+        elif kind == 3:
+            term = add(sub, _random_rational_expr(rng, 2, 2))
+        elif kind == 4:
+            term = mul(var(0), sub)
+        elif kind == 5:
+            term = neg(add(var(1), sub))
+        elif kind == 6:
+            term = power(add(var(0), q), rng.randint(2, 3))
+        else:
+            term = add(var(rng.randrange(2)), q)
+        terms.append((term, plus))
+    return terms[:length]
+
+
+class TestOneAddPerComponent:
+    """The lemma the formula code rests on: one add(*terms), with a
+    subtracted term written neg(t), is the node the running sum
+    ZERO + t1 - t2 ... builds."""
+
+    def test_one_add_is_the_left_fold(self):
+        rng = rng_for("one-add")
+        for _ in range(2500):
+            terms = _signed_terms(rng)
+            fold = ZERO
+            for t, plus in terms:
+                fold = fold + t if plus else fold - t
+            assert add(*[t if plus else -t for t, plus in terms]) is fold
 
 
 class TestDerivativeReference:

@@ -280,6 +280,10 @@ class TestMetrisability:
             if not invertible(non_einstein3, pt):
                 continue
             assert max((fam_a[a] - fam_b[a]).max_abs_at(pt) for a in range(3)) == 0
+            # the E.B collection of the mixed slot equals the B.E one
+            for a in range(3):
+                gap = (fam_b[a]._expansion_eb - fam_b[a].nu).at(pt)
+                assert all(c == 0 for c in gap.components)
 
     def test_obstruction_identity_50_random_sections(self, non_einstein3):
         # the obstruction is exactly the gap between the two connections
