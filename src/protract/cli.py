@@ -53,6 +53,7 @@ from .tractor import (
     tractor_nabla,
 )
 from .transport import (
+    BUNDLES,
     TransportError,
     circle_loop,
     cotractor_bundle,
@@ -61,20 +62,14 @@ from .transport import (
     loop_matrix,
     rectangle_loop,
     reverse_loop,
-    s2_cotractor_bundle,
     s2_tractor_bundle,
     seeded_loops,
-    skew_bundle,
     solution_correspondence,
-    tangent_bundle,
     tractor_bundle,
 )
 
 BUNDLED = ("flat2", "flat3", "sphere2", "sphere3", "nonEinstein2",
            "nonEinstein3")
-
-SUITES = ("duality", "invariance", "einstein", "prolong", "holonomy",
-          "bianchi", "all")
 
 
 class SpecError(ValueError):
@@ -312,7 +307,7 @@ def _rand_s2cotractor(rng, dim) -> S2CotractorSection:
 # suites
 
 def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
-                   tol: float | None):
+                   tol: float | None, steps: int):
     from .expr import diff
 
     geom = spec.geom
@@ -340,10 +335,10 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
                 resids.append(TensorField(n, 0, 0, [resid]))
         return resids
 
-    for label, *bundle_pair in (
-        ("tractor", _rand_tractor, _rand_cotractor,
+    for check, *bundle_pair in (
+        ("duality_tractor", _rand_tractor, _rand_cotractor,
          tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
-        ("s2", _rand_s2tractor, _rand_s2cotractor,
+        ("duality_s2", _rand_s2tractor, _rand_s2cotractor,
          metrisability_prolong_nabla, s2_dual_nabla,
          s2_cotractor_dual_pairing),
     ):
@@ -352,12 +347,12 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
         if rest:
             worst = max_magnitude([worst, max_residual(resids[full:full + 1],
                                                        pts[:rest])])
-        report.add("duality_%s" % label, worst, threshold)
+        report.add(check, worst, threshold)
     report.metrics["duality_samples"] = 200
 
 
 def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
-                      tol: float | None):
+                      tol: float | None, steps: int):
     if spec.phi is None and spec.upsilon is None:
         raise SpecError("invariance suite needs phi or upsilon in the spec")
     if spec.phi is not None:
@@ -375,7 +370,7 @@ def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
 
 
 def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
-                    tol: float | None):
+                    tol: float | None, steps: int):
     geom = spec.geom
     n = spec.dim
     pts = _eval_points(spec)
@@ -415,7 +410,7 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
 
 
 def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
-                   tol: float | None):
+                   tol: float | None, steps: int):
     geom = spec.geom
     pts = _eval_points(spec)
     lift = metric_lift(geom)
@@ -443,16 +438,14 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     pts = _eval_points(spec)
     loops = seeded_loops(spec.box, 5, seed)
     sv_tol = tol if tol is not None else 1e-6
-    for label, bundle, curv_variant in (
-        ("cotractor", cotractor_bundle(geom), "cotractor"),
-        ("tractor", tractor_bundle(geom), "tractor"),
-    ):
+    for make_bundle, rand_section in ((cotractor_bundle, _rand_cotractor),
+                                      (tractor_bundle, _rand_tractor)):
+        bundle = make_bundle(geom)
+        label = bundle.name
         rep = holonomy_dimension(bundle, loops, steps=steps, seed=seed,
                                  sv_tol=sv_tol)
-        probe = _rand_tractor(random.Random(seed), spec.dim) \
-            if curv_variant == "tractor" \
-            else _rand_cotractor(random.Random(seed), spec.dim)
-        grid = tractor_curvature(geom, probe)
+        grid = tractor_curvature(geom, rand_section(random.Random(seed),
+                                                    spec.dim))
         curv = float(max_residual(
             (member for row in grid for member in row), pts[:4]))
         report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
@@ -468,16 +461,16 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     mb = s2_tractor_bundle(geom)
     mrep = holonomy_dimension(mb, loops, steps=steps, seed=seed,
                               sv_tol=sv_tol)
-    report.metrics["metrisability_fixed_dim"] = mrep.fixed_dim
-    report.metrics["metrisability_rank"] = mb.rank
+    report.metrics["%s_fixed_dim" % mb.name] = mrep.fixed_dim
+    report.metrics["%s_rank" % mb.name] = mb.rank
     report.metrics["holonomy_singular_values"] = mrep.singular_values
-    report.add("metrisability_dim_within_rank",
+    report.add("%s_dim_within_rank" % mb.name,
                _unless_nonfinite(0.0 if mrep.fixed_dim <= mb.rank else 1.0,
                                  *mrep.singular_values), 0.5)
 
 
 def _suite_bianchi(spec: GeometrySpec, report: Report, seed: int,
-                   tol: float | None):
+                   tol: float | None, steps: int):
     pts = _eval_points(spec)
     _add_bianchi_checks(spec, report, spec.geom.pack(), pts, tol)
 
@@ -495,27 +488,25 @@ def _add_bianchi_checks(spec: GeometrySpec, report: Report, pack, pts,
                tol if tol is not None else 1e-7)
 
 
+# Every suite by name, in the order "all" runs them.
+_SUITES = {
+    "bianchi": _suite_bianchi,
+    "duality": _suite_duality,
+    "invariance": _suite_invariance,
+    "einstein": _suite_einstein,
+    "prolong": _suite_prolong,
+    "holonomy": _suite_holonomy,
+}
+SUITES = (*_SUITES, "all")
+
+
 def run_suite(spec: GeometrySpec, suite: str, report: Report, seed: int,
               tol: float | None, steps: int):
-    if suite == "duality":
-        _suite_duality(spec, report, seed, tol)
-    elif suite == "invariance":
-        _suite_invariance(spec, report, seed, tol)
-    elif suite == "einstein":
-        _suite_einstein(spec, report, seed, tol)
-    elif suite == "prolong":
-        _suite_prolong(spec, report, seed, tol)
-    elif suite == "holonomy":
-        _suite_holonomy(spec, report, seed, tol, steps)
-    elif suite == "bianchi":
-        _suite_bianchi(spec, report, seed, tol)
-    elif suite == "all":
-        for s in ("bianchi", "duality", "invariance", "einstein", "prolong",
-                  "holonomy"):
-            run_suite(spec, s, report, seed, tol, steps)
-    else:
+    if suite not in SUITES:
         raise SpecError("unknown suite %r (choose from %s)"
                         % (suite, ", ".join(SUITES)))
+    for name in (_SUITES if suite == "all" else (suite,)):
+        _SUITES[name](spec, report, seed, tol, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -563,39 +554,28 @@ _CURVE_KINDS = ("circle", "rect", "line")
 def parse_curve(text: str, box):
     """circle:cx,cy,r | rect:x,y,w,h | line:x0,x1,...;y0,y1,..."""
     kind, _, rest = text.partition(":")
+    if kind not in _CURVE_KINDS:
+        raise SpecError("unknown curve kind %r (choose from %s)"
+                        % (kind, ", ".join(_CURVE_KINDS)))
+    pad = [0.0] * (len(box) - 2)
     try:
+        groups = [[float(v) for v in part.split(",")]
+                  for part in rest.split(";")]
+        if not all(math.isfinite(v) for g in groups for v in g):
+            raise ValueError("coordinates must be finite")
         if kind == "circle":
-            cx, cy, r = (float(v) for v in rest.split(","))
-            return circle_loop([cx, cy] + [0.0] * (len(box) - 2), r), True
+            (cx, cy, r), = groups
+            return circle_loop([cx, cy] + pad, r), True
         if kind == "rect":
-            x, y, w, h = (float(v) for v in rest.split(","))
-            return rectangle_loop([x, y] + [0.0] * (len(box) - 2), w, h), True
-        if kind == "line":
-            a_txt, _, b_txt = rest.partition(";")
-            a = [float(v) for v in a_txt.split(",")]
-            b = [float(v) for v in b_txt.split(",")]
-            return (line_segment(a, b),), False
+            (x, y, w, h), = groups
+            return rectangle_loop([x, y] + pad, w, h), True
+        a, b = groups
+        if len(a) != len(box) or len(b) != len(box):
+            raise ValueError("line endpoints need %d coordinates each"
+                             % len(box))
+        return (line_segment(a, b),), False
     except ValueError as e:
         raise SpecError("bad curve %r: %s" % (text, e)) from e
-    raise SpecError("unknown curve kind %r (choose from %s)"
-                    % (kind, ", ".join(_CURVE_KINDS)))
-
-
-def _bundle_for(name: str, spec: GeometrySpec):
-    geom = spec.geom
-    if name == "cotractor":
-        return cotractor_bundle(geom)
-    if name == "tractor":
-        return tractor_bundle(geom)
-    if name == "metrisability":
-        return s2_tractor_bundle(geom)
-    if name == "s2dual":
-        return s2_cotractor_bundle(geom)
-    if name == "skew":
-        return skew_bundle(geom.connection())
-    if name == "tangent":
-        return tangent_bundle(geom)
-    raise SpecError("unknown bundle %r" % name)
 
 
 def cmd_transport(spec: GeometrySpec, bundle_name: str, curve_text,
@@ -604,7 +584,7 @@ def cmd_transport(spec: GeometrySpec, bundle_name: str, curve_text,
     import numpy as np
 
     report = Report("transport", spec.digest)
-    bundle = _bundle_for(bundle_name, spec)
+    bundle = BUNDLES[bundle_name](spec.geom)
     use_seed = spec.sample_seed if seed is None else seed
     if curve_text is not None:
         curve, closed = parse_curve(curve_text, spec.box)
@@ -705,9 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("transport", help="transport a section along a curve")
     common(pt)
-    pt.add_argument("bundle", choices=("cotractor", "tractor",
-                                       "metrisability", "s2dual", "skew",
-                                       "tangent"))
+    pt.add_argument("bundle", choices=tuple(BUNDLES))
     pt.add_argument("curve", nargs="?",
                     help="circle:cx,cy,r | rect:x,y,w,h | "
                          "line:x0,..;y0,.. (default: seeded circle)")

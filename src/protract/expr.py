@@ -331,8 +331,8 @@ def add(*terms: Expr) -> Expr:
         if consts[0] is not ZERO:
             flat.append(consts[0])
     elif consts:
-        c = 0
-        for item in consts:
+        c = consts[0].value
+        for item in consts[1:]:
             c += item.value
         if c != 0:
             flat.append(const(c))
@@ -365,11 +365,11 @@ def mul(*factors: Expr) -> Expr:
         if k is not ONE:
             flat.insert(0, k)
     elif consts:
-        c = 1
-        for item in consts:
+        c = consts[0].value
+        for item in consts[1:]:
             c *= item.value
-            if c == 0:
-                return ZERO
+        if c == 0:
+            return ZERO
         if not flat:
             return const(c)
         if c != 1:

@@ -57,6 +57,11 @@ def _scalar(dim: int, e) -> TensorField:
     return TensorField(dim, 0, 0, [as_expr(e)])
 
 
+# SLOT_SYM value -> (test of a rank-2 slot, the word its error uses)
+_SYMMETRY_TESTS = {"sym": (is_symmetric_pair, "symmetric"),
+                   "skew": (is_skew_pair, "skew")}
+
+
 class Section:
     """Base for typed slot tuples of tensor fields."""
 
@@ -93,7 +98,10 @@ class Section:
             self._check_invariants()
 
     def _check_invariants(self):
-        pass
+        for name, sym in type(self).SLOT_SYM.items():
+            holds, word = _SYMMETRY_TESTS[sym]
+            if not holds(getattr(self, name), 0, 1):
+                raise ValueError("slot %s must be %s" % (name, word))
 
     def __getattr__(self, name):
         for f, (slot_name, _) in zip(self._fields, type(self).SLOT_SPEC):
@@ -141,27 +149,15 @@ class S2TractorSection(Section):
     SLOT_SPEC = (("t", (2, 0)), ("nu", (1, 0)), ("rho", (0, 0)))
     SLOT_SYM = {"t": "sym"}
 
-    def _check_invariants(self):
-        if not is_symmetric_pair(self.t, 0, 1):
-            raise ValueError("slot t must be symmetric")
-
 
 class S2CotractorSection(Section):
     SLOT_SPEC = (("beta", (0, 2)), ("mu", (0, 1)), ("sigma", (0, 0)))
     SLOT_SYM = {"beta": "sym"}
 
-    def _check_invariants(self):
-        if not is_symmetric_pair(self.beta, 0, 1):
-            raise ValueError("slot beta must be symmetric")
-
 
 class SkewTractorSection(Section):
     SLOT_SPEC = (("beta", (2, 0)), ("nu", (1, 0)), ("rho", (0, 0)))
     SLOT_SYM = {"beta": "skew"}
-
-    def _check_invariants(self):
-        if not is_skew_pair(self.beta, 0, 1):
-            raise ValueError("slot beta must be skew")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Expr, ZERO, as_expr, const, cos, diff_all, sin, var
-from .geometry import AffineConnection, ChartGeometry, covariant_derivative
+from .geometry import ChartGeometry, covariant_derivative
 from .kernel import eval_table
 from .program import compile_table
 from .tensor import (
@@ -54,7 +54,7 @@ __all__ = [
     "CurveSegment", "line_segment", "circle_loop", "rectangle_loop",
     "seeded_loops", "reverse_loop", "TangentSection", "TransportBundle",
     "cotractor_bundle", "tractor_bundle", "s2_tractor_bundle",
-    "s2_cotractor_bundle", "skew_bundle", "tangent_bundle",
+    "s2_cotractor_bundle", "skew_bundle", "tangent_bundle", "BUNDLES",
     "transport", "holonomy_dimension", "HolonomyReport",
     "solution_correspondence", "transported_sampler", "sampled_pde_residual",
 ]
@@ -271,16 +271,17 @@ def _slot_layout(section_cls, dim: int):
 
 
 class TransportBundle:
-    """A section type plus its connection, flattened for numeric work."""
+    """A section type plus its connection over a chart geometry,
+    flattened for numeric work."""
 
-    def __init__(self, name: str, section_cls, nabla: Callable, context,
-                 dim: int):
+    def __init__(self, name: str, section_cls, nabla: Callable,
+                 geom: ChartGeometry):
         self.name = name
         self.section_cls = section_cls
         self.nabla = nabla
-        self.context = context
-        self.dim = dim
-        self.layout = _slot_layout(section_cls, dim)
+        self.geom = geom
+        self.dim = geom.dim
+        self.layout = _slot_layout(section_cls, self.dim)
         self.rank = len(self.layout)
         self._A_table = None
 
@@ -341,7 +342,7 @@ class TransportBundle:
         n, r = self.dim, self.rank
         entries = [ZERO] * (n * r * r)
         for j in range(r):
-            family = self.nabla(self.context, self.basis_section(j))
+            family = self.nabla(self.geom, self.basis_section(j))
             for a in range(n):
                 col = self.flatten_fields(family[a])
                 for i in range(r):
@@ -359,33 +360,41 @@ class TransportBundle:
 
 def cotractor_bundle(geom: ChartGeometry) -> TransportBundle:
     return TransportBundle("cotractor", CotractorSection, cotractor_nabla,
-                           geom, geom.dim)
+                           geom)
 
 
 def tractor_bundle(geom: ChartGeometry) -> TransportBundle:
-    return TransportBundle("tractor", TractorSection, tractor_nabla,
-                           geom, geom.dim)
+    return TransportBundle("tractor", TractorSection, tractor_nabla, geom)
 
 
 def s2_tractor_bundle(geom: ChartGeometry) -> TransportBundle:
     return TransportBundle("metrisability", S2TractorSection,
-                           metrisability_prolong_nabla, geom, geom.dim)
+                           metrisability_prolong_nabla, geom)
 
 
 def s2_cotractor_bundle(geom: ChartGeometry) -> TransportBundle:
-    return TransportBundle("s2dual", S2CotractorSection, s2_dual_nabla,
-                           geom, geom.dim)
+    return TransportBundle("s2dual", S2CotractorSection, s2_dual_nabla, geom)
 
 
-def skew_bundle(conn: AffineConnection) -> TransportBundle:
-    def nabla(ctx, s):
-        return flat_skew_prolong_nabla(s, ctx)
-    return TransportBundle("skew", SkewTractorSection, nabla, conn, conn.dim)
+def skew_bundle(geom: ChartGeometry) -> TransportBundle:
+    def nabla(g, s):
+        return flat_skew_prolong_nabla(s, g.connection())
+    return TransportBundle("skew", SkewTractorSection, nabla, geom)
 
 
 def tangent_bundle(geom: ChartGeometry) -> TransportBundle:
-    return TransportBundle("tangent", TangentSection, _tangent_nabla,
-                           geom, geom.dim)
+    return TransportBundle("tangent", TangentSection, _tangent_nabla, geom)
+
+
+# Every bundle factory by the name of the bundle it builds.
+BUNDLES = {
+    "cotractor": cotractor_bundle,
+    "tractor": tractor_bundle,
+    "metrisability": s2_tractor_bundle,
+    "s2dual": s2_cotractor_bundle,
+    "skew": skew_bundle,
+    "tangent": tangent_bundle,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +556,6 @@ def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
 # ---------------------------------------------------------------------------
 # correspondence with the original PDEs
 
-EQUATIONS = ("cotractor", "tfnu", "metrisability", "skew")
-
-
-def _connection_of(context):
-    if isinstance(context, ChartGeometry):
-        return context.connection()
-    return context
-
-
 def _tf_11(M: TensorField | PointTensor):
     n = M.dim
     tr = 0
@@ -574,13 +574,13 @@ def _tf_11(M: TensorField | PointTensor):
 
 def _pde_residual_field(bundle: TransportBundle, section: Section):
     """Symbolic residual field of the source equation for the bundle."""
-    ctx = bundle.context
-    conn = _connection_of(ctx)
+    geom = bundle.geom
+    conn = geom.connection()
     cls = bundle.section_cls
     if cls is CotractorSection:
         d1 = covariant_derivative(conn, section.sigma)
         d2 = covariant_derivative(conn, d1)           # [a][b]
-        P = ctx.pack().schouten
+        P = geom.pack().schouten
         n = bundle.dim
         sigma = section.sigma.components[0]
         comps = [d2[a, b] + P[a, b] * sigma
@@ -604,7 +604,7 @@ def solution_correspondence(bundle: TransportBundle, section: Section,
     parallel residual is NaN.
     """
     pts = list(points)
-    parallel = max_residual(bundle.nabla(bundle.context, section), pts)
+    parallel = max_residual(bundle.nabla(bundle.geom, section), pts)
     if parallel > parallel_tol:
         raise NotParallelError(
             "section is not parallel: residual %.3e" % parallel)
@@ -642,11 +642,10 @@ def sampled_pde_residual(bundle: TransportBundle, sampler: Callable,
 
     Partial derivatives of the leading slot come from central
     differences of the sampler; connection terms use the Christoffel
-    symbols of the bundle context at each point.
+    symbols of the bundle's geometry at each point.
     """
-    conn = _connection_of(bundle.context)
     n = bundle.dim
-    gamma = conn.gamma
+    gamma = bundle.geom.connection().gamma
     cls = bundle.section_cls
     lead = cls.SLOT_SPEC[0][0]
     p, q = cls.SLOT_SPEC[0][1]

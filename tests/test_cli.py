@@ -5,6 +5,7 @@ check passes, 1 when a check fails, and 2 on input errors.  Argparse-level
 errors (unknown suite, unknown bundle) raise SystemExit(2) instead.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import math
 import pytest
 
 from protract import kernel, transport
-from protract.cli import main
+from protract.cli import SUITES, _SUITES, build_parser, main
 from protract.geometry import ChartGeometry
 
 
@@ -144,6 +145,20 @@ class TestCheckCommand:
             run_cli(["check", "--spec", "flat2", "--suite", "nope"])
         assert exc.value.code == 2
 
+    def test_all_runs_every_suite_in_table_order(self, tmp_path):
+        assert set(SUITES) == {"bianchi", "duality", "invariance", "einstein",
+                               "prolong", "holonomy", "all"}
+
+        def check_names(suite):
+            path = tmp_path / ("%s.json" % suite)
+            _, _, _, report = run_cli(
+                ["check", "--spec", "flat2", "--suite", suite, "--steps",
+                 "64", "--json", str(path)], json_path=path)
+            return [c["name"] for c in report["checks"]]
+
+        assert check_names("all") == [name for suite in _SUITES
+                                      for name in check_names(suite)]
+
     def test_missing_spec_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["check", "--suite", "all"])
@@ -249,10 +264,18 @@ class TestTransportCommand:
         assert "loop_deviation" not in report["metrics"]
 
     def test_bad_curve_text_exits_2(self):
-        rc, _, err, _ = run_cli(
-            ["transport", "cotractor", "circle:0,0", "--spec", "flat2"])
-        assert rc == 2
-        assert "bad curve" in err
+        # besides a short circle: a value that is not finite, and line
+        # endpoints whose length is not the chart dimension
+        for spec, curve in (("flat2", "circle:0,0"),
+                            ("sphere2", "circle:0.1,0.1,inf"),
+                            ("sphere2", "rect:0,nan,0.1,0.1"),
+                            ("sphere2", "line:0;1"),
+                            ("sphere2", "line:0,0,0;0.1,0.1,0.1"),
+                            ("sphere2", "line:0,0;1,1,1")):
+            rc, _, err, _ = run_cli(
+                ["transport", "cotractor", curve, "--spec", spec])
+            assert rc == 2, curve
+            assert "bad curve" in err, curve
 
     def test_unknown_curve_kind_exits_2(self):
         rc, _, err, _ = run_cli(
@@ -269,6 +292,18 @@ class TestTransportCommand:
         assert rc1 == rc2 == 0
         assert p1.read_bytes() == p2.read_bytes()
         assert r1["metrics"]["rank"] == 3
+
+    def test_bundle_table_is_the_parser_choices(self, flat3):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        bundle_arg = next(a for a in sub.choices["transport"]._actions
+                          if a.dest == "bundle")
+        assert bundle_arg.choices == tuple(transport.BUNDLES)
+        assert set(transport.BUNDLES) == {"cotractor", "tractor",
+                                          "metrisability", "s2dual", "skew",
+                                          "tangent"}
+        for name, factory in transport.BUNDLES.items():
+            assert factory(flat3).name == name
 
     def test_bundle_choices_enforced(self):
         with pytest.raises(SystemExit) as exc:

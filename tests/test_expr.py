@@ -562,6 +562,23 @@ class TestConstantFolds:
         assert got[3] is x0
         assert got[4] is x0
 
+    def test_constant_fold_starts_from_the_first_constant(self, monkeypatch):
+        from oracles import add_fold_reference, mul_fold_reference
+
+        x0 = var(0)
+        a, b = const(Fraction(3, 7)), const(Fraction(-5, 2))
+        want = [add_fold_reference(x0, a, b), mul_fold_reference(a, x0, b)]
+
+        def refuse(*args):
+            raise AssertionError("a reflected int-Fraction operation")
+
+        with monkeypatch.context() as m:
+            for name in ("__radd__", "__rmul__"):
+                m.setattr(Fraction, name, refuse)
+            got = [add(x0, a, b), mul(a, x0, b)]
+        assert got[0] is want[0]
+        assert got[1] is want[1]
+
 
 def _signed_terms(rng):
     """0-8 (term, plus) pairs: variables, ZERO and ONE, Fraction

@@ -73,13 +73,16 @@ class TestSectionValidation:
 
     def test_symmetry_validated(self):
         comps = [parse(s, 2) for s in ("0", "1", "0", "0")]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^slot t must be symmetric$"):
             S2TractorSection(TensorField(2, 2, 0, comps), _zero_field(2, 1, 0),
                              parse("0", 2))
+        with pytest.raises(ValueError, match="^slot beta must be symmetric$"):
+            S2CotractorSection(TensorField(2, 0, 2, comps),
+                               _zero_field(2, 0, 1), parse("0", 2))
 
     def test_skew_validated(self):
         comps = [parse(s, 2) for s in ("1", "0", "0", "0")]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^slot beta must be skew$"):
             SkewTractorSection(TensorField(2, 2, 0, comps), _zero_field(2, 1, 0),
                                parse("0", 2))
 

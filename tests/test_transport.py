@@ -140,7 +140,7 @@ class TestBundleMachinery:
         assert cotractor_bundle(flat2).rank == 3
         assert tractor_bundle(sphere2).rank == 3
         assert s2_tractor_bundle(flat3).rank == 10  # 6 sym + 3 + 1
-        assert skew_bundle(flat3.connection()).rank == 7  # 3 skew + 3 + 1
+        assert skew_bundle(flat3).rank == 7  # 3 skew + 3 + 1
         assert tangent_bundle(sphere2).rank == 2
 
     def test_basis_round_trip(self, flat2):
@@ -323,7 +323,7 @@ class TestHolonomy:
         # the rho direction admits no global parallel section, so the fixed
         # space is 6-dimensional out of rank 7
         loops = seeded_loops([[-1, 1], [-1, 1], [-1, 1]], 5, seed=14)
-        rep = holonomy_dimension(skew_bundle(flat3.connection()), loops,
+        rep = holonomy_dimension(skew_bundle(flat3), loops,
                                  steps=400, seed=14)
         assert rep.rank == 7
         assert rep.fixed_dim == 6

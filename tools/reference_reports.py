@@ -7,10 +7,12 @@ Run it from any directory; it runs the checkout it lives in (its
 ``src/``), one ``protract`` subprocess per report, and writes each report
 to ``OUTDIR/<name>.json`` and every exit code to ``OUTDIR/exits.txt``.
 The reports are the nine reference reports of ROADMAP.md, three more
-holonomy runs at other step counts, and both benchmark invocations on
-seeds 0-3. The benchmark specs are built by ``perfbench/workloads.py``
-(read only) and written to ``OUTDIR/specs/`` as ``perfbench/run.py``
-writes them, so their digests match the benchmark's.
+holonomy runs at other step counts, one ``transport --loop`` run per
+bundle (the skew bundle on flat3, every other one on sphere2), and both
+benchmark invocations on seeds 0-3. The benchmark specs are built by
+``perfbench/workloads.py`` (read only) and written to ``OUTDIR/specs/``
+as ``perfbench/run.py`` writes them, so their digests match the
+benchmark's.
 
 A change that should move no report is compared with its parent by
 running this script in both checkouts and ``diff -r`` on the two
@@ -33,6 +35,11 @@ from workloads import SPEC, WORKLOADS  # noqa: E402
 BUNDLED = ("flat2", "flat3", "sphere2", "sphere3", "nonEinstein2",
            "nonEinstein3")
 SEEDS = range(4)
+# (bundle, spec, closed curve); the skew bundle needs dimension 3
+LOOP_TRANSPORTS = tuple(
+    (bundle, "sphere2", "circle:0.2,0.1,0.55")
+    for bundle in ("cotractor", "tractor", "metrisability", "s2dual",
+                   "tangent")) + (("skew", "flat3", "circle:0,0,0.4"),)
 
 
 def reports(spec_dir: Path) -> list:
@@ -57,6 +64,10 @@ def reports(spec_dir: Path) -> list:
         ("holonomy-default-flat3",
          ["check", "--suite", "holonomy", "--spec", "flat3"]),
     ]
+    out += [("transport-loop-%s-%s" % (bundle, spec),
+             ["transport", bundle, curve, "--spec", spec, "--steps", "64",
+              "--loop"])
+            for bundle, spec, curve in LOOP_TRANSPORTS]
     spec_dir.mkdir(parents=True, exist_ok=True)
     for workload, build in WORKLOADS.items():
         for seed in SEEDS:
