@@ -17,13 +17,19 @@ constant folds of add and mul, a lone Fraction constant is its own
 fold: the interned node is reused, with no Fraction arithmetic. Every
 walk that memoises by identity (evaluate, diff, to_text,
 program.compile_table) therefore shares equal subtrees. The walks take a
-family of roots and memoise across it: diff_all differentiates every
-component of a tensor in one walk, so a subtree the components share is
-differentiated once, and since a derivative depends only on its node the
-results are the very objects one diff per component would build. No memo
-outlives its call. An interned node is shared by every expression that
+family of roots and memoise across it. evaluate, to_text and
+compile_table keep a memo for the length of one call. A derivative
+depends only on its node and coordinate, so diff_all keeps it on the
+node: each node holds its partial derivatives by coordinate for as long
+as it lives, and a walk stops at every node already differentiated, by
+this call or an earlier one. So a node is differentiated by a coordinate
+once per process, and the results are the very objects a walk from
+scratch would build. A node with sin, cos or exp in it keeps no
+derivatives, because they can contain the node itself (see _Partials).
+An interned node is shared by every expression that
 contains it, so nodes are immutable: setting or deleting an attribute
-raises.
+raises (the derivative store is written through object.__setattr__,
+like the fields).
 
 Two arithmetic modes exist and are never mixed inside one computation:
 rational mode evaluates with fractions.Fraction exactly and refuses
@@ -101,22 +107,28 @@ def _forget(ref):
 
 class Expr:
     """Base node. A subclass lists its fields in __slots__, in constructor
-    order; children are Expr fields, or a tuple of Expr for Add and Mul."""
+    order; children are Expr fields, or a tuple of Expr for Add and Mul.
+    _partials holds the node's partial derivatives known so far, indexed
+    by coordinate (see _Partials)."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_partials")
 
     def __new__(cls, *fields):
-        if len(fields) != len(cls.__slots__):
-            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
         # equal payloads of other types (1 and True, Fraction(1, 2) and
         # 0.5) hash alike, so the types keep their nodes apart
         key = (cls, fields, tuple(map(type, fields)))
         ref = _INTERNED.get(key)
         node = None if ref is None else ref()
         if node is None:
+            # only a miss can have the wrong arity: every key in the table
+            # holds the fields of a node built here
+            if len(fields) != len(cls.__slots__):
+                raise TypeError("%s takes %d fields"
+                                % (cls.__name__, len(cls.__slots__)))
             node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(node, name, value)
+            object.__setattr__(node, "_partials", ())
             _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
@@ -440,10 +452,15 @@ def _walk_unique(roots: Sequence[Expr]):
         stack.extend(node.children())
 
 
-def _postorder_apply(roots: Sequence[Expr], fn) -> list:
+def _postorder_apply(roots: Sequence[Expr], fn, memo=None) -> list:
     """fn(node, child_results) over the union DAG of roots, one result
-    per root; memoized by identity across the roots, no recursion."""
-    results = {}
+    per root, no recursion. memo maps a node to its result, which is
+    never None: the walk stops at every node memo.get finds and stores
+    each result it computes with memo[node] = result. The default is a
+    fresh dict, so nothing outlives the call."""
+    if memo is None:
+        memo = {}
+    get = memo.get
     work = list(roots)
     while work:
         node = work.pop()
@@ -451,17 +468,58 @@ def _postorder_apply(roots: Sequence[Expr], fn) -> list:
             # a node whose pending children are done: everything pushed
             # above it has been popped, and popped only once computed
             node, children = node
-        elif id(node) in results:
+        elif get(node) is not None:
             continue
         else:
             children = node.children()
-            pending = [c for c in children if id(c) not in results]
+            pending = [c for c in children if get(c) is None]
             if pending:
                 work.append((node, children))
                 work.extend(pending)
                 continue
-        results[id(node)] = fn(node, [results[id(c)] for c in children])
-    return [results[id(r)] for r in roots]
+        memo[node] = fn(node, [get(c) for c in children])
+    return [get(r) for r in roots]
+
+
+class _Partials:
+    """The derivatives by one coordinate that the nodes keep, as the memo
+    of a diff walk. A node's _partials tuple holds its derivative by
+    coordinate c at index c; None there, or a tuple too short to reach
+    c, means not yet known. The tuple grows only as far as the highest
+    coordinate asked for, and a node keeps it for as long as it lives.
+
+    A node with sin, cos or exp in it keeps none: its _partials is None,
+    and the walk holds its derivatives for the one call. d exp(u) =
+    exp(u) * u' contains its node, and so can the derivative of a node
+    over exp(u) (d(x0 * exp(x0)) = exp(x0) + x0 * exp(x0)). The intern
+    table's keys hold their children, so such a cycle would outlive
+    every expression that uses it. No rule for a rational node passes
+    the node itself, and a rational derivative is rational."""
+
+    __slots__ = ("coord", "unkept")
+
+    def __init__(self, coord: int):
+        self.coord = coord
+        self.unkept = {}
+
+    def get(self, node):
+        known = node._partials
+        if known is None:
+            return self.unkept.get(node)
+        return known[self.coord] if self.coord < len(known) else None
+
+    def __setitem__(self, node, deriv):
+        # the children are done first, so each has its store or its None
+        if isinstance(node, Call) or any(
+                c._partials is None for c in node.children()):
+            object.__setattr__(node, "_partials", None)
+            self.unkept[node] = deriv
+            return
+        known, c = node._partials, self.coord
+        if len(known) <= c:
+            known += (None,) * (c + 1 - len(known))
+        object.__setattr__(node, "_partials",
+                           known[:c] + (deriv,) + known[c + 1:])
 
 
 def max_var_index(e: Expr) -> int:
@@ -503,11 +561,14 @@ def evaluate(e: Expr, point: Sequence[Number], mode: str | None = None):
 
 def diff_all(exprs: Sequence[Expr], coord: int) -> list:
     """Exact partial derivatives of a family with respect to coordinate
-    `coord`, in one walk: a subtree the family shares is differentiated
-    once."""
+    `coord`. Every node keeps its derivatives for as long as it lives, so
+    a node is differentiated by a coordinate once per process: the walk
+    stops at each node an earlier call or an earlier member of the
+    family has differentiated."""
     if coord < 0:
         raise ExprError("negative coordinate index")
-    return _postorder_apply(exprs, lambda n, derivs: n._deriv(derivs, coord))
+    return _postorder_apply(exprs, lambda n, derivs: n._deriv(derivs, coord),
+                            _Partials(coord))
 
 
 def diff(e: Expr, coord: int) -> Expr:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .expr import EvalDomainError, ZERO, add, diff_all, mul, neg
 from .tensor import (
     TensorField,
+    _probe_points,
     contract,
     is_symmetric_pair,
     matrix_inverse_exprs,
@@ -45,7 +46,7 @@ class SingularMetricError(GeometryError, EvalDomainError):
 class AffineConnection:
     """Torsion-free connection given by Christoffel symbols gamma[c][a][b]."""
 
-    __slots__ = ("dim", "gamma")
+    __slots__ = ("dim", "gamma", "_flat")
 
     def __init__(self, gamma: TensorField, validate: bool = True):
         if (gamma.p, gamma.q) != (1, 2):
@@ -54,6 +55,17 @@ class AffineConnection:
             raise GeometryError("connection coefficients must be symmetric")
         self.dim = gamma.dim
         self.gamma = gamma
+        self._flat = None
+
+    def is_flat(self) -> bool:
+        """Whether the curvature vanishes: every Riemann component within
+        1e-12 of zero at the fixed probe points (a non-finite value is
+        not flat). Decided once per connection."""
+        if self._flat is None:
+            R = riemann(self)
+            self._flat = max_residual(
+                [R], _probe_points(R.components, self.dim)) <= 1e-12
+        return self._flat
 
     def __repr__(self):
         return "<AffineConnection dim=%d>" % self.dim

@@ -30,7 +30,6 @@ from .geometry import (
     ChartGeometry,
     GeometryError,
     covariant_derivative,
-    riemann,
 )
 from .projective import Upsilon
 from .tensor import (
@@ -507,7 +506,8 @@ def flat_skew_prolong_nabla(s: SkewTractorSection, conn: AffineConnection):
         raise GeometryError("needs dimension at least 3")
     if s.dim != n:
         raise GeometryError("dimension mismatch")
-    _require_flat(conn)
+    if not conn.is_flat():
+        raise GeometryError("connection is not flat")
     rho = s.rho.components[0]
     dbeta = covariant_derivative(conn, s.beta)  # [b][c][a]
     dnu = covariant_derivative(conn, s.nu)      # [b][a]
@@ -528,13 +528,6 @@ def flat_skew_prolong_nabla(s: SkewTractorSection, conn: AffineConnection):
                                          TensorField(n, 1, 0, slot2),
                                          _scalar(n, drho[a]), validate=False))
     return family
-
-
-def _require_flat(conn: AffineConnection):
-    from .tensor import _probe_points
-    R = riemann(conn)
-    if not max_residual([R], _probe_points(R.components, conn.dim)) <= 1e-12:
-        raise GeometryError("connection is not flat")
 
 
 def skew_induced_parts(conn: AffineConnection, beta: TensorField):

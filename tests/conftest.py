@@ -15,6 +15,21 @@ def _geom(dim, entries):
                                      [parse(s, dim) for s in entries]))
 
 
+@pytest.fixture
+def deriv_calls(monkeypatch):
+    """(node, coordinate) of every Expr._deriv call the test makes. The
+    list keeps each node alive, so no id is taken twice."""
+    from protract.expr import Add, Call, Const, Mul, Neg, Pow, Var
+
+    calls = []
+    for cls in (Const, Var, Add, Mul, Pow, Neg, Call):
+        def counted(node, derivs, coord, _deriv=cls._deriv):
+            calls.append((node, coord))
+            return _deriv(node, derivs, coord)
+        monkeypatch.setattr(cls, "_deriv", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def flat2():
     return _geom(2, ["1", "0", "0", "1"])

@@ -347,12 +347,14 @@ def diff_reference(exprs, coord):
     return [d(e) for e in exprs]
 
 
-def postorder_apply_reference(roots, fn) -> list:
+def postorder_apply_reference(roots, fn, memo=None) -> list:
     """expr._postorder_apply as it was before a node's children were
     fetched once per node: a node stays on the stack while its pending
     children are computed, and on its next visit it fetches its children
     again, scans them again for pending ones, and then gathers their
-    results."""
+    results. It takes the memo argument of expr._postorder_apply and
+    ignores it, keeping a fresh memo of its own: under it diff_all reads
+    no derivative a node keeps and differentiates from scratch."""
     results = {}
     work = list(roots)
     while work:

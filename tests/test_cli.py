@@ -333,6 +333,13 @@ class TestTransportCommand:
         assert rc == 2
         assert "dimension at least 3" in err
 
+    def test_skew_bundle_needs_a_flat_connection(self):
+        rc, _, err, _ = run_cli(
+            ["transport", "skew", "circle:0,0,0.4", "--spec", "sphere3",
+             "--steps", "16"])
+        assert rc == 2
+        assert err == "error: connection is not flat\n"
+
     def test_skew_bundle_on_flat3_has_holonomy(self, tmp_path):
         path = tmp_path / "r.json"
         rc, _, _, report = run_cli(

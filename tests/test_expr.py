@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from protract.expr import (
     Add,
+    Call,
     Const,
     EvalDomainError,
     ExactModeError,
     ExprError,
     ExprSyntaxError,
     Mul,
+    Neg,
     Pow,
     VariableRangeError,
     Var,
@@ -495,6 +497,26 @@ class TestInterning:
         with pytest.raises(AttributeError):
             var(0).index = 1
         assert evaluate(e, (Fraction(2), Fraction(3))) == 7
+        # every attribute, the derivative store too, once it holds some
+        d = diff(e, 1)
+        for node in (e, e.terms[0], var(0), e.terms[1], parse("exp(x0)^3", 1)):
+            for name in (*type(node).__slots__, "_partials", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, ZERO)
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+        assert diff(e, 1) is d
+
+    def test_wrong_arity_raises_also_beside_a_live_node(self):
+        x = var(0)
+        live = (Pow(x, 2), Call("sin", x), Add((x, ONE)))
+        # the wrong-arity fields are a prefix of a live node's fields
+        for cls, fields in ((Pow, (x,)), (Call, ("sin",)), (Add, ()),
+                            (Pow, (x, 2, 3)), (Var, ())):
+            with pytest.raises(TypeError, match="takes %d fields"
+                               % len(cls.__slots__)):
+                cls(*fields)
+        assert live == (Pow(x, 2), Call("sin", x), Add((x, ONE)))
 
 
 def _fold_arguments(rng):
@@ -660,3 +682,76 @@ class TestDerivativeReference:
         for field in (sphere3.metric, sphere3.pack().riemann):
             for a in range(3):
                 self._assert_same(list(field.components), a)
+
+
+def _differentiated_family_over_exp():
+    """Weak references to the nodes of a differentiated family whose
+    derivatives contain their nodes: d exp(u) = exp(u) * u', and
+    d(x1 * exp(u)) / dx1 = exp(u) + x1 * exp(u)."""
+    u = parse("x0^2/7883 + x1", 2)
+    family = [Call("exp", u), mul(var(1), Call("exp", u)),
+              mul(Call("sin", u), var(1))]
+    for a in (1, 0):
+        diff_all(family, a)
+    assert family[0] in diff(family[0], 0).factors
+    assert family[1] in diff(family[1], 1).terms
+    return [weakref.ref(n) for n in (*family, u, Call("sin", u))]
+
+
+class TestDerivativeStore:
+    """Each node without sin, cos or exp keeps its derivatives: diff_all
+    differentiates it by a coordinate once per process, with the results
+    of a walk from scratch (oracles.diff_reference)."""
+
+    def test_shuffled_coordinates_highest_first(self):
+        rng = rng_for("diff-store-order")
+        for _ in range(150):
+            dim = rng.randint(1, 4)
+            make = rng.choice((_random_rational_expr, _random_smooth_expr))
+            family = [make(rng, dim, rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 5))]
+            coords = list(range(dim))
+            rng.shuffle(coords)
+            # a coordinate no member uses comes first, past every gap
+            for a in [dim] + coords + coords[:2]:
+                TestDerivativeReference._assert_same(family, a)
+
+    def test_repeated_walk_differentiates_nothing(self, deriv_calls):
+        rng = rng_for("diff-store-repeat")
+        families = [[_random_rational_expr(rng, 3, 5) for _ in range(4)]
+                    for _ in range(20)]
+        first = [[diff_all(f, a) for a in (2, 0, 1)] for f in families]
+        deriv_calls.clear()
+        again = [[diff_all(f, a) for a in (2, 0, 1)] for f in families]
+        assert deriv_calls == []
+        assert all(x is y for fa, fb in zip(first, again)
+                   for da, db in zip(fa, fb) for x, y in zip(da, db))
+        # new nodes over differentiated ones cost one call each
+        root = Neg(Add((var(2), *[f[0] for f in families])))
+        diff(root, 1)
+        assert deriv_calls == [(root.arg, 1), (root, 1)]
+
+    def test_transcendental_nodes_keep_no_derivatives(self, deriv_calls):
+        rng = rng_for("diff-store-smooth")
+        families = [[_random_smooth_expr(rng, 2, 4) for _ in range(4)]
+                    for _ in range(30)]
+        for f in families:
+            diff_all(f, 1)
+        for f in families:
+            deriv_calls.clear()
+            TestDerivativeReference._assert_same(f, 1)
+            # only nodes over sin, cos or exp are differentiated again,
+            # each once in the walk
+            again = [n for n, _ in deriv_calls]
+            assert len({id(n) for n in again}) == len(again)
+            assert not any(is_rational_closed(n) for n in again)
+            assert {id(n) for n in again} == {
+                id(n) for n in _walk_unique(f) if not is_rational_closed(n)}
+
+    def test_dropped_family_over_exp_leaves_the_table(self):
+        gc.collect()
+        before = len(_INTERNED)
+        refs = _differentiated_family_over_exp()
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert len(_INTERNED) <= before

@@ -379,6 +379,24 @@ class TestCottonWeylRelation:
         assert res == 0
 
 
+class TestDerivativeWork:
+    def test_each_node_differentiated_once_per_coordinate(self, deriv_calls):
+        """The curvature stack, both Bianchi identities and the
+        Cotton-Weyl relation differentiate each (node, coordinate) pair
+        once, though each prolongation walks the nodes of the last."""
+        rng = rng_for("deriv-work")
+        geom = random_metric(rng, 3)
+        pt = next(p for p in rational_points(rng, 3, 8) if invertible(geom, p))
+        deriv_calls.clear()
+        pack = derive_pack(geom)
+        conn = geom.connection()
+        res = verify_bianchi(pack, conn, [pt])
+        assert res["first"] == 0 and res["second"] == 0
+        assert cotton_weyl_relation(pack, conn, [pt]) == 0
+        pairs = {(id(n), a) for n, a in deriv_calls}
+        assert len(deriv_calls) == len(pairs) > 1000
+
+
 class TestTorsion:
     def test_levi_civita_torsion_free(self, non_einstein3):
         t = torsion(non_einstein3.connection())

@@ -436,6 +436,16 @@ class TestSkew:
         residual = trace_free_skew(covariant_derivative(conn, beta))
         assert residual.at(pt).max_abs() == 0
 
+    def test_curved_connection_refused(self, sphere3):
+        from protract.geometry import GeometryError
+
+        s = SkewTractorSection(_zero_field(3, 2, 0), _zero_field(3, 1, 0),
+                               parse("1", 3))
+        # the decision is kept on the connection; every call still refuses
+        for _ in range(2):
+            with pytest.raises(GeometryError, match="connection is not flat"):
+                flat_skew_prolong_nabla(s, sphere3.connection())
+
     def test_induced_parts(self, flat3):
         n = 3
         conn = flat3.connection()

@@ -328,6 +328,21 @@ class TestHolonomy:
         assert rep.rank == 7
         assert rep.fixed_dim == 6
 
+    def test_skew_build_decides_flatness_once(self, flat3, monkeypatch):
+        import protract.geometry as geometry
+
+        calls = []
+
+        def counted(conn, _riemann=geometry.riemann):
+            calls.append(conn)
+            return _riemann(conn)
+
+        monkeypatch.setattr(geometry, "riemann", counted)
+        # a geometry of its own, so no earlier test decided its flatness
+        bundle = skew_bundle(geometry.ChartGeometry(flat3.metric))
+        assert bundle.coefficients_at([[0.1, 0.2, 0.3]]).shape == (1, 3, 7, 7)
+        assert len(calls) == 1
+
     def test_report_json_schema(self, flat2):
         loops = seeded_loops([[-1, 1], [-1, 1]], 2, seed=15)
         rep = holonomy_dimension(cotractor_bundle(flat2), loops, steps=200, seed=15)
