@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .expr import EvalDomainError, Expr, ExprError, parse
+from .expr import ZERO, EvalDomainError, Expr, ExprError, parse
 from .geometry import (
     ChartGeometry,
     GeometryError,
@@ -40,7 +40,9 @@ from .tractor import (
     CotractorSection,
     S2CotractorSection,
     S2TractorSection,
+    Section,
     TractorSection,
+    complete_pair,
     cotractor_nabla,
     metric_lift,
     metrisability_obstruction,
@@ -267,40 +269,16 @@ def _rand_poly(rng: random.Random, dim: int) -> Expr:
 
 
 def _rand_field(rng, dim, p, q, sym=None) -> TensorField:
-    size = dim ** (p + q)
-    comps = [_rand_poly(rng, dim) for _ in range(size)]
-    if sym and p + q == 2:
-        for b in range(dim):
-            for c in range(b, dim):
-                if sym == "sym":
-                    comps[c * dim + b] = comps[b * dim + c]
-                else:
-                    comps[b * dim + b] = parse("0", dim)
-                    if c > b:
-                        comps[c * dim + b] = parse("0", dim) - comps[b * dim + c]
+    comps = [_rand_poly(rng, dim) for _ in range(dim ** (p + q))]
+    complete_pair(comps, dim, sym, ZERO)
     return TensorField(dim, p, q, comps)
 
 
-def _rand_tractor(rng, dim) -> TractorSection:
-    return TractorSection(_rand_field(rng, dim, 1, 0), _rand_poly(rng, dim),
-                          validate=False)
-
-
-def _rand_cotractor(rng, dim) -> CotractorSection:
-    return CotractorSection(_rand_poly(rng, dim), _rand_field(rng, dim, 0, 1),
-                            validate=False)
-
-
-def _rand_s2tractor(rng, dim) -> S2TractorSection:
-    return S2TractorSection(_rand_field(rng, dim, 2, 0, "sym"),
-                            _rand_field(rng, dim, 1, 0), _rand_poly(rng, dim),
-                            validate=False)
-
-
-def _rand_s2cotractor(rng, dim) -> S2CotractorSection:
-    return S2CotractorSection(_rand_field(rng, dim, 0, 2, "sym"),
-                              _rand_field(rng, dim, 0, 1),
-                              _rand_poly(rng, dim), validate=False)
+def _rand_section(rng, cls, dim) -> Section:
+    """A random section of type cls: one random field per slot, drawn in
+    SLOT_SPEC order, each rank-2 slot completed as SLOT_SYM says."""
+    return cls(*[_rand_field(rng, dim, p, q, cls.SLOT_SYM.get(name))
+                 for name, (p, q) in cls.SLOT_SPEC], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +298,13 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
     # one more at the first 200 % m points
     full, rest = divmod(200, len(pts))
 
-    def leibniz(make_u, make_v, nab_u, nab_v, pairing):
+    def leibniz(cls_u, cls_v, nab_u, nab_v, pairing):
         """Leibniz-rule residuals of random section pairs, as scalar
         fields, enough of them for the samples."""
         resids = []
         while len(resids) * len(pts) < 200:
-            u = make_u(rng, n)
-            v = make_v(rng, n)
+            u = _rand_section(rng, cls_u, n)
+            v = _rand_section(rng, cls_v, n)
             fu = nab_u(geom, u)
             fv = nab_v(geom, v)
             pair = pairing(u, v)
@@ -336,9 +314,9 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
         return resids
 
     for check, *bundle_pair in (
-        ("duality_tractor", _rand_tractor, _rand_cotractor,
+        ("duality_tractor", TractorSection, CotractorSection,
          tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
-        ("duality_s2", _rand_s2tractor, _rand_s2cotractor,
+        ("duality_s2", S2TractorSection, S2CotractorSection,
          metrisability_prolong_nabla, s2_dual_nabla,
          s2_cotractor_dual_pairing),
     ):
@@ -394,7 +372,7 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
 
     def gaps():
         for _ in range(10):
-            s = _rand_s2tractor(rng, n)
+            s = _rand_section(rng, S2TractorSection, n)
             direct = s2_tractor_nabla(geom, s)
             prolong = metrisability_prolong_nabla(geom, s)
             ob_vec, ob_scal = metrisability_obstruction(geom, s.t)
@@ -424,7 +402,7 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
 
     from .tractor import s2_tractor_nabla_expanded
     rng = random.Random(seed ^ 0x97)
-    s = _rand_s2tractor(rng, spec.dim)
+    s = _rand_section(rng, S2TractorSection, spec.dim)
     direct = s2_tractor_nabla(geom, s)
     expanded = s2_tractor_nabla_expanded(geom, s)
     report.add("expansion_matches_direct",
@@ -438,14 +416,13 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     pts = _eval_points(spec)
     loops = seeded_loops(spec.box, 5, seed)
     sv_tol = tol if tol is not None else 1e-6
-    for make_bundle, rand_section in ((cotractor_bundle, _rand_cotractor),
-                                      (tractor_bundle, _rand_tractor)):
+    for make_bundle in (cotractor_bundle, tractor_bundle):
         bundle = make_bundle(geom)
         label = bundle.name
         rep = holonomy_dimension(bundle, loops, steps=steps, seed=seed,
                                  sv_tol=sv_tol)
-        grid = tractor_curvature(geom, rand_section(random.Random(seed),
-                                                    spec.dim))
+        grid = tractor_curvature(geom, _rand_section(
+            random.Random(seed), bundle.section_cls, spec.dim))
         curv = float(max_residual(
             (member for row in grid for member in row), pts[:4]))
         report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
@@ -568,6 +545,8 @@ def parse_curve(text: str, box):
             return circle_loop([cx, cy] + pad, r), True
         if kind == "rect":
             (x, y, w, h), = groups
+            if not (math.isfinite(x + w) and math.isfinite(y + h)):
+                raise ValueError("corners must be finite")
             return rectangle_loop([x, y] + pad, w, h), True
         a, b = groups
         if len(a) != len(box) or len(b) != len(box):
@@ -655,6 +634,17 @@ def _emit(report: Report, json_path, started: float):
             fh.write(payload + "\n")
 
 
+def _step_count(text: str) -> int:
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r"
+                                         % text) from None
+    if steps < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % steps)
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="protract",
@@ -680,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("check", help="run a verification suite")
     common(pk)
     pk.add_argument("--suite", required=True, choices=SUITES)
-    pk.add_argument("--steps", type=int, default=1000,
+    pk.add_argument("--steps", type=_step_count, default=1000,
                     help="RK4 steps per loop for holonomy")
 
     pt = sub.add_parser("transport", help="transport a section along a curve")
@@ -689,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("curve", nargs="?",
                     help="circle:cx,cy,r | rect:x,y,w,h | "
                          "line:x0,..;y0,.. (default: seeded circle)")
-    pt.add_argument("--steps", type=int, default=1000)
+    pt.add_argument("--steps", type=_step_count, default=1000)
     pt.add_argument("--loop", action="store_true",
                     help="require a closed curve and report loop deviation")
 

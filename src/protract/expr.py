@@ -180,7 +180,10 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def _value(self, vals, point, rational):
-        return self.value if rational else float(self.value)
+        try:
+            return self.value if rational else float(self.value)
+        except OverflowError:
+            raise EvalDomainError("constant overflow") from None
 
     def _deriv(self, derivs, coord):
         return ZERO

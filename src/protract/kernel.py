@@ -34,7 +34,9 @@ value a scalar IEEE evaluation of the same tape gives at that point:
   base, and 0**negative gives nan;
 - SIN and COS give nan for a non-finite argument;
 - EXP is math.exp per element, saturating to inf on overflow
-  (numpy's exp differs from it in the last bit on some inputs).
+  (numpy's exp differs from it in the last bit on some inputs);
+- CONST saturates to +-inf when the exact constant is beyond the float
+  range.
 
 Nothing raises on bad float numerics: nonfinite values propagate and
 callers inspect finiteness where they care.
@@ -112,7 +114,10 @@ def _walk(table: CompiledTable, load, steps) -> list:
 # float64 columns
 
 def _float_const(regs, xs, c) -> np.float64:
-    return np.float64(float(c))
+    try:
+        return np.float64(float(c))
+    except OverflowError:   # an exact constant beyond the float range
+        return np.float64(math.inf if c > 0 else -math.inf)
 
 
 def _float_add(regs, xs, a):

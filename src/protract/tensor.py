@@ -23,7 +23,7 @@ __all__ = [
     "Tensor", "TensorField", "PointTensor",
     "contract", "tensor_product", "symmetrize", "antisymmetrize",
     "kronecker_delta", "raise_index", "lower_index",
-    "trace_free_sym", "trace_free_skew",
+    "trace_free_11", "trace_free_sym", "trace_free_skew",
     "sym_trace_coefficient", "skew_trace_coefficient",
     "matrix_inverse_exprs", "fraction_matrix_inverse",
     "zero_field", "is_symmetric_pair", "is_skew_pair",
@@ -359,29 +359,27 @@ def skew_trace_coefficient(n: int) -> Fraction:
 
 
 def _trace_free(U: Tensor, k: Fraction) -> Tensor:
+    """U_a^{b_1..b_p} less k delta_a^{b_i} times its trace over (b_i, a),
+    for each upper slot i in turn; storage [b_1]..[b_p][a]."""
     n = U.dim
-    # storage [b][c][a] for U_a^{bc}
-    t_first = []   # U_d^{dc}, indexed by c
-    t_second = []  # U_d^{bd}, indexed by b
-    for c in range(n):
-        total = 0
-        for d in range(n):
-            total = total + U.components[U.flat((d, c, d))]
-        t_first.append(total)
-    for b in range(n):
-        total = 0
-        for d in range(n):
-            total = total + U.components[U.flat((b, d, d))]
-        t_second.append(total)
     out = []
-    for b, c, a in _ranges(n, 3):
-        val = U.components[U.flat((b, c, a))]
-        if a == b:
-            val = val - k * t_first[c]
-        if a == c:
-            val = val - k * t_second[b]
+    for *upper, a in _ranges(n, U.p + 1):
+        val = U[(*upper, a)]
+        for i, b in enumerate(upper):
+            if a == b:
+                total = 0
+                for d in range(n):
+                    total = total + U[(*upper[:i], d, *upper[i + 1:], d)]
+                val = val - k * total
         out.append(val)
-    return U._with(2, 1, out)
+    return U._with(U.p, 1, out)
+
+
+def trace_free_11(U: Tensor) -> Tensor:
+    """Trace-free part of a (1,1) tensor."""
+    if (U.p, U.q) != (1, 1):
+        raise ValueError("expected valence (1,1)")
+    return _trace_free(U, Fraction(1, U.dim))
 
 
 def trace_free_sym(U: Tensor) -> Tensor:

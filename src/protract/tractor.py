@@ -12,6 +12,13 @@ Slot-name conventions, one per section type:
   S2CotractorSection   (beta_bc sym, mu_c, sigma)
   SkewTractorSection   (beta^bc skew, nu^b, rho)
 
+A section type is described by its SLOT_SPEC (slot names and valences,
+in order) and SLOT_SYM (the symmetry of each rank-2 slot that has one).
+These two tables drive everything generic over section types: slot
+validation below, complete_pair filling a rank-2 slot from its
+independent entries, the transport bundles' coordinate layout, and the
+random sections of the command-line suites.
+
 The dual connection on S2T* is not copied from anywhere: it is the
 unique connection making the pairing beta_bc t^bc + mu_c nu^c + sigma*rho
 differentiate by the Leibniz rule against the metrisability connection.
@@ -49,6 +56,7 @@ __all__ = [
     "metrisability_obstruction", "flat_skew_prolong_nabla",
     "induced_s2_section", "metric_lift", "skew_induced_parts",
     "tractor_cotractor_pairing", "s2_cotractor_dual_pairing",
+    "complete_pair",
 ]
 
 
@@ -59,6 +67,20 @@ def _scalar(dim: int, e) -> TensorField:
 # SLOT_SYM value -> (test of a rank-2 slot, the word its error uses)
 _SYMMETRY_TESTS = {"sym": (is_symmetric_pair, "symmetric"),
                    "skew": (is_skew_pair, "skew")}
+
+
+def complete_pair(comps: list, dim: int, sym, zero) -> None:
+    """Fill in place the lower triangle of a rank-2 slot's flat components
+    from the upper one, as SLOT_SYM value sym says: "sym" mirrors each
+    entry, "skew" its negation and zeroes the diagonal, None does nothing."""
+    if sym is None:
+        return
+    for b in range(dim):
+        if sym == "skew":
+            comps[b * dim + b] = zero
+        for c in range(b + 1, dim):
+            v = comps[b * dim + c]
+            comps[c * dim + b] = v if sym == "sym" else -v
 
 
 class Section:

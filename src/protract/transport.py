@@ -16,6 +16,7 @@ tuples of curve segments chained end to end.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .tensor import (
     TensorField,
     max_magnitude,
     max_residual,
+    trace_free_11,
     trace_free_skew,
     trace_free_sym,
 )
@@ -42,6 +44,7 @@ from .tractor import (
     Section,
     SkewTractorSection,
     TractorSection,
+    complete_pair,
     cotractor_nabla,
     flat_skew_prolong_nabla,
     metrisability_prolong_nabla,
@@ -295,19 +298,17 @@ class TransportBundle:
 
     def _expand(self, vec, zero) -> list:
         """Per slot, the full component list of the coordinate vector
-        vec: each entry at its layout place, mirrored onto its symmetric
-        (v) or skew (-v) partner; the places vec does not set hold zero."""
+        vec: each entry at its layout place, completed to its symmetric
+        or skew partner by complete_pair; the places vec does not set
+        hold zero."""
         dim = self.dim
         spec = self.section_cls.SLOT_SPEC
         slots = [[zero] * dim ** (p + q) for _, (p, q) in spec]
         for (si, flat), val in zip(self.layout, vec):
-            comps = slots[si]
-            comps[flat] = val
-            name, (p, q) = spec[si]
-            sym = self.section_cls.SLOT_SYM.get(name)
-            if p + q == 2 and sym is not None:
-                b, c = divmod(flat, dim)
-                comps[c * dim + b] = val if sym == "sym" else -val
+            slots[si][flat] = val
+        for comps, (name, _) in zip(slots, spec):
+            complete_pair(comps, dim, self.section_cls.SLOT_SYM.get(name),
+                          zero)
         return slots
 
     def constant_section(self, vec) -> Section:
@@ -556,20 +557,14 @@ def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
 # ---------------------------------------------------------------------------
 # correspondence with the original PDEs
 
-def _tf_11(M: TensorField | PointTensor):
-    n = M.dim
-    tr = 0
-    for d in range(n):
-        tr = tr + M.components[M.flat((d, d))]
-    k = Fraction(1, n)
-    out = []
-    for c in range(n):
-        for a in range(n):
-            val = M.components[M.flat((c, a))]
-            if a == c:
-                val = val - k * tr
-            out.append(val)
-    return M._with(1, 1, out)
+# The source equation of each prolongation bundle, by section type: the
+# trace-free part of nabla of the leading slot (nu, t, beta) vanishes,
+# under this projector. Both the symbolic and the sampled residual read it.
+_TRACE_FREE = {
+    TractorSection: trace_free_11,
+    S2TractorSection: trace_free_sym,
+    SkewTractorSection: trace_free_skew,
+}
 
 
 def _pde_residual_field(bundle: TransportBundle, section: Section):
@@ -586,13 +581,9 @@ def _pde_residual_field(bundle: TransportBundle, section: Section):
         comps = [d2[a, b] + P[a, b] * sigma
                  for a in range(n) for b in range(n)]
         return TensorField(n, 0, 2, comps)
-    if cls is TractorSection:
-        return _tf_11(covariant_derivative(conn, section.nu))
-    if cls is S2TractorSection:
-        return trace_free_sym(covariant_derivative(conn, section.t))
-    if cls is SkewTractorSection:
-        return trace_free_skew(covariant_derivative(conn, section.beta))
-    raise TransportError("no source equation for bundle %r" % bundle.name)
+    if cls not in _TRACE_FREE:
+        raise TransportError("no source equation for bundle %r" % bundle.name)
+    return _TRACE_FREE[cls](covariant_derivative(conn, section.slots()[0][1]))
 
 
 def solution_correspondence(bundle: TransportBundle, section: Section,
@@ -647,8 +638,10 @@ def sampled_pde_residual(bundle: TransportBundle, sampler: Callable,
     n = bundle.dim
     gamma = bundle.geom.connection().gamma
     cls = bundle.section_cls
-    lead = cls.SLOT_SPEC[0][0]
-    p, q = cls.SLOT_SPEC[0][1]
+    if cls not in _TRACE_FREE:
+        raise TransportError(
+            "sampled residual covers the prolongation bundles only")
+    lead, (p, _) = cls.SLOT_SPEC[0]
     values = []
     for pt in points:
         centre = bundle.unflatten_point(sampler(pt))[lead]
@@ -661,30 +654,15 @@ def sampled_pde_residual(bundle: TransportBundle, sampler: Callable,
             grads.append([(x - y) / (2 * h) for x, y in
                           zip(plus.components, minus.components)])
         gpt = gamma.at(pt)
-        if cls is S2TractorSection or cls is SkewTractorSection:
-            comps = []
-            for b in range(n):
-                for c in range(n):
-                    for a in range(n):
-                        val = grads[a][b * n + c]
-                        for d in range(n):
-                            val += float(gpt[b, a, d]) * float(centre[d, c])
-                            val += float(gpt[c, a, d]) * float(centre[b, d])
-                        comps.append(val)
-            U = PointTensor(n, 2, 1, comps)
-            tf = trace_free_sym(U) if cls is S2TractorSection \
-                else trace_free_skew(U)
-            values.extend(tf.components)
-        elif cls is TractorSection:
-            comps = []
-            for c in range(n):
-                for a in range(n):
-                    val = grads[a][c]
-                    for d in range(n):
-                        val += float(gpt[c, a, d]) * float(centre[d])
-                    comps.append(val)
-            values.extend(_tf_11(PointTensor(n, 1, 1, comps)).components)
-        else:
-            raise TransportError(
-                "sampled residual covers the prolongation bundles only")
+        # nabla_a s^{b_1..b_p}, stored [b_1]..[b_p][a]
+        comps = []
+        for *upper, a in itertools.product(range(n), repeat=p + 1):
+            val = grads[a][centre.flat(upper)]
+            for d in range(n):
+                for i, b in enumerate(upper):
+                    moved = (*upper[:i], d, *upper[i + 1:])
+                    val += float(gpt[b, a, d]) * float(centre[moved])
+            comps.append(val)
+        values.extend(_TRACE_FREE[cls](PointTensor(n, p, 1, comps))
+                      .components)
     return max_magnitude(values)

@@ -6,17 +6,13 @@ import random
 from fractions import Fraction
 
 from protract.cli import (
-    _rand_cotractor as cotractor_section,
     _rand_field as poly_field,
     _rand_poly as poly,
-    _rand_s2cotractor as s2_cotractor_section,
-    _rand_s2tractor as s2_tractor_section,
-    _rand_tractor as tractor_section,
+    _rand_section as section,
 )
 from protract.expr import parse
 from protract.geometry import ChartGeometry
 from protract.tensor import TensorField
-from protract.tractor import SkewTractorSection
 
 
 def rng_for(seed: int) -> random.Random:
@@ -51,12 +47,6 @@ def random_metric(rng: random.Random, dim: int) -> ChartGeometry:
     entries = [parse(rows[i][j], dim) for i in range(dim)
                for j in range(dim)]
     return ChartGeometry(TensorField(dim, 0, 2, entries))
-
-
-def skew_section(rng, dim) -> SkewTractorSection:
-    return SkewTractorSection(poly_field(rng, dim, 2, 0, "skew"),
-                              poly_field(rng, dim, 1, 0), poly(rng, dim),
-                              validate=False)
 
 
 def invertible(geom, point) -> bool:

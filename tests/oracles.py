@@ -11,6 +11,9 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
+The last section keeps verbatim copies of the per-type code that one slot
+table per section type replaced: random sections, the (1,1) and (2,1)
+trace-free projectors, and the sampled source-equation residual.
 """
 
 from __future__ import annotations
@@ -370,3 +373,174 @@ def postorder_apply_reference(roots, fn, memo=None) -> list:
         work.pop()
         results[nid] = fn(node, [results[id(c)] for c in node.children()])
     return [results[id(r)] for r in roots]
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of the per-type section generators, pair completion and
+# trace-free projectors that one slot table per section type replaced.
+
+def rand_field_reference(rng, dim, p, q, sym=None):
+    """cli._rand_field with its own sym/skew mirror loop."""
+    from protract.cli import _rand_poly
+    from protract.expr import parse
+    from protract.tensor import TensorField
+
+    size = dim ** (p + q)
+    comps = [_rand_poly(rng, dim) for _ in range(size)]
+    if sym and p + q == 2:
+        for b in range(dim):
+            for c in range(b, dim):
+                if sym == "sym":
+                    comps[c * dim + b] = comps[b * dim + c]
+                else:
+                    comps[b * dim + b] = parse("0", dim)
+                    if c > b:
+                        comps[c * dim + b] = parse("0", dim) - comps[b * dim + c]
+    return TensorField(dim, p, q, comps)
+
+
+def rand_tractor_reference(rng, dim):
+    from protract.cli import _rand_poly
+    from protract.tractor import TractorSection
+
+    return TractorSection(rand_field_reference(rng, dim, 1, 0),
+                          _rand_poly(rng, dim), validate=False)
+
+
+def rand_cotractor_reference(rng, dim):
+    from protract.cli import _rand_poly
+    from protract.tractor import CotractorSection
+
+    return CotractorSection(_rand_poly(rng, dim),
+                            rand_field_reference(rng, dim, 0, 1),
+                            validate=False)
+
+
+def rand_s2tractor_reference(rng, dim):
+    from protract.cli import _rand_poly
+    from protract.tractor import S2TractorSection
+
+    return S2TractorSection(rand_field_reference(rng, dim, 2, 0, "sym"),
+                            rand_field_reference(rng, dim, 1, 0),
+                            _rand_poly(rng, dim), validate=False)
+
+
+def rand_s2cotractor_reference(rng, dim):
+    from protract.cli import _rand_poly
+    from protract.tractor import S2CotractorSection
+
+    return S2CotractorSection(rand_field_reference(rng, dim, 0, 2, "sym"),
+                              rand_field_reference(rng, dim, 0, 1),
+                              _rand_poly(rng, dim), validate=False)
+
+
+def skew_section_reference(rng, dim):
+    """gen.skew_section."""
+    from protract.cli import _rand_poly
+    from protract.tractor import SkewTractorSection
+
+    return SkewTractorSection(rand_field_reference(rng, dim, 2, 0, "skew"),
+                              rand_field_reference(rng, dim, 1, 0),
+                              _rand_poly(rng, dim), validate=False)
+
+
+def tf_11_reference(M):
+    """transport._tf_11: the trace-free part of a (1,1) tensor."""
+    from fractions import Fraction
+
+    n = M.dim
+    tr = 0
+    for d in range(n):
+        tr = tr + M.components[M.flat((d, d))]
+    k = Fraction(1, n)
+    out = []
+    for c in range(n):
+        for a in range(n):
+            val = M.components[M.flat((c, a))]
+            if a == c:
+                val = val - k * tr
+            out.append(val)
+    return M._with(1, 1, out)
+
+
+def trace_free_21_reference(U, k):
+    """tensor._trace_free for (2,1) tensors only, storage [b][c][a]."""
+    import itertools
+
+    n = U.dim
+    t_first = []   # U_d^{dc}, indexed by c
+    t_second = []  # U_d^{bd}, indexed by b
+    for c in range(n):
+        total = 0
+        for d in range(n):
+            total = total + U.components[U.flat((d, c, d))]
+        t_first.append(total)
+    for b in range(n):
+        total = 0
+        for d in range(n):
+            total = total + U.components[U.flat((b, d, d))]
+        t_second.append(total)
+    out = []
+    for b, c, a in itertools.product(range(n), repeat=3):
+        val = U.components[U.flat((b, c, a))]
+        if a == b:
+            val = val - k * t_first[c]
+        if a == c:
+            val = val - k * t_second[b]
+        out.append(val)
+    return U._with(2, 1, out)
+
+
+def sampled_pde_residual_reference(bundle, sampler, points, h=1e-4):
+    """transport.sampled_pde_residual with one branch per section type;
+    its trace-free projectors are the two references above."""
+    from protract.tensor import (PointTensor, max_magnitude,
+                                 skew_trace_coefficient,
+                                 sym_trace_coefficient)
+    from protract.tractor import (S2TractorSection, SkewTractorSection,
+                                  TractorSection)
+
+    n = bundle.dim
+    gamma = bundle.geom.connection().gamma
+    cls = bundle.section_cls
+    lead = cls.SLOT_SPEC[0][0]
+    values = []
+    for pt in points:
+        centre = bundle.unflatten_point(sampler(pt))[lead]
+        grads = []
+        for a in range(n):
+            hi = [float(c) for c in pt]; hi[a] += h
+            lo = [float(c) for c in pt]; lo[a] -= h
+            plus = bundle.unflatten_point(sampler(hi))[lead]
+            minus = bundle.unflatten_point(sampler(lo))[lead]
+            grads.append([(x - y) / (2 * h) for x, y in
+                          zip(plus.components, minus.components)])
+        gpt = gamma.at(pt)
+        if cls is S2TractorSection or cls is SkewTractorSection:
+            comps = []
+            for b in range(n):
+                for c in range(n):
+                    for a in range(n):
+                        val = grads[a][b * n + c]
+                        for d in range(n):
+                            val += float(gpt[b, a, d]) * float(centre[d, c])
+                            val += float(gpt[c, a, d]) * float(centre[b, d])
+                        comps.append(val)
+            U = PointTensor(n, 2, 1, comps)
+            k = sym_trace_coefficient(n) if cls is S2TractorSection \
+                else skew_trace_coefficient(n)
+            values.extend(trace_free_21_reference(U, k).components)
+        elif cls is TractorSection:
+            comps = []
+            for c in range(n):
+                for a in range(n):
+                    val = grads[a][c]
+                    for d in range(n):
+                        val += float(gpt[c, a, d]) * float(centre[d])
+                    comps.append(val)
+            values.extend(tf_11_reference(PointTensor(n, 1, 1, comps))
+                          .components)
+        else:
+            raise ValueError(
+                "sampled residual covers the prolongation bundles only")
+    return max_magnitude(values)

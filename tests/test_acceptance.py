@@ -32,6 +32,10 @@ from protract.tensor import (
     trace_free_sym,
 )
 from protract.tractor import (
+    CotractorSection,
+    S2CotractorSection,
+    S2TractorSection,
+    TractorSection,
     cotractor_nabla,
     metric_lift,
     metrisability_obstruction,
@@ -57,16 +61,13 @@ from protract.transport import (
 )
 
 from gen import (
-    cotractor_section,
     float_points,
     invertible,
     poly,
     random_metric,
     rational_points,
     rng_for,
-    s2_cotractor_section,
-    s2_tractor_section,
-    tractor_section,
+    section,
 )
 from oracles import (
     fd_christoffel,
@@ -103,13 +104,15 @@ def test_criterion_01_flat_baseline(flat2, flat3):
         for field in (pack.riemann, pack.ricci, pack.weyl, pack.cotton):
             for pt in pts:
                 assert field.at(pt).max_abs() == 0
-        for sec in (tractor_section(rng, n), cotractor_section(rng, n)):
+        for sec in (section(rng, TractorSection, n),
+                    section(rng, CotractorSection, n)):
             grid = tractor_curvature(geom, sec)
             for a in range(n):
                 for b in range(n):
                     for pt in pts:
                         assert grid[a][b].max_abs_at(pt) == 0
-        wv, cv = metrisability_obstruction(geom, s2_tractor_section(rng, n).t)
+        wv, cv = metrisability_obstruction(
+            geom, section(rng, S2TractorSection, n).t)
         for pt in pts:
             assert wv.at(pt).max_abs() == 0 and cv.at(pt).max_abs() == 0
     elapsed = perf_counter() - started
@@ -188,17 +191,17 @@ def test_criterion_03_bianchi_and_cotton_weyl(sphere3, non_einstein3):
 def test_criterion_04_leibniz_duality(sphere2, non_einstein3):
     rng = rng_for("criterion-4")
     worst_pairs = {}
-    for label, make_u, make_v, nab_u, nab_v, pairing in (
-        ("tractor", tractor_section, cotractor_section,
+    for label, cls_u, cls_v, nab_u, nab_v, pairing in (
+        ("tractor", TractorSection, CotractorSection,
          tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
-        ("s2", s2_tractor_section, s2_cotractor_section,
+        ("s2", S2TractorSection, S2CotractorSection,
          metrisability_prolong_nabla, s2_dual_nabla,
          s2_cotractor_dual_pairing),
     ):
         # 200 float samples on the sphere: 2 sections x 50 points x 2 dirs
         worst = 0.0
         for _ in range(2):
-            u, v = make_u(rng, 2), make_v(rng, 2)
+            u, v = section(rng, cls_u, 2), section(rng, cls_v, 2)
             pair = pairing(u, v)
             fam_u, fam_v = nab_u(sphere2, u), nab_v(sphere2, v)
             for x in float_points(rng, 2, 50):
@@ -210,7 +213,7 @@ def test_criterion_04_leibniz_duality(sphere2, non_einstein3):
         worst_pairs[label] = worst
         assert worst < 1e-10, "%s pair float residual %.3e" % (label, worst)
         # exact arithmetic on a curved polynomial chart
-        u, v = make_u(rng, 3), make_v(rng, 3)
+        u, v = section(rng, cls_u, 3), section(rng, cls_v, 3)
         pair = pairing(u, v)
         fam_u = nab_u(non_einstein3, u)
         fam_v = nab_v(non_einstein3, v)
@@ -301,7 +304,7 @@ def test_criterion_06_einstein_obstruction(flat2, flat3, sphere2, sphere3,
     pts = [p for p in rational_points(rng, n, 3)
            if invertible(non_einstein3, p)]
     for _ in range(50):
-        s = s2_tractor_section(rng, n)
+        s = section(rng, S2TractorSection, n)
         fam_m = metrisability_prolong_nabla(non_einstein3, s)
         fam_t = s2_tractor_nabla(non_einstein3, s)
         wv, cv = metrisability_obstruction(non_einstein3, s.t)

@@ -159,6 +159,17 @@ class TestCheckCommand:
         assert check_names("all") == [name for suite in _SUITES
                                       for name in check_names(suite)]
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    @pytest.mark.parametrize("command", [["check", "--suite", "holonomy"],
+                                         ["transport", "tractor"]])
+    def test_steps_below_one_rejected_by_parser(self, command, steps,
+                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                command + ["--steps", steps, "--spec", "sphere2"])
+        assert exc.value.code == 2
+        assert "--steps: must be at least 1" in capsys.readouterr().err
+
     def test_missing_spec_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["check", "--suite", "all"])
@@ -213,6 +224,17 @@ class TestSpecLoading:
         assert rc == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("command", [["check", "--suite", "bianchi"],
+                                         ["curvature"]])
+    def test_constant_beyond_float_range_exits_2(self, tmp_path, command):
+        # 10^400 evaluates to inf in float mode, so no sample point has an
+        # invertible metric
+        spec = write_spec(tmp_path, mode="float",
+                          metric=[["1 + 10^400*x0^2", "0"], ["0", "1"]])
+        rc, _, err, _ = run_cli(command + ["--spec", spec])
+        assert rc == 2
+        assert "no usable sample points" in err
+
     def test_bad_metric_entry_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, metric=[["1", "0"], ["0", "x7 + 1"]])
         rc, _, err, _ = run_cli(["curvature", "--spec", spec])
@@ -264,11 +286,13 @@ class TestTransportCommand:
         assert "loop_deviation" not in report["metrics"]
 
     def test_bad_curve_text_exits_2(self):
-        # besides a short circle: a value that is not finite, and line
-        # endpoints whose length is not the chart dimension
+        # besides a short circle: a value that is not finite, a rectangle
+        # whose far corner is not, and line endpoints whose length is not
+        # the chart dimension
         for spec, curve in (("flat2", "circle:0,0"),
                             ("sphere2", "circle:0.1,0.1,inf"),
                             ("sphere2", "rect:0,nan,0.1,0.1"),
+                            ("sphere2", "rect:1e308,0,1e308,0.1"),
                             ("sphere2", "line:0;1"),
                             ("sphere2", "line:0,0,0;0.1,0.1,0.1"),
                             ("sphere2", "line:0,0;1,1,1")):
@@ -276,6 +300,20 @@ class TestTransportCommand:
                 ["transport", "cotractor", curve, "--spec", spec])
             assert rc == 2, curve
             assert "bad curve" in err, curve
+
+    def test_curve_beyond_float_range_fails_with_nan(self, tmp_path):
+        # the circle's exact coefficients are fine; its float samples
+        # overflow, and the checks fail on NaN residuals
+        path = tmp_path / "r.json"
+        rc, _, _, report = run_cli(
+            ["transport", "tractor", "circle:1e308,0,1e308", "--spec",
+             "sphere2", "--steps", "8", "--json", str(path)],
+            json_path=path)
+        assert rc == 1
+        assert [c["name"] for c in report["checks"]] == [
+            "reverse_transport", "rk4_order"]
+        for check in report["checks"]:
+            assert not check["pass"] and math.isnan(check["residual"])
 
     def test_unknown_curve_kind_exits_2(self):
         rc, _, err, _ = run_cli(

@@ -169,6 +169,12 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError):
             evaluate(parse("x0^-1", 1), (Fraction(0),))
 
+    def test_constant_beyond_float_range(self):
+        e = parse("10^400 + x0", 1)
+        assert evaluate(e, (Fraction(1),)) == Fraction(10) ** 400 + 1
+        with pytest.raises(EvalDomainError):
+            evaluate(e, (1.0,))
+
     def test_sin_rejected_in_rational_mode(self):
         with pytest.raises(ExactModeError):
             evaluate(parse("sin(x0)", 1), (Fraction(1),), mode="rational")

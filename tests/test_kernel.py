@@ -95,6 +95,19 @@ def test_exp_overflow_saturates_to_inf():
     assert out[:, 0].tolist() == [math.inf, 0.0, math.exp(1.0)]
 
 
+def test_constant_beyond_float_range_saturates_to_inf():
+    # the exact constants are kept; only their float image saturates,
+    # with the sign of the Fraction
+    x = parse("x0", 1)
+    table = compile_table([mul(const(10 ** 400), x),
+                           mul(const(-10 ** 400), x),
+                           mul(const(Fraction(1, 10 ** 400)), x)])
+    out = eval_table(table, [[1.0], [-2.0]])
+    assert out.tolist() == [[math.inf, -math.inf, 0.0],
+                            [-math.inf, math.inf, -0.0]]
+    assert eval_table(table, [[Fraction(1)]])[0, 0] == Fraction(10) ** 400
+
+
 def test_nan_propagates():
     table = compile_table([parse("x0 * x1 + 1", 2), parse("x1", 2)])
     out = eval_table(table, [[math.nan, 2.0], [1.0, 2.0]])

@@ -24,13 +24,15 @@ from protract.tensor import (
     sym_trace_coefficient,
     symmetrize,
     tensor_product,
+    trace_free_11,
     trace_free_skew,
     trace_free_sym,
     zero_field,
 )
 
-from gen import rng_for
-from oracles import fraction_gauss_inverse, solve_projector_coefficient
+from gen import poly_field, rng_for
+from oracles import (fraction_gauss_inverse, solve_projector_coefficient,
+                     tf_11_reference, trace_free_21_reference)
 
 
 def _vec(values):
@@ -302,6 +304,55 @@ class TestTraceFreeProjectors:
         for c in range(n):
             tr = sum(out.components[((d * n) + c) * n + d] for d in range(n))
             assert tr == 0
+
+
+class TestTraceFreeReference:
+    """The one trace-free projector, over any number of upper slots,
+    against the (1,1) and (2,1) code it replaced."""
+
+    @staticmethod
+    def _cases(rng, n, field):
+        """(projected, reference) pairs: a (1,1), a sym (2,1) and a skew
+        (2,1) tensor, random Expr fields or float point tensors."""
+        def rand(p):
+            if field:
+                return poly_field(rng, n, p, 1)
+            return PointTensor(n, p, 1, [rng.uniform(-2, 2)
+                                         for _ in range(n ** (p + 1))])
+
+        m = rand(1)
+        sym = symmetrize(rand(2), (0, 1))
+        skew = antisymmetrize(rand(2), (0, 1))
+        return [
+            (trace_free_11(m), tf_11_reference(m)),
+            (trace_free_sym(sym),
+             trace_free_21_reference(sym, sym_trace_coefficient(n))),
+            (trace_free_skew(skew),
+             trace_free_21_reference(skew, skew_trace_coefficient(n))),
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fields_are_identical(self, n):
+        rng = rng_for(f"tf-generic-field-{n}")
+        for _ in range(4):
+            for got, want in self._cases(rng, n, field=True):
+                assert type(got) is type(want) is TensorField
+                assert (got.p, got.q) == (want.p, want.q)
+                assert all(a is b for a, b in
+                           zip(got.components, want.components))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_float_point_tensors_are_equal(self, n):
+        rng = rng_for(f"tf-generic-point-{n}")
+        for _ in range(20):
+            for got, want in self._cases(rng, n, field=False):
+                assert type(got) is type(want) is PointTensor
+                assert (got.p, got.q) == (want.p, want.q)
+                assert got.components == want.components
+
+    def test_valence_checked(self):
+        with pytest.raises(ValueError, match="valence"):
+            trace_free_11(PointTensor(2, 2, 1, [0.0] * 8))
 
 
 class TestZeroField:

@@ -14,6 +14,7 @@ from protract.tractor import (
     S2TractorSection,
     SkewTractorSection,
     TractorSection,
+    complete_pair,
     cotractor_nabla,
     flat_skew_prolong_nabla,
     induced_s2_section,
@@ -33,7 +34,6 @@ from protract.tractor import (
 )
 
 from gen import (
-    cotractor_section,
     float_points,
     invertible,
     poly,
@@ -41,11 +41,9 @@ from gen import (
     random_metric,
     rational_points,
     rng_for,
-    s2_cotractor_section,
-    s2_tractor_section,
-    skew_section,
-    tractor_section,
+    section,
 )
+import oracles
 from oracles import commutator_family
 
 
@@ -88,13 +86,69 @@ class TestSectionValidation:
 
     def test_arithmetic(self):
         rng = rng_for("section-arith")
-        a = tractor_section(rng, 2)
-        b = tractor_section(rng, 2)
+        a = section(rng, TractorSection, 2)
+        b = section(rng, TractorSection, 2)
         pt = [Fraction(1, 3), Fraction(2, 5)]
         s = a + b
         d = s - b
         assert d.nu.at(pt).components == a.nu.at(pt).components
         assert d.rho.at(pt).components == a.rho.at(pt).components
+
+
+class TestSlotTable:
+    """Random sections and pair completion read off SLOT_SPEC and
+    SLOT_SYM, against the per-type code they replaced."""
+
+    @pytest.mark.parametrize("cls, reference", [
+        (TractorSection, oracles.rand_tractor_reference),
+        (CotractorSection, oracles.rand_cotractor_reference),
+        (S2TractorSection, oracles.rand_s2tractor_reference),
+        (S2CotractorSection, oracles.rand_s2cotractor_reference),
+        (SkewTractorSection, oracles.skew_section_reference),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_random_section_is_the_per_type_one(self, cls, reference):
+        for dim in (2, 3, 4):
+            for seed in range(20):
+                rng, ref_rng = rng_for(seed), rng_for(seed)
+                got, want = section(rng, cls, dim), reference(ref_rng, dim)
+                assert type(got) is type(want)
+                for (name, f), (_, g) in zip(got.slots(), want.slots()):
+                    assert (f.dim, f.p, f.q) == (g.dim, g.p, g.q), name
+                    assert len(f.components) == len(g.components)
+                    assert all(a is b for a, b in
+                               zip(f.components, g.components)), name
+                # the same draws, in the same order
+                assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("zero", [ZERO, 0.0], ids=["expr", "float"])
+    def test_complete_pair(self, zero):
+        n = 3
+        if zero is ZERO:
+            entries = [parse("x0 + %d" % k, n) for k in range(1, n * n + 1)]
+        else:
+            entries = [float(k) for k in range(1, n * n + 1)]
+        upper = [(b, c) for b in range(n) for c in range(b + 1, n)]
+
+        comps = list(entries)
+        complete_pair(comps, n, None, zero)
+        assert comps == entries
+
+        comps = list(entries)
+        complete_pair(comps, n, "sym", zero)
+        for b, c in upper:
+            assert comps[b * n + c] is entries[b * n + c]
+            assert comps[c * n + b] is entries[b * n + c]
+        assert all(comps[b * n + b] is entries[b * n + b] for b in range(n))
+
+        comps = list(entries)
+        complete_pair(comps, n, "skew", zero)
+        for b, c in upper:
+            assert comps[b * n + c] is entries[b * n + c]
+            if zero is ZERO:
+                assert comps[c * n + b] is -entries[b * n + c]
+            else:
+                assert comps[c * n + b] == -entries[b * n + c]
+        assert all(comps[b * n + b] is zero for b in range(n))
 
 
 class TestCotractorNabla:
@@ -108,7 +162,7 @@ class TestCotractorNabla:
 
     def test_flat_family_formula(self, flat2):
         rng = rng_for("cotr-flat")
-        s = cotractor_section(rng, 2)
+        s = section(rng, CotractorSection, 2)
         fam = cotractor_nabla(flat2, s)
         dsig = covariant_derivative(flat2.connection(), s.sigma)
         dmu = covariant_derivative(flat2.connection(), s.mu)
@@ -152,7 +206,7 @@ class TestTractorNabla:
         rng = rng_for("prolong-dict")
         for n in (2, 3):
             geom = random_metric(rng, n)
-            s = tractor_section(rng, n)
+            s = section(rng, TractorSection, n)
             neg = TractorSection(s.nu, TensorField(n, 0, 0,
                                                    [ZERO - s.rho.components[0]]))
             fam_p = proj_prolong_nabla(geom, s)
@@ -189,7 +243,7 @@ class TestSplitting:
     def test_inverse_composition(self):
         rng = rng_for("splitting-inverse")
         n = 3
-        s = cotractor_section(rng, n)
+        s = section(rng, CotractorSection, n)
         u = poly_field(rng, n, 0, 1)
         neg = TensorField(n, 0, 1, [ZERO - c for c in u.components])
         back = splitting_transform(splitting_transform(s, Upsilon(u)), Upsilon(neg))
@@ -198,7 +252,7 @@ class TestSplitting:
 
     def test_sigma_untouched(self):
         rng = rng_for("splitting-sigma")
-        s = cotractor_section(rng, 2)
+        s = section(rng, CotractorSection, 2)
         out = splitting_transform(s, gradient_upsilon(poly(rng, 2), 2))
         assert out.sigma.components == s.sigma.components
 
@@ -207,20 +261,21 @@ class TestTractorCurvature:
     def test_flat_zero_both_variants(self, flat2):
         rng = rng_for("curv-flat")
         pt = [Fraction(1), Fraction(2)]
-        for s in (cotractor_section(rng, 2), tractor_section(rng, 2)):
+        for s in (section(rng, CotractorSection, 2),
+                  section(rng, TractorSection, 2)):
             grid = tractor_curvature(flat2, s)
             assert max(_family_max(row, pt) for row in grid) == 0
 
     def test_sphere_projectively_flat(self, sphere2):
         rng = rng_for("curv-s2")
-        s = cotractor_section(rng, 2)
+        s = section(rng, CotractorSection, 2)
         grid = tractor_curvature(sphere2, s)
         for x in float_points(rng, 2, 5):
             assert max(_family_max(row, x) for row in grid) < 1e-8
 
     def test_matches_commutator_oracle_cotractor(self, non_einstein2):
         rng = rng_for("curv-comm-c")
-        s = cotractor_section(rng, 2)
+        s = section(rng, CotractorSection, 2)
         grid = tractor_curvature(non_einstein2, s)
         comm = commutator_family(cotractor_nabla, non_einstein2, s, 2)
         pt = [Fraction(1, 3), Fraction(1, 7)]
@@ -230,7 +285,7 @@ class TestTractorCurvature:
 
     def test_matches_commutator_oracle_tractor(self, non_einstein3):
         rng = rng_for("curv-comm-t")
-        s = tractor_section(rng, 3)
+        s = section(rng, TractorSection, 3)
         grid = tractor_curvature(non_einstein3, s)
         comm = commutator_family(tractor_nabla, non_einstein3, s, 3)
         pt = [Fraction(1, 3), Fraction(1, 7), Fraction(-1, 2)]
@@ -240,7 +295,7 @@ class TestTractorCurvature:
 
     def test_antisymmetric_grid(self, non_einstein2):
         rng = rng_for("curv-anti")
-        s = cotractor_section(rng, 2)
+        s = section(rng, CotractorSection, 2)
         grid = tractor_curvature(non_einstein2, s)
         pt = [Fraction(2, 5), Fraction(-1, 5)]
         for a in range(2):
@@ -276,7 +331,7 @@ class TestMetrisability:
 
     def test_expanded_equals_direct(self, non_einstein3):
         rng = rng_for("s2t-expand")
-        s = s2_tractor_section(rng, 3)
+        s = section(rng, S2TractorSection, 3)
         fam_a = s2_tractor_nabla(non_einstein3, s)
         fam_b = s2_tractor_nabla_expanded(non_einstein3, s)
         for pt in rational_points(rng, 3, 3):
@@ -294,7 +349,7 @@ class TestMetrisability:
         n = 3
         pts = [p for p in rational_points(rng, n, 3) if invertible(non_einstein3, p)]
         for _ in range(50):
-            s = s2_tractor_section(rng, n)
+            s = section(rng, S2TractorSection, n)
             fam_m = metrisability_prolong_nabla(non_einstein3, s)
             fam_t = s2_tractor_nabla(non_einstein3, s)
             wv, cv = metrisability_obstruction(non_einstein3, s.t)
@@ -361,8 +416,8 @@ class TestS2Dual:
         rng = rng_for("dual-pair")
         n = 3
         geom = random_metric(rng, n)
-        u = s2_tractor_section(rng, n)
-        v = s2_cotractor_section(rng, n)
+        u = section(rng, S2TractorSection, n)
+        v = section(rng, S2CotractorSection, n)
         pair = s2_cotractor_dual_pairing(u, v)
         fam_u = metrisability_prolong_nabla(geom, u)
         fam_v = s2_dual_nabla(geom, v)
@@ -379,8 +434,8 @@ class TestTractorDuality:
         rng = rng_for("tr-pair")
         for n in (2, 3):
             geom = random_metric(rng, n)
-            u = tractor_section(rng, n)
-            v = cotractor_section(rng, n)
+            u = section(rng, TractorSection, n)
+            v = section(rng, CotractorSection, n)
             pair = tractor_cotractor_pairing(u, v)
             fam_u = tractor_nabla(geom, u)
             fam_v = cotractor_nabla(geom, v)
@@ -393,8 +448,8 @@ class TestTractorDuality:
 
     def test_pairing_float_samples(self, sphere2):
         rng = rng_for("tr-pair-float")
-        u = tractor_section(rng, 2)
-        v = cotractor_section(rng, 2)
+        u = section(rng, TractorSection, 2)
+        v = section(rng, CotractorSection, 2)
         pair = tractor_cotractor_pairing(u, v)
         fam_u = tractor_nabla(sphere2, u)
         fam_v = cotractor_nabla(sphere2, v)

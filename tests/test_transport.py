@@ -38,7 +38,8 @@ from protract.transport import (
 )
 
 from gen import rng_for
-from oracles import central_diff, richardson_order
+from oracles import (central_diff, richardson_order,
+                     sampled_pde_residual_reference)
 
 
 def _rk4_reference(bundle, seg, steps):
@@ -401,6 +402,32 @@ class TestTransportedSolutions:
         pts = [[rng.uniform(-0.4, 0.4) for _ in range(3)] for _ in range(4)]
         res = sampled_pde_residual(bundle, sampler, pts, h=1e-4)
         assert res < 1e-6
+
+    @pytest.mark.parametrize("make_bundle", [tractor_bundle,
+                                             s2_tractor_bundle])
+    @pytest.mark.parametrize("geom_name", ["sphere2", "non_einstein2"])
+    def test_sampled_residual_is_the_per_type_one(self, request, monkeypatch,
+                                                  make_bundle, geom_name):
+        # curved charts, so the Christoffel terms are not all zero; every
+        # residual component is compared, not only their maximum
+        import protract.tensor
+        import protract.transport
+
+        for module in (protract.tensor, protract.transport):
+            monkeypatch.setattr(module, "max_magnitude", tuple)
+        bundle = make_bundle(request.getfixturevalue(geom_name))
+        rng = rng_for("sampled-%s-%s" % (bundle.name, geom_name))
+        init = [rng.uniform(-1, 1) for _ in range(bundle.rank)]
+        sampler = transported_sampler(bundle, [0.0, 0.0], init,
+                                      steps_per_unit=100)
+        pts = [[rng.uniform(-0.4, 0.4) for _ in range(2)] for _ in range(3)]
+        got = np.asarray(sampled_pde_residual(bundle, sampler, pts))
+        want = np.asarray(sampled_pde_residual_reference(bundle, sampler,
+                                                         pts))
+        assert got.shape == want.shape == (len(pts) * 2 ** (
+            bundle.section_cls.SLOT_SPEC[0][1][0] + 1),)
+        assert np.isfinite(got).all() and np.max(np.abs(got)) > 0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_package_attribute_is_the_transport_module():
