@@ -50,6 +50,7 @@ from .tractor import (
     s2_cotractor_dual_pairing,
     s2_dual_nabla,
     s2_tractor_nabla,
+    s2_tractor_nabla_expanded,
     tractor_cotractor_pairing,
     tractor_curvature,
     tractor_nabla,
@@ -400,7 +401,6 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
     report.add("metrisability_residual", res,
                tol if tol is not None else 1e-7)
 
-    from .tractor import s2_tractor_nabla_expanded
     rng = random.Random(seed ^ 0x97)
     s = _rand_section(rng, S2TractorSection, spec.dim)
     direct = s2_tractor_nabla(geom, s)

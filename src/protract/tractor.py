@@ -19,16 +19,31 @@ validation below, complete_pair filling a rank-2 slot from its
 independent entries, the transport bundles' coordinate layout, and the
 random sections of the command-line suites.
 
-The dual connection on S2T* is not copied from anywhere: it is the
-unique connection making the pairing beta_bc t^bc + mu_c nu^c + sigma*rho
-differentiate by the Leibniz rule against the metrisability connection.
-Because t is symmetric, only the symmetric part of each coefficient is
-determined, and the first slot below carries exactly that symmetrized
-coefficient (weights 1/2, 1/(2n), 1/n rather than the raw 1, 1/n, 2/n).
+Every tractor connection is one Leibniz rule (_leibniz). In a splitting
+the frame B_b, E obeys nabla_a E = B_a and nabla_a B_b = -P_ab E: the
+matrix A_a^c_E = delta_a^c, A_a^E_b = -P_ab. Each slot takes its
+covariant derivative, and A acts on every tractor index, +A on an upper
+one and -A^T on a lower one (_act). _PLACEMENT says, per section type,
+whether its indices are upper or lower and where each slot sits among
+them, with a weight: S2T* reads beta_bc = S_bc, mu_c = 2 S_cE,
+sigma = S_EE, so its pairing with S2T is beta_bc t^bc + mu_c nu^c +
+sigma rho. tractor_curvature is the same action with Omega_ab (W, and
+-C in the E row) for A. A new tractor-tensor section type needs only
+its slot table and its placement row.
+
+The metrisability connection is the normal S2T one plus K (nu^c gains
+W_ab{}^c{}_d t^bd / n, rho gains -2 C_abd t^bd / n), written once;
+metrisability_obstruction is -K t. Its dual on S2T* is the unique
+connection for which the pairing obeys the Leibniz rule. The normal
+parts pair off by themselves, so the dual is the normal S2T* connection
+minus K^T, the transpose of K under the pairing. As t is symmetric,
+only the symmetric part of K^T's beta output is determined, and the
+dual takes exactly that part, (K^T_bc + K^T_cb) / 2.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .expr import ZERO, add, as_expr
@@ -44,6 +59,7 @@ from .tensor import (
     is_skew_pair,
     is_symmetric_pair,
     max_residual,
+    zero_field,
 )
 
 __all__ = [
@@ -182,41 +198,205 @@ class SkewTractorSection(Section):
 
 
 # ---------------------------------------------------------------------------
-# rank-(n+1) connections
+# one Leibniz rule for every tractor connection
 
-def cotractor_nabla(geom: ChartGeometry, s: CotractorSection):
-    """Direction family of (nabla_a sigma - mu_a, nabla_a mu_b + P_ab sigma)."""
+# Per section type: whether its tractor indices are upper, and per slot
+# (SLOT_SPEC order) its place among them, "E" for E and a letter for each
+# slot index, and its weight. The two-index types are symmetric.
+_PLACEMENT = {
+    CotractorSection: (False, (("E", 1), ("b", 1))),
+    TractorSection: (True, (("b", 1), ("E", 1))),
+    S2TractorSection: (True, (("bc", 1), ("cE", 1), ("EE", 1))),
+    S2CotractorSection: (False, (("bc", 1), ("cE", 2), ("EE", 1))),
+}
+
+
+def _slot_places(pattern: str, n: int) -> list:
+    """The tractor place of each component of a slot, in storage order;
+    frame index b is the integer b, and E is n."""
+    frames = itertools.product(range(n), repeat=len(pattern.replace("E", "")))
+    return [tuple(n if ch == "E" else next(it) for ch in pattern)
+            for it in map(iter, frames)]
+
+
+def _term(k, factor, x):
+    """k * factor * x, built as the formulas read: factor before x, and a
+    negative k as the negation of |k| * factor * x."""
+    if x is ZERO:
+        return ZERO
+    v = x if factor is None else factor * x
+    if k < 0:
+        return -v if k == -1 else -(-k * v)
+    return v if k == 1 else k * v
+
+
+def _act(s: Section, matrix, blocks=(), leading=None) -> Section:
+    """A tractor endomorphism acting on every tractor index of s.
+
+    matrix(I, K) is M^I_K as (coefficient, factor), factor an Expr or None
+    for 1, or None where M is zero; frame index b is b and E is n. Terms
+    of M that read one component with one factor are collected. blocks
+    add, after them, terms in slot coordinates: (out slot, in slot, k,
+    factor) adds k * factor(*out indices, *in indices) * each in-slot
+    component to each out-slot component. leading holds per slot per
+    component the term each sum starts with.
+    """
+    cls = type(s)
+    if cls not in _PLACEMENT:
+        raise ValueError("%s has no tractor placement" % cls.__name__)
+    upper, row = _PLACEMENT[cls]
+    n = s.dim
+    fields = [f for _, f in s.slots()]
+    places = [_slot_places(pattern, n) for pattern, _ in row]
+    read = {place: (si, flat, row[si][1])
+            for si, slot in enumerate(places)
+            for flat, place in enumerate(slot)}
+    for place in itertools.product(range(n + 1), repeat=len(row[0][0])):
+        # symmetric: the E entries moved last name the same component
+        read.setdefault(place, read[tuple(sorted(place, key=lambda i: i == n))])
+    out = []
+    for si, slot in enumerate(places):
+        w_out = row[si][1]
+        comps = []
+        for flat, place in enumerate(slot):
+            terms = {}
+            for pos, index in enumerate(place):
+                # E first: each sum keeps the term order its formula has
+                for K in (n, *range(n)):
+                    entry = matrix(index, K) if upper else matrix(K, index)
+                    if entry is None:
+                        continue
+                    k, factor = entry
+                    sj, fj, w_in = read[place[:pos] + (K,) + place[pos + 1:]]
+                    key = (sj, fj, factor)
+                    k = k if upper else -k
+                    if w_in != w_out:
+                        k *= Fraction(w_out, w_in)
+                    terms[key] = terms.get(key, 0) + k
+            own = tuple(i for i in place if i != n)
+            lead = () if leading is None else (leading[si][flat],)
+            comps.append(add(*lead, *[
+                _term(k, factor, fields[sj].components[fj])
+                for (sj, fj, factor), k in terms.items() if k != 0], *[
+                _term(k, factor(*own, *multi), fields[sj].components[fj])
+                for so, sj, k, factor in blocks if so == si
+                for fj, multi in enumerate(itertools.product(
+                    range(n), repeat=fields[sj].rank))]))
+        out.append(TensorField(n, fields[si].p, fields[si].q, comps))
+    return cls(*out, validate=False)
+
+
+def _leibniz(geom: ChartGeometry, s: Section, blocks=None) -> list:
+    """Direction family of the normal tractor connection on s: each slot's
+    covariant derivative, plus A_a acting on every tractor index, plus
+    the terms blocks(a) lists (see _act)."""
     n = geom.dim
     conn = geom.connection()
     P = geom.pack().schouten
-    sigma = s.sigma.components[0]
-    dsig = covariant_derivative(conn, s.sigma)
-    dmu = covariant_derivative(conn, s.mu)
+    derivs = [covariant_derivative(conn, f) for _, f in s.slots()]
     family = []
     for a in range(n):
-        top = dsig[a] - s.mu[a]
-        bottom = [dmu[a, b] + P[a, b] * sigma for b in range(n)]
-        family.append(CotractorSection(_scalar(n, top),
-                                       TensorField(n, 0, 1, bottom),
-                                       validate=False))
+        def A(index, K):
+            if K == n:
+                return (1, None) if index == a else None
+            return (-1, P[a, K]) if index == n else None
+        lead = [[d[m[:d.p] + (a,) + m[d.p:]]
+                 for m in itertools.product(range(n), repeat=d.rank - 1)]
+                for d in derivs]
+        family.append(_act(s, A, blocks(a) if blocks else (), lead))
     return family
+
+
+def cotractor_nabla(geom: ChartGeometry, s: CotractorSection):
+    """Direction family of (nabla_a sigma - mu_a, nabla_a mu_b + P_ab sigma)."""
+    return _leibniz(geom, s)
 
 
 def tractor_nabla(geom: ChartGeometry, s: TractorSection):
     """Direction family of (nabla_a nu^b + rho delta_a^b, nabla_a rho - P_ab nu^b)."""
+    return _leibniz(geom, s)
+
+
+def s2_tractor_nabla(geom: ChartGeometry, s: S2TractorSection):
+    """Symmetric square of the tractor connection:
+
+    slot1 = nabla_e t^bc + delta_e^b nu^c + delta_e^c nu^b
+    slot2 = nabla_e nu^c - P_eb t^bc + delta_e^c rho
+    slot3 = nabla_e rho - 2 P_eb nu^b
+    """
+    return _leibniz(geom, s)
+
+
+def _metrisability_correction(geom: ChartGeometry, a: int) -> list:
+    """K_a, the metrisability connection minus the normal S2T one, as
+    _act blocks: nu^c gains W_ab{}^c{}_d t^bd / n and rho gains
+    -2 C_abd t^bd / n. Every block reads the t slot."""
+    pack = geom.pack()
+    W, C = pack.weyl, pack.cotton
+    k = Fraction(1, geom.dim)
+    return [(1, 0, k, lambda c, b, d: W[c, a, b, d]),
+            (2, 0, -2 * k, lambda b, d: C[a, b, d])]
+
+
+def metrisability_prolong_nabla(geom: ChartGeometry, s: S2TractorSection):
+    """Closed system for the metrisability equation tf(nabla t) = 0: the
+    normal S2T connection plus K.
+
+    slot1 = nabla_a t^bc + delta_a^b nu^c + delta_a^c nu^b
+    slot2 = nabla_a nu^c + delta_a^c rho - P_ab t^cb + W_ab{}^c{}_d t^bd / n
+    slot3 = nabla_a rho - 2 P_ad nu^d - 2 t^bd C_abd / n
+    """
+    return _leibniz(geom, s, lambda a: _metrisability_correction(geom, a))
+
+
+def s2_dual_nabla(geom: ChartGeometry, s: S2CotractorSection):
+    """Leibniz dual of the metrisability connection, acting on S2T*: the
+    normal S2T* connection minus K^T symmetrised over beta's indices.
+
+    slot1 = nabla_a beta_bc + (mu_b P_ac + mu_c P_ab)/2
+            - mu_e (W_ab{}^e{}_c + W_ac{}^e{}_b)/(2n)
+            + sigma (C_abc + C_acb)/n
+    slot2 = nabla_a mu_c - 2 beta_ac + 2 P_ac sigma
+    slot3 = nabla_a sigma - mu_a
+    """
+    def correction(a):
+        # K reads t, so K^T writes beta: its indices (b, c) come first
+        return [(i, o, -k / 2,
+                 lambda b, c, *rest, f=f: add(f(*rest, b, c), f(*rest, c, b)))
+                for o, i, k, f in _metrisability_correction(geom, a)]
+    return _leibniz(geom, s, correction)
+
+
+def tractor_curvature(geom: ChartGeometry, s: Section):
+    """Curvature action as an antisymmetric (a,b)-indexed grid of sections:
+    Omega_ab (Omega^c_d = W_ab{}^c{}_d, Omega^E_d = -C_abd) on every
+    tractor index, which is the double-application commutator of the
+    matching nabla. A cotractor section gives
+    (0, -W_ab{}^d{}_c mu_d + C_abc sigma), a tractor one
+    (W_ab{}^c{}_d nu^d, -C_abd nu^d).
+    """
     n = geom.dim
-    conn = geom.connection()
-    P = geom.pack().schouten
-    rho = s.rho.components[0]
-    dnu = covariant_derivative(conn, s.nu)     # [b][a]
-    drho = covariant_derivative(conn, s.rho)   # [a]
-    family = []
-    for a in range(n):
-        top = [dnu[b, a] + (rho if a == b else ZERO) for b in range(n)]
-        bottom = add(drho[a], *[-(P[a, b] * s.nu[b]) for b in range(n)])
-        family.append(TractorSection(TensorField(n, 1, 0, top),
-                                     _scalar(n, bottom), validate=False))
-    return family
+    pack = geom.pack()
+    W, C = pack.weyl, pack.cotton
+
+    def omega(a, b):
+        return lambda index, K: (None if K == n else (-1, C[a, b, K])
+                                 if index == n else (1, W[index, a, b, K]))
+    return [[_act(s, omega(a, b)) for b in range(n)] for a in range(n)]
+
+
+def proj_prolong_nabla(geom: ChartGeometry, s: TractorSection):
+    """Closed system for vanishing trace-free part of nabla nu: the family
+    (nabla_a nu^c - delta_a^c mu, nabla_a mu + R_ad nu^d / (n-1)), mu the
+    rho slot. As P_ab = R_ab / (n-1), it is tractor_nabla on (nu, -mu)
+    with the bottom slot negated."""
+    if geom.dim < 2:
+        raise GeometryError("needs dimension at least 2")
+
+    def flip(u):
+        return TractorSection(u.nu, _scalar(u.dim, -u.rho.components[0]),
+                              validate=False)
+    return [flip(f) for f in tractor_nabla(geom, flip(s))]
 
 
 def splitting_transform(s: CotractorSection, ups: Upsilon) -> CotractorSection:
@@ -249,190 +429,8 @@ def s2_cotractor_dual_pairing(u: S2TractorSection, v: S2CotractorSection):
     return add(*terms)
 
 
-def tractor_curvature(geom: ChartGeometry, s: Section):
-    """Curvature action as an antisymmetric (a,b)-indexed grid of sections.
-
-    For a cotractor section the output slots are
-        (0, -W_ab{}^d{}_c mu_d + C_abc sigma)
-    and for a tractor section
-        (W_ab{}^c{}_d nu^d, -C_abd nu^d).
-    Both equal the double-application commutator of the matching nabla.
-    """
-    n = geom.dim
-    pack = geom.pack()
-    W, C = pack.weyl, pack.cotton
-    grid = []
-    if isinstance(s, CotractorSection):
-        sigma = s.sigma.components[0]
-        for a in range(n):
-            row = []
-            for b in range(n):
-                bottom = [add(C[a, b, c] * sigma,
-                              *[-(W[d, a, b, c] * s.mu[d]) for d in range(n)])
-                          for c in range(n)]
-                row.append(CotractorSection(
-                    _scalar(n, ZERO), TensorField(n, 0, 1, bottom),
-                    validate=False))
-            grid.append(row)
-        return grid
-    if isinstance(s, TractorSection):
-        for a in range(n):
-            row = []
-            for b in range(n):
-                top = [add(*[W[c, a, b, d] * s.nu[d] for d in range(n)])
-                       for c in range(n)]
-                bottom = add(*[-(C[a, b, d] * s.nu[d]) for d in range(n)])
-                row.append(TractorSection(TensorField(n, 1, 0, top),
-                                          _scalar(n, bottom), validate=False))
-            grid.append(row)
-        return grid
-    raise ValueError("curvature formulas cover cotractor and tractor sections")
-
-
 # ---------------------------------------------------------------------------
 # prolongation connections
-
-def proj_prolong_nabla(geom: ChartGeometry, s: TractorSection):
-    """Closed system for vanishing trace-free part of nabla nu.
-
-    Direction family of (nabla_a nu^c - delta_a^c mu,
-    nabla_a mu + R_ad nu^d / (n-1)) where mu is the rho slot. Matches
-    tractor_nabla after negating the bottom slot.
-    """
-    n = geom.dim
-    if n < 2:
-        raise GeometryError("needs dimension at least 2")
-    conn = geom.connection()
-    ricci = geom.pack().ricci
-    k = Fraction(1, n - 1)
-    mu = s.rho.components[0]
-    dnu = covariant_derivative(conn, s.nu)
-    dmu = covariant_derivative(conn, s.rho)
-    family = []
-    for a in range(n):
-        top = [dnu[c, a] - (mu if a == c else ZERO) for c in range(n)]
-        bottom = add(dmu[a], *[k * (ricci[a, d] * s.nu[d]) for d in range(n)])
-        family.append(TractorSection(TensorField(n, 1, 0, top),
-                                     _scalar(n, bottom), validate=False))
-    return family
-
-
-def metrisability_prolong_nabla(geom: ChartGeometry, s: S2TractorSection):
-    """Closed system for the metrisability equation tf(nabla t) = 0.
-
-    slot1 = nabla_a t^bc + delta_a^b nu^c + delta_a^c nu^b
-    slot2 = nabla_a nu^c + delta_a^c rho - P_ab t^cb + W_ab{}^c{}_d t^bd / n
-    slot3 = nabla_a rho - 2 P_ad nu^d - 2 t^bd C_abd / n
-    """
-    n = geom.dim
-    pack = geom.pack()
-    conn = geom.connection()
-    P, W, C = pack.schouten, pack.weyl, pack.cotton
-    invn = Fraction(1, n)
-    rho = s.rho.components[0]
-    dt = covariant_derivative(conn, s.t)       # [b][c][a]
-    dnu = covariant_derivative(conn, s.nu)     # [c][a]
-    drho = covariant_derivative(conn, s.rho)   # [a]
-    family = []
-    for a in range(n):
-        slot2 = []
-        for c in range(n):
-            terms = [dnu[c, a], rho if a == c else ZERO]
-            for b in range(n):
-                terms.append(-(P[a, b] * s.t[c, b]))
-                terms += [invn * (W[c, a, b, d] * s.t[b, d]) for d in range(n)]
-            slot2.append(add(*terms))
-        val3 = add(drho[a], *[-(2 * (P[a, d] * s.nu[d])) for d in range(n)],
-                   *[-(2 * invn * (s.t[b, d] * C[a, b, d]))
-                     for b in range(n) for d in range(n)])
-        family.append(S2TractorSection(_s2_top_slot(dt, s.nu, a),
-                                       TensorField(n, 1, 0, slot2),
-                                       _scalar(n, val3), validate=False))
-    return family
-
-
-def _s2_top_slot(dt: TensorField, nu: TensorField, a: int) -> TensorField:
-    """nabla_a t^bc + delta_a^b nu^c + delta_a^c nu^b, with dt stored
-    [b][c][a]; the first slot of both S2T connections."""
-    n = nu.dim
-    slot = []
-    for b in range(n):
-        for c in range(n):
-            val = dt[b, c, a]
-            if a == b:
-                val = val + nu[c]
-            if a == c:
-                val = val + nu[b]
-            slot.append(val)
-    return TensorField(n, 2, 0, slot)
-
-
-def s2_dual_nabla(geom: ChartGeometry, s: S2CotractorSection):
-    """Leibniz dual of the metrisability connection, acting on S2T*.
-
-    slot1 = nabla_a beta_bc + (mu_b P_ac + mu_c P_ab)/2
-            - mu_e (W_ab{}^e{}_c + W_ac{}^e{}_b)/(2n)
-            + sigma (C_abc + C_acb)/n
-    slot2 = nabla_a mu_c - 2 beta_ac + 2 P_ac sigma
-    slot3 = nabla_a sigma - mu_a
-
-    The slot1 coefficients are the symmetric parts forced by pairing
-    against symmetric t; see the module docstring.
-    """
-    n = geom.dim
-    pack = geom.pack()
-    conn = geom.connection()
-    P, W, C = pack.schouten, pack.weyl, pack.cotton
-    half = Fraction(1, 2)
-    w_k = Fraction(1, 2 * n)
-    c_k = Fraction(1, n)
-    sigma = s.sigma.components[0]
-    dbeta = covariant_derivative(conn, s.beta)   # [a][b][c]
-    dmu = covariant_derivative(conn, s.mu)       # [a][c]
-    dsig = covariant_derivative(conn, s.sigma)   # [a]
-    family = []
-    for a in range(n):
-        slot1 = [add(dbeta[a, b, c],
-                     half * (s.mu[b] * P[a, c] + s.mu[c] * P[a, b]),
-                     c_k * (sigma * (C[a, b, c] + C[a, c, b])),
-                     *[-(w_k * (s.mu[e] * (W[e, a, b, c] + W[e, a, c, b])))
-                       for e in range(n)])
-                 for b in range(n) for c in range(n)]
-        slot2 = [dmu[a, c] - 2 * s.beta[a, c] + 2 * (P[a, c] * sigma)
-                 for c in range(n)]
-        slot3 = dsig[a] - s.mu[a]
-        family.append(S2CotractorSection(TensorField(n, 0, 2, slot1),
-                                         TensorField(n, 0, 1, slot2),
-                                         _scalar(n, slot3), validate=False))
-    return family
-
-
-def s2_tractor_nabla(geom: ChartGeometry, s: S2TractorSection):
-    """Symmetric square of the tractor connection, direct slot formulas.
-
-    slot1 = nabla_e t^bc + delta_e^b nu^c + delta_e^c nu^b
-    slot2 = nabla_e nu^c - P_eb t^bc + delta_e^c rho
-    slot3 = nabla_e rho - 2 P_eb nu^b
-    """
-    n = geom.dim
-    pack = geom.pack()
-    conn = geom.connection()
-    P = pack.schouten
-    rho = s.rho.components[0]
-    dt = covariant_derivative(conn, s.t)
-    dnu = covariant_derivative(conn, s.nu)
-    drho = covariant_derivative(conn, s.rho)
-    family = []
-    for e in range(n):
-        slot2 = [add(dnu[c, e], rho if e == c else ZERO,
-                     *[-(P[e, b] * s.t[b, c]) for b in range(n)])
-                 for c in range(n)]
-        val3 = add(drho[e], *[-(2 * (P[e, b] * s.nu[b])) for b in range(n)])
-        family.append(S2TractorSection(_s2_top_slot(dt, s.nu, e),
-                                       TensorField(n, 1, 0, slot2),
-                                       _scalar(n, val3), validate=False))
-    return family
-
 
 def s2_tractor_nabla_expanded(geom: ChartGeometry, s: S2TractorSection):
     """Same connection derived by formal Leibniz expansion.
@@ -492,7 +490,7 @@ def s2_tractor_nabla_expanded(geom: ChartGeometry, s: S2TractorSection):
 
 
 def metrisability_obstruction(geom: ChartGeometry, t: TensorField):
-    """Curvature correction separating the two S2T connections.
+    """Curvature correction separating the two S2T connections: -K t.
 
     Returns (vector-slot field, scalar-slot field) with components
     -(1/n) W_ab{}^c{}_d t^bd  (stored [c][a])  and  (2/n) C_abd t^bd
@@ -505,15 +503,13 @@ def metrisability_obstruction(geom: ChartGeometry, t: TensorField):
         raise ValueError("t must have valence (2,0)")
     if not is_symmetric_pair(t, 0, 1):
         raise ValueError("t must be symmetric")
-    pack = geom.pack()
-    W, C = pack.weyl, pack.cotton
-    invn = Fraction(1, n)
-    pairs = [(b, d) for b in range(n) for d in range(n)]
-    vec = [add(*[-(invn * (W[c, a, b, d] * t[b, d])) for b, d in pairs])
-           for c in range(n) for a in range(n)]
-    scal = [add(*[2 * invn * (C[a, b, d] * t[b, d]) for b, d in pairs])
-            for a in range(n)]
-    return TensorField(n, 1, 1, vec), TensorField(n, 0, 1, scal)
+    s = S2TractorSection(t, zero_field(n, 1, 0), ZERO, validate=False)
+    kt = [_act(s, lambda index, K: None, [
+        (o, i, -k, f) for o, i, k, f in _metrisability_correction(geom, a)])
+        for a in range(n)]
+    return (TensorField(n, 1, 1, [kt[a].nu[c] for c in range(n)
+                                  for a in range(n)]),
+            TensorField(n, 0, 1, [u.rho.components[0] for u in kt]))
 
 
 def flat_skew_prolong_nabla(s: SkewTractorSection, conn: AffineConnection):

@@ -430,7 +430,9 @@ def _propagators(bundle: TransportBundle, jobs) -> list:
     v = np.concatenate(vs)
     N, dim = v.shape
     A = bundle.coefficients_at(np.concatenate(xs)).reshape(N, dim, r * r)
-    M = -(v[:, None, :] @ A).reshape(N, r, r)
+    # non-finite coefficients propagate as NaN, like the kernel's numerics
+    with np.errstate(all="ignore"):
+        M = -(v[:, None, :] @ A).reshape(N, r, r)
 
     out = []
     start = 0

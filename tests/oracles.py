@@ -11,9 +11,12 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-The last section keeps verbatim copies of the per-type code that one slot
-table per section type replaced: random sections, the (1,1) and (2,1)
-trace-free projectors, and the sampled source-equation residual.
+Two sections keep verbatim copies of replaced code: the per-type code
+that one slot table per section type replaced (random sections, the
+(1,1) and (2,1) trace-free projectors, the sampled source-equation
+residual), and the seven hand-written connection bodies that the one
+Leibniz rule over tractor.py's placement table replaced, with the
+curvature action and the metrisability obstruction it also rewrote.
 """
 
 from __future__ import annotations
@@ -21,6 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from protract.expr import ZERO, add
+from protract.geometry import GeometryError, covariant_derivative
+from protract.tensor import TensorField, is_symmetric_pair
+from protract.tractor import (
+    CotractorSection,
+    S2CotractorSection,
+    S2TractorSection,
+    TractorSection,
+    _scalar,
+)
 
 
 def central_diff(f, x, i: int, h: float = 1e-5):
@@ -544,3 +558,254 @@ def sampled_pde_residual_reference(bundle, sampler, points, h=1e-4):
             raise ValueError(
                 "sampled residual covers the prolongation bundles only")
     return max_magnitude(values)
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of the seven hand-written connection bodies that the one
+# Leibniz rule over the placement table replaced (tractor.py): the
+# cotractor, tractor, projective-prolongation, metrisability, S2T* and S2T
+# connections and the shared top slot of the two S2T connections; and the
+# curvature action with its one branch per section type and the obstruction
+# with its own copy of the W and C terms.
+
+
+def cotractor_nabla_reference(geom: ChartGeometry, s: CotractorSection):
+    """Direction family of (nabla_a sigma - mu_a, nabla_a mu_b + P_ab sigma)."""
+    n = geom.dim
+    conn = geom.connection()
+    P = geom.pack().schouten
+    sigma = s.sigma.components[0]
+    dsig = covariant_derivative(conn, s.sigma)
+    dmu = covariant_derivative(conn, s.mu)
+    family = []
+    for a in range(n):
+        top = dsig[a] - s.mu[a]
+        bottom = [dmu[a, b] + P[a, b] * sigma for b in range(n)]
+        family.append(CotractorSection(_scalar(n, top),
+                                       TensorField(n, 0, 1, bottom),
+                                       validate=False))
+    return family
+
+
+def tractor_nabla_reference(geom: ChartGeometry, s: TractorSection):
+    """Direction family of (nabla_a nu^b + rho delta_a^b, nabla_a rho - P_ab nu^b)."""
+    n = geom.dim
+    conn = geom.connection()
+    P = geom.pack().schouten
+    rho = s.rho.components[0]
+    dnu = covariant_derivative(conn, s.nu)     # [b][a]
+    drho = covariant_derivative(conn, s.rho)   # [a]
+    family = []
+    for a in range(n):
+        top = [dnu[b, a] + (rho if a == b else ZERO) for b in range(n)]
+        bottom = add(drho[a], *[-(P[a, b] * s.nu[b]) for b in range(n)])
+        family.append(TractorSection(TensorField(n, 1, 0, top),
+                                     _scalar(n, bottom), validate=False))
+    return family
+
+
+def proj_prolong_nabla_reference(geom: ChartGeometry, s: TractorSection):
+    """Closed system for vanishing trace-free part of nabla nu.
+
+    Direction family of (nabla_a nu^c - delta_a^c mu,
+    nabla_a mu + R_ad nu^d / (n-1)) where mu is the rho slot. Matches
+    tractor_nabla after negating the bottom slot.
+    """
+    n = geom.dim
+    if n < 2:
+        raise GeometryError("needs dimension at least 2")
+    conn = geom.connection()
+    ricci = geom.pack().ricci
+    k = Fraction(1, n - 1)
+    mu = s.rho.components[0]
+    dnu = covariant_derivative(conn, s.nu)
+    dmu = covariant_derivative(conn, s.rho)
+    family = []
+    for a in range(n):
+        top = [dnu[c, a] - (mu if a == c else ZERO) for c in range(n)]
+        bottom = add(dmu[a], *[k * (ricci[a, d] * s.nu[d]) for d in range(n)])
+        family.append(TractorSection(TensorField(n, 1, 0, top),
+                                     _scalar(n, bottom), validate=False))
+    return family
+
+
+def metrisability_prolong_nabla_reference(geom: ChartGeometry, s: S2TractorSection):
+    """Closed system for the metrisability equation tf(nabla t) = 0.
+
+    slot1 = nabla_a t^bc + delta_a^b nu^c + delta_a^c nu^b
+    slot2 = nabla_a nu^c + delta_a^c rho - P_ab t^cb + W_ab{}^c{}_d t^bd / n
+    slot3 = nabla_a rho - 2 P_ad nu^d - 2 t^bd C_abd / n
+    """
+    n = geom.dim
+    pack = geom.pack()
+    conn = geom.connection()
+    P, W, C = pack.schouten, pack.weyl, pack.cotton
+    invn = Fraction(1, n)
+    rho = s.rho.components[0]
+    dt = covariant_derivative(conn, s.t)       # [b][c][a]
+    dnu = covariant_derivative(conn, s.nu)     # [c][a]
+    drho = covariant_derivative(conn, s.rho)   # [a]
+    family = []
+    for a in range(n):
+        slot2 = []
+        for c in range(n):
+            terms = [dnu[c, a], rho if a == c else ZERO]
+            for b in range(n):
+                terms.append(-(P[a, b] * s.t[c, b]))
+                terms += [invn * (W[c, a, b, d] * s.t[b, d]) for d in range(n)]
+            slot2.append(add(*terms))
+        val3 = add(drho[a], *[-(2 * (P[a, d] * s.nu[d])) for d in range(n)],
+                   *[-(2 * invn * (s.t[b, d] * C[a, b, d]))
+                     for b in range(n) for d in range(n)])
+        family.append(S2TractorSection(s2_top_slot_reference(dt, s.nu, a),
+                                       TensorField(n, 1, 0, slot2),
+                                       _scalar(n, val3), validate=False))
+    return family
+
+
+def s2_top_slot_reference(dt: TensorField, nu: TensorField, a: int) -> TensorField:
+    """nabla_a t^bc + delta_a^b nu^c + delta_a^c nu^b, with dt stored
+    [b][c][a]; the first slot of both S2T connections."""
+    n = nu.dim
+    slot = []
+    for b in range(n):
+        for c in range(n):
+            val = dt[b, c, a]
+            if a == b:
+                val = val + nu[c]
+            if a == c:
+                val = val + nu[b]
+            slot.append(val)
+    return TensorField(n, 2, 0, slot)
+
+
+def s2_dual_nabla_reference(geom: ChartGeometry, s: S2CotractorSection):
+    """Leibniz dual of the metrisability connection, acting on S2T*.
+
+    slot1 = nabla_a beta_bc + (mu_b P_ac + mu_c P_ab)/2
+            - mu_e (W_ab{}^e{}_c + W_ac{}^e{}_b)/(2n)
+            + sigma (C_abc + C_acb)/n
+    slot2 = nabla_a mu_c - 2 beta_ac + 2 P_ac sigma
+    slot3 = nabla_a sigma - mu_a
+
+    The slot1 coefficients are the symmetric parts forced by pairing
+    against symmetric t; see the module docstring.
+    """
+    n = geom.dim
+    pack = geom.pack()
+    conn = geom.connection()
+    P, W, C = pack.schouten, pack.weyl, pack.cotton
+    half = Fraction(1, 2)
+    w_k = Fraction(1, 2 * n)
+    c_k = Fraction(1, n)
+    sigma = s.sigma.components[0]
+    dbeta = covariant_derivative(conn, s.beta)   # [a][b][c]
+    dmu = covariant_derivative(conn, s.mu)       # [a][c]
+    dsig = covariant_derivative(conn, s.sigma)   # [a]
+    family = []
+    for a in range(n):
+        slot1 = [add(dbeta[a, b, c],
+                     half * (s.mu[b] * P[a, c] + s.mu[c] * P[a, b]),
+                     c_k * (sigma * (C[a, b, c] + C[a, c, b])),
+                     *[-(w_k * (s.mu[e] * (W[e, a, b, c] + W[e, a, c, b])))
+                       for e in range(n)])
+                 for b in range(n) for c in range(n)]
+        slot2 = [dmu[a, c] - 2 * s.beta[a, c] + 2 * (P[a, c] * sigma)
+                 for c in range(n)]
+        slot3 = dsig[a] - s.mu[a]
+        family.append(S2CotractorSection(TensorField(n, 0, 2, slot1),
+                                         TensorField(n, 0, 1, slot2),
+                                         _scalar(n, slot3), validate=False))
+    return family
+
+
+def s2_tractor_nabla_reference(geom: ChartGeometry, s: S2TractorSection):
+    """Symmetric square of the tractor connection, direct slot formulas.
+
+    slot1 = nabla_e t^bc + delta_e^b nu^c + delta_e^c nu^b
+    slot2 = nabla_e nu^c - P_eb t^bc + delta_e^c rho
+    slot3 = nabla_e rho - 2 P_eb nu^b
+    """
+    n = geom.dim
+    pack = geom.pack()
+    conn = geom.connection()
+    P = pack.schouten
+    rho = s.rho.components[0]
+    dt = covariant_derivative(conn, s.t)
+    dnu = covariant_derivative(conn, s.nu)
+    drho = covariant_derivative(conn, s.rho)
+    family = []
+    for e in range(n):
+        slot2 = [add(dnu[c, e], rho if e == c else ZERO,
+                     *[-(P[e, b] * s.t[b, c]) for b in range(n)])
+                 for c in range(n)]
+        val3 = add(drho[e], *[-(2 * (P[e, b] * s.nu[b])) for b in range(n)])
+        family.append(S2TractorSection(s2_top_slot_reference(dt, s.nu, e),
+                                       TensorField(n, 1, 0, slot2),
+                                       _scalar(n, val3), validate=False))
+    return family
+
+
+def tractor_curvature_reference(geom: ChartGeometry, s: Section):
+    """Curvature action as an antisymmetric (a,b)-indexed grid of sections.
+
+    For a cotractor section the output slots are
+        (0, -W_ab{}^d{}_c mu_d + C_abc sigma)
+    and for a tractor section
+        (W_ab{}^c{}_d nu^d, -C_abd nu^d).
+    Both equal the double-application commutator of the matching nabla.
+    """
+    n = geom.dim
+    pack = geom.pack()
+    W, C = pack.weyl, pack.cotton
+    grid = []
+    if isinstance(s, CotractorSection):
+        sigma = s.sigma.components[0]
+        for a in range(n):
+            row = []
+            for b in range(n):
+                bottom = [add(C[a, b, c] * sigma,
+                              *[-(W[d, a, b, c] * s.mu[d]) for d in range(n)])
+                          for c in range(n)]
+                row.append(CotractorSection(
+                    _scalar(n, ZERO), TensorField(n, 0, 1, bottom),
+                    validate=False))
+            grid.append(row)
+        return grid
+    if isinstance(s, TractorSection):
+        for a in range(n):
+            row = []
+            for b in range(n):
+                top = [add(*[W[c, a, b, d] * s.nu[d] for d in range(n)])
+                       for c in range(n)]
+                bottom = add(*[-(C[a, b, d] * s.nu[d]) for d in range(n)])
+                row.append(TractorSection(TensorField(n, 1, 0, top),
+                                          _scalar(n, bottom), validate=False))
+            grid.append(row)
+        return grid
+    raise ValueError("curvature formulas cover cotractor and tractor sections")
+
+
+def metrisability_obstruction_reference(geom: ChartGeometry, t: TensorField):
+    """Curvature correction separating the two S2T connections.
+
+    Returns (vector-slot field, scalar-slot field) with components
+    -(1/n) W_ab{}^c{}_d t^bd  (stored [c][a])  and  (2/n) C_abd t^bd
+    (stored [a]). Adding these to the metrisability family's middle and
+    bottom slots yields s2_tractor_nabla exactly, so the pair vanishes
+    precisely when the two connections coincide.
+    """
+    n = geom.dim
+    if (t.p, t.q) != (2, 0):
+        raise ValueError("t must have valence (2,0)")
+    if not is_symmetric_pair(t, 0, 1):
+        raise ValueError("t must be symmetric")
+    pack = geom.pack()
+    W, C = pack.weyl, pack.cotton
+    invn = Fraction(1, n)
+    pairs = [(b, d) for b in range(n) for d in range(n)]
+    vec = [add(*[-(invn * (W[c, a, b, d] * t[b, d])) for b, d in pairs])
+           for c in range(n) for a in range(n)]
+    scal = [add(*[2 * invn * (C[a, b, d] * t[b, d]) for b, d in pairs])
+            for a in range(n)]
+    return TensorField(n, 1, 1, vec), TensorField(n, 0, 1, scal)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from protract.cli import load_geometry_spec
 from protract.expr import ZERO, const, diff, evaluate, parse
 from protract.geometry import covariant_derivative
 from protract.projective import Upsilon, gradient_upsilon
-from protract.tensor import TensorField, trace_free_skew
+from protract.tensor import TensorField, max_residual, trace_free_skew
 from protract.tractor import (
     CotractorSection,
     S2CotractorSection,
@@ -31,7 +32,9 @@ from protract.tractor import (
     tractor_cotractor_pairing,
     tractor_curvature,
     tractor_nabla,
+    _leibniz,
 )
+from protract.transport import BUNDLES
 
 from gen import (
     float_points,
@@ -57,6 +60,37 @@ def _const_vec(n, values):
 
 def _family_max(family, pt):
     return max(s.max_abs_at(pt) for s in family)
+
+
+def _families_equal(fam_a, fam_b, pts) -> bool:
+    """Every slot component of two direction families equal exactly at
+    the rational points."""
+    return max_residual([a - b for a, b in zip(fam_a, fam_b)], pts) == 0
+
+
+def _leibniz_gaps(pairing, u, v, fam_u, fam_v):
+    """d_a <u, v> - <nabla_a u, v> - <u, nabla_a v>, one scalar field per
+    direction a."""
+    n = u.dim
+    pair = pairing(u, v)
+    return [TensorField(n, 0, 0, [diff(pair, a) - pairing(fam_u[a], v)
+                                  - pairing(u, fam_v[a])])
+            for a in range(n)]
+
+
+@pytest.fixture(scope="module")
+def differential_cases():
+    """(geometry, rational points where its metric is invertible) for the
+    six bundled specs and a random polynomial 3- and 4-metric: where the
+    one Leibniz rule is compared with the hand-written connection bodies
+    that oracles.py keeps."""
+    rng = rng_for("leibniz-differential")
+    geoms = [load_geometry_spec(name).geom for name in
+             ("flat2", "flat3", "sphere2", "sphere3", "nonEinstein2",
+              "nonEinstein3")]
+    geoms += [random_metric(rng, 3), random_metric(rng, 4)]
+    return [(g, [p for p in rational_points(rng, g.dim, 2)
+                 if invertible(g, p)]) for g in geoms]
 
 
 class TestSectionValidation:
@@ -200,25 +234,37 @@ class TestTractorNabla:
         pt = [Fraction(1), Fraction(-2), Fraction(4)]
         assert _family_max(fam, pt) == 0
 
-    def test_proj_prolong_dictionary(self):
+    def test_proj_prolong_dictionary(self, differential_cases):
         # proj_prolong on (nu, mu) is tractor_nabla on (nu, -mu) with the
-        # bottom slot negated; Schouten equals Ricci/(n-1) for Levi-Civita
+        # bottom slot negated; Schouten equals Ricci/(n-1) for Levi-Civita.
+        # proj_prolong_nabla is built that way now, so the hand-written
+        # prolongation and tractor bodies of oracles.py are checked too
         rng = rng_for("prolong-dict")
+        cases = []
         for n in (2, 3):
             geom = random_metric(rng, n)
             s = section(rng, TractorSection, n)
+            cases.append((geom, s, rational_points(rng, n, 3)))
+        cases += [(geom, section(rng, TractorSection, geom.dim), pts)
+                  for geom, pts in differential_cases]
+        for geom, s, pts in cases:
+            n = geom.dim
             neg = TractorSection(s.nu, TensorField(n, 0, 0,
                                                    [ZERO - s.rho.components[0]]))
-            fam_p = proj_prolong_nabla(geom, s)
-            fam_t = tractor_nabla(geom, neg)
-            for pt in rational_points(rng, n, 3):
-                if not invertible(geom, pt):
-                    continue
-                for a in range(n):
-                    p_slots = fam_p[a].at(pt)
-                    t_slots = fam_t[a].at(pt)
-                    assert p_slots["nu"].components == t_slots["nu"].components
-                    assert p_slots["rho"].components[0] == -t_slots["rho"].components[0]
+            for prolong, tractor in (
+                    (proj_prolong_nabla, tractor_nabla),
+                    (oracles.proj_prolong_nabla_reference, tractor_nabla),
+                    (proj_prolong_nabla, oracles.tractor_nabla_reference)):
+                fam_p = prolong(geom, s)
+                fam_t = tractor(geom, neg)
+                for pt in pts:
+                    if not invertible(geom, pt):
+                        continue
+                    for a in range(n):
+                        p_slots = fam_p[a].at(pt)
+                        t_slots = fam_t[a].at(pt)
+                        assert p_slots["nu"].components == t_slots["nu"].components
+                        assert p_slots["rho"].components[0] == -t_slots["rho"].components[0]
 
     def test_position_field_parallel_for_prolong(self, flat2):
         # nu = x * c with mu = c solves the prolonged system on a flat chart
@@ -329,40 +375,52 @@ class TestMetrisability:
         pt = [Fraction(1), Fraction(2), Fraction(-1)]
         assert _family_max(fam, pt) == 0
 
-    def test_expanded_equals_direct(self, non_einstein3):
+    def test_expanded_equals_direct(self, non_einstein3, differential_cases):
+        # the Leibniz table and the hand-written S2T body of oracles.py
+        # against the formal expansion
         rng = rng_for("s2t-expand")
-        s = section(rng, S2TractorSection, 3)
-        fam_a = s2_tractor_nabla(non_einstein3, s)
-        fam_b = s2_tractor_nabla_expanded(non_einstein3, s)
-        for pt in rational_points(rng, 3, 3):
-            if not invertible(non_einstein3, pt):
-                continue
-            assert max((fam_a[a] - fam_b[a]).max_abs_at(pt) for a in range(3)) == 0
+        cases = [(non_einstein3, section(rng, S2TractorSection, 3),
+                  rational_points(rng, 3, 3))]
+        cases += [(geom, section(rng, S2TractorSection, geom.dim), pts)
+                  for geom, pts in differential_cases]
+        for geom, s, pts in cases:
+            n = geom.dim
+            pts = [pt for pt in pts if invertible(geom, pt)]
+            fam_b = s2_tractor_nabla_expanded(geom, s)
+            for direct in (s2_tractor_nabla, oracles.s2_tractor_nabla_reference):
+                assert _families_equal(direct(geom, s), fam_b, pts)
             # the E.B collection of the mixed slot equals the B.E one
-            for a in range(3):
-                gap = (fam_b[a]._expansion_eb - fam_b[a].nu).at(pt)
-                assert all(c == 0 for c in gap.components)
+            assert max_residual([fam_b[a]._expansion_eb - fam_b[a].nu
+                                 for a in range(n)], pts) == 0
 
-    def test_obstruction_identity_50_random_sections(self, non_einstein3):
-        # the obstruction is exactly the gap between the two connections
+    def test_obstruction_identity_50_random_sections(self, non_einstein3,
+                                                     differential_cases):
+        # the obstruction is exactly the gap between the two connections.
+        # The metrisability connection is the S2T one plus K by
+        # construction, so the independent side is the hand-written
+        # metrisability body of oracles.py
         rng = rng_for("obstruction-id")
-        n = 3
-        pts = [p for p in rational_points(rng, n, 3) if invertible(non_einstein3, p)]
-        for _ in range(50):
-            s = section(rng, S2TractorSection, n)
-            fam_m = metrisability_prolong_nabla(non_einstein3, s)
-            fam_t = s2_tractor_nabla(non_einstein3, s)
-            wv, cv = metrisability_obstruction(non_einstein3, s.t)
-            for pt in pts:
-                wpt = wv.at(pt)
-                cpt = cv.at(pt)
-                for a in range(n):
-                    gap = fam_t[a] - fam_m[a]
-                    slots = gap.at(pt)
-                    assert all(c == 0 for c in slots["t"].components)
-                    for c in range(n):
-                        assert slots["nu"].components[c] == wpt.components[c * n + a]
-                    assert slots["rho"].components[0] == cpt.components[a]
+        pts = [p for p in rational_points(rng, 3, 3) if invertible(non_einstein3, p)]
+        cases = [(non_einstein3, pts, 50)]
+        cases += [(geom, pts, 2) for geom, pts in differential_cases]
+        for geom, pts, count in cases:
+            n = geom.dim
+            for _ in range(count):
+                s = section(rng, S2TractorSection, n)
+                fam_t = s2_tractor_nabla(geom, s)
+                wv, cv = metrisability_obstruction(geom, s.t)
+                for metrisability in (oracles.metrisability_prolong_nabla_reference,
+                                      metrisability_prolong_nabla):
+                    fam_m = metrisability(geom, s)
+                    gaps = []
+                    for a in range(n):
+                        gap = fam_t[a] - fam_m[a]
+                        gaps += [gap.t,
+                                 TensorField(n, 1, 0, [gap.nu[c] - wv[c, a]
+                                                       for c in range(n)]),
+                                 TensorField(n, 0, 0, [gap.rho.components[0]
+                                                       - cv[a]])]
+                    assert max_residual(gaps, pts) == 0
 
     def test_obstruction_vanishes_flat(self, flat3):
         wv, cv = metrisability_obstruction(flat3, flat3.metric_inverse())
@@ -412,21 +470,70 @@ class TestS2Dual:
         pt = [Fraction(2), Fraction(-1), Fraction(3)]
         assert _family_max(fam, pt) == 0
 
-    def test_dual_pairing_leibniz_exact(self):
+    def test_dual_pairing_leibniz_exact(self, differential_cases):
+        # the pairing differentiates by the Leibniz rule for the
+        # metrisability pair (either side also the hand-written body of
+        # oracles.py) and for the normal pair, which carries no K
         rng = rng_for("dual-pair")
         n = 3
         geom = random_metric(rng, n)
         u = section(rng, S2TractorSection, n)
         v = section(rng, S2CotractorSection, n)
-        pair = s2_cotractor_dual_pairing(u, v)
-        fam_u = metrisability_prolong_nabla(geom, u)
-        fam_v = s2_dual_nabla(geom, v)
-        for pt in (p for p in rational_points(rng, n, 4) if invertible(geom, p)):
-            for a in range(n):
-                lhs = evaluate(diff(pair, a), tuple(pt))
-                rhs = (evaluate(s2_cotractor_dual_pairing(fam_u[a], v), tuple(pt))
-                       + evaluate(s2_cotractor_dual_pairing(u, fam_v[a]), tuple(pt)))
-                assert lhs == rhs
+        cases = [(geom, u, v, rational_points(rng, n, 4))]
+        cases += [(g, section(rng, S2TractorSection, g.dim),
+                   section(rng, S2CotractorSection, g.dim), pts)
+                  for g, pts in differential_cases]
+        for geom, u, v, pts in cases:
+            pts = [p for p in pts if invertible(geom, p)]
+            # the pairing cannot see the skew part of beta's output
+            assert _families_equal(s2_dual_nabla(geom, v),
+                                   oracles.s2_dual_nabla_reference(geom, v), pts)
+            for nabla_u, nabla_v in (
+                    (metrisability_prolong_nabla, s2_dual_nabla),
+                    (oracles.metrisability_prolong_nabla_reference, s2_dual_nabla),
+                    (metrisability_prolong_nabla, oracles.s2_dual_nabla_reference),
+                    (s2_tractor_nabla, _leibniz)):
+                gaps = _leibniz_gaps(s2_cotractor_dual_pairing, u, v,
+                                     nabla_u(geom, u), nabla_v(geom, v))
+                assert max_residual(gaps, pts) == 0
+
+
+class TestLeibnizRule:
+    @pytest.mark.parametrize("name", ["flat2", "flat3", "sphere2", "sphere3",
+                                      "nonEinstein2", "nonEinstein3"])
+    def test_cotractor_and_tractor_are_the_old_nodes(self, name):
+        # the connection coefficients of both bundles (the connection on
+        # each basis section), the curvature grid of a random section and
+        # the obstruction are the very nodes the hand-written bodies of
+        # oracles.py build
+        geom = load_geometry_spec(name).geom
+        rng = rng_for("leibniz-nodes")
+
+        def comps(family):
+            return [c for s in family for _, f in s.slots()
+                    for c in f.components]
+
+        for bundle_name, nabla, reference in (
+                ("cotractor", cotractor_nabla, oracles.cotractor_nabla_reference),
+                ("tractor", tractor_nabla, oracles.tractor_nabla_reference)):
+            bundle = BUNDLES[bundle_name](geom)
+            for j in range(bundle.rank):
+                s = bundle.basis_section(j)
+                new, old = comps(nabla(geom, s)), comps(reference(geom, s))
+                assert len(new) == len(old)
+                assert all(x is y for x, y in zip(new, old))
+            s = section(rng, bundle.section_cls, geom.dim)
+            new = comps(m for row in tractor_curvature(geom, s) for m in row)
+            old = comps(m for row in oracles.tractor_curvature_reference(geom, s)
+                        for m in row)
+            assert len(new) == len(old)
+            assert all(x is y for x, y in zip(new, old))
+        # the obstruction, now -K t with K written once, on the inverse
+        # metric and on a random symmetric t
+        for t in (geom.metric_inverse(), poly_field(rng, geom.dim, 2, 0, "sym")):
+            for x, y in zip(metrisability_obstruction(geom, t),
+                            oracles.metrisability_obstruction_reference(geom, t)):
+                assert all(u is v for u, v in zip(x.components, y.components))
 
 
 class TestTractorDuality:
@@ -437,14 +544,20 @@ class TestTractorDuality:
             u = section(rng, TractorSection, n)
             v = section(rng, CotractorSection, n)
             pair = tractor_cotractor_pairing(u, v)
-            fam_u = tractor_nabla(geom, u)
-            fam_v = cotractor_nabla(geom, v)
-            for pt in (p for p in rational_points(rng, n, 4) if invertible(geom, p)):
-                for a in range(n):
-                    lhs = evaluate(diff(pair, a), tuple(pt))
-                    rhs = (evaluate(tractor_cotractor_pairing(fam_u[a], v), tuple(pt))
-                           + evaluate(tractor_cotractor_pairing(u, fam_v[a]), tuple(pt)))
-                    assert lhs == rhs
+            pts = [p for p in rational_points(rng, n, 4) if invertible(geom, p)]
+            # either side also the hand-written body of oracles.py
+            for nabla_u, nabla_v in (
+                    (tractor_nabla, cotractor_nabla),
+                    (oracles.tractor_nabla_reference, cotractor_nabla),
+                    (tractor_nabla, oracles.cotractor_nabla_reference)):
+                fam_u = nabla_u(geom, u)
+                fam_v = nabla_v(geom, v)
+                for pt in pts:
+                    for a in range(n):
+                        lhs = evaluate(diff(pair, a), tuple(pt))
+                        rhs = (evaluate(tractor_cotractor_pairing(fam_u[a], v), tuple(pt))
+                               + evaluate(tractor_cotractor_pairing(u, fam_v[a]), tuple(pt)))
+                        assert lhs == rhs
 
     def test_pairing_float_samples(self, sphere2):
         rng = rng_for("tr-pair-float")
