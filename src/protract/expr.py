@@ -10,11 +10,24 @@ checked by evaluation, not by normal forms.
 Nodes are interned (hash-consed): constructing a node equal in kind,
 payload and children to a live one returns that node, so structurally
 equal expressions are the same object, == is identity and hashing is
-O(1). The table is a plain dict from (class, fields, field types) to a
+O(1). The table is a plain dict from a node's key to a
 weakref.KeyedRef of the node, and one shared callback removes the entry
-when its node dies, so a hit costs one C-level dict lookup. In the
-constant folds of add and mul, a lone Fraction constant is its own
-fold: the interned node is reused, with no Fraction arithmetic. Every
+when its node dies, so a hit costs one C-level dict lookup. A key has
+one of two forms:
+
+    (class, *fields)                      Add, Mul, Neg
+    (class, fields, field types)          Const, Var, Pow, Call
+
+The fields of Add, Mul and Neg are nodes (a tuple of them for Add and
+Mul), and nodes compare and hash by identity, so equal fields are the
+same children and need no types beside them. Const, Var, Pow and Call
+hold payloads, and equal payloads of other types (1 and True,
+Fraction(1, 2) and 0.5) compare and hash alike, so their types keep
+their nodes apart. The lean key makes the key of a sum or product one
+small tuple.
+
+In the constant folds of add and mul, a lone Fraction constant is its
+own fold: the interned node is reused, with no Fraction arithmetic. Every
 walk that memoises by identity (evaluate, diff, to_text,
 program.compile_table) therefore shares equal subtrees. The walks take a
 family of roots and memoise across it. evaluate, to_text and
@@ -94,8 +107,9 @@ class ExactModeError(ExprError):
     """Exact rational evaluation requested through sin/cos/exp."""
 
 
-# (class, fields, field types) -> weakref.KeyedRef to the live node; an
-# entry leaves with its node, through the one shared callback _forget
+# (class, *fields) for Add, Mul and Neg, (class, fields, field types)
+# for the other nodes -> weakref.KeyedRef to the live node; an entry
+# leaves with its node, through the one shared callback _forget
 _INTERNED = {}
 
 
@@ -112,11 +126,16 @@ class Expr:
     by coordinate (see _Partials)."""
 
     __slots__ = ("__weakref__", "_partials")
+    _node_fields = False    # True where every field is a node or nodes
 
     def __new__(cls, *fields):
-        # equal payloads of other types (1 and True, Fraction(1, 2) and
-        # 0.5) hash alike, so the types keep their nodes apart
-        key = (cls, fields, tuple(map(type, fields)))
+        if cls._node_fields:
+            # nodes compare by identity, so their fields are the key
+            key = (cls, *fields)
+        else:
+            # equal payloads of other types (1 and True, Fraction(1, 2)
+            # and 0.5) hash alike, so the types keep their nodes apart
+            key = (cls, fields, tuple(map(type, fields)))
         ref = _INTERNED.get(key)
         node = None if ref is None else ref()
         if node is None:
@@ -202,6 +221,7 @@ class Var(Expr):
 
 class Add(Expr):
     __slots__ = ("terms",)
+    _node_fields = True
 
     def children(self):
         return self.terms
@@ -218,6 +238,7 @@ class Add(Expr):
 
 class Mul(Expr):
     __slots__ = ("factors",)
+    _node_fields = True
 
     def children(self):
         return self.factors
@@ -260,6 +281,7 @@ class Pow(Expr):
 
 class Neg(Expr):
     __slots__ = ("arg",)
+    _node_fields = True
 
     def children(self):
         return (self.arg,)

@@ -23,6 +23,7 @@ from .tensor import (
     matrix_inverse_exprs,
     max_magnitude,
     max_residual,
+    max_residuals,
     symmetrize,
 )
 
@@ -298,36 +299,58 @@ def torsion(conn: AffineConnection) -> TensorField:
     return TensorField(n, 1, 2, comps)
 
 
-def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
-    """Max-abs residuals of both curvature cycle identities over points.
+def _first_bianchi_field(R: TensorField) -> TensorField:
+    """R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a, stored as [c][a][b][d]."""
+    n = R.dim
+    return TensorField(n, 1, 3, [R[c, a, b, d] + R[c, d, a, b] + R[c, b, d, a]
+                                 for c, a, b, d in itertools.product(
+                                     range(n), repeat=4)])
 
-    first:  R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a
-    second: nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d
+
+def _second_bianchi_field(conn: AffineConnection,
+                          R: TensorField) -> TensorField:
+    """nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d,
+    stored as [c][e][a][b][d]."""
+    n = R.dim
+    dR = covariant_derivative(conn, R)  # [c][e][a][b][d] = nabla_e R_ab^c_d
+    return TensorField(n, 1, 4, [dR[c, e, a, b, d] + dR[c, b, e, a, d]
+                                 + dR[c, a, b, e, d]
+                                 for c, e, a, b, d in itertools.product(
+                                     range(n), repeat=5)])
+
+
+def _cotton_weyl_field(pack: CurvaturePack,
+                       conn: AffineConnection) -> TensorField:
+    """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d]."""
+    W = pack.weyl
+    C = pack.cotton
+    n = W.dim
+    dW = covariant_derivative(conn, W)  # [c][e][a][b][d] = nabla_e W_ab^c_d
+    return TensorField(n, 0, 3, [(n - 2) * C[a, b, d]
+                                 - add(*[dW[c, c, a, b, d] for c in range(n)])
+                                 for a, b, d in itertools.product(
+                                     range(n), repeat=3)])
+
+
+def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
+    """Max-abs residuals of the curvature identities over points.
+
+    first:       R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a
+    second:      nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d
+                 + nabla_a R_be{}^c{}_d
+    cotton_weyl: (n-2) C_abd - nabla_c W_ab{}^c{}_d (see
+                 cotton_weyl_relation)
+
+    The three fields share Gamma, R and most of their products, so they
+    are reduced from one compiled table.
     """
     R = pack.riemann
-    n = R.dim
-    first = []
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    first.append(R[c, a, b, d] + R[c, d, a, b] + R[c, b, d, a])
-    first_field = TensorField(n, 1, 3, first)
-
-    dR = covariant_derivative(conn, R)  # [c][e][a][b][d] = nabla_e R_ab^c_d
-    second = []
-    for c in range(n):
-        for e in range(n):
-            for a in range(n):
-                for b in range(n):
-                    for d in range(n):
-                        second.append(dR[c, e, a, b, d] + dR[c, b, e, a, d]
-                                      + dR[c, a, b, e, d])
-    second_field = TensorField(n, 1, 4, second)
-
     pts = list(points)
-    return {"first": max_residual([first_field], pts),
-            "second": max_residual([second_field], pts), "points": len(pts)}
+    first, second, cotton_weyl = max_residuals(
+        [[_first_bianchi_field(R)], [_second_bianchi_field(conn, R)],
+         [_cotton_weyl_field(pack, conn)]], pts)
+    return {"first": first, "second": second, "cotton_weyl": cotton_weyl,
+            "points": len(pts)}
 
 
 def cotton_weyl_relation(pack: CurvaturePack, conn: AffineConnection,
@@ -338,11 +361,4 @@ def cotton_weyl_relation(pack: CurvaturePack, conn: AffineConnection,
     Schouten index d sits last. In dimension 2 both sides vanish
     identically and the residual is 0.
     """
-    W = pack.weyl
-    C = pack.cotton
-    n = W.dim
-    dW = covariant_derivative(conn, W)  # [c][e][a][b][d] = nabla_e W_ab^c_d
-    comps = [(n - 2) * C[a, b, d] - add(*[dW[c, c, a, b, d]
-                                           for c in range(n)])
-             for a in range(n) for b in range(n) for d in range(n)]
-    return max_residual([TensorField(n, 0, 3, comps)], list(points))
+    return max_residual([_cotton_weyl_field(pack, conn)], list(points))

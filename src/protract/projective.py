@@ -22,7 +22,7 @@ from .geometry import (
     GeometryError,
     connection_pack,
 )
-from .tensor import TensorField, max_residual
+from .tensor import TensorField, max_residuals
 
 __all__ = [
     "Upsilon", "gradient_upsilon", "projective_change",
@@ -92,6 +92,16 @@ def check_weyl_cotton_invariance(geom: ChartGeometry, ups: Upsilon,
     barred Ricci before forming Schouten; with a gradient one-form the
     symmetrization is a no-op up to rounding.
     """
+    pts = list(points)
+    weyl, cotton, cotton_pair = max_residuals(
+        [[field] for field in _invariance_fields(geom, ups)], pts)
+    return {"weyl": weyl, "cotton": cotton, "cotton_pair": cotton_pair,
+            "points": len(pts)}
+
+
+def _invariance_fields(geom: ChartGeometry, ups: Upsilon) -> tuple:
+    """(W_bar - W, C_bar - C, C_bar - C - Y.W) for the projective change
+    of the Levi-Civita connection by ups."""
     pack = geom.pack()
     barred_conn = projective_change(geom.connection(), ups)
     barred = connection_pack(barred_conn)
@@ -103,12 +113,7 @@ def check_weyl_cotton_invariance(geom: ChartGeometry, ups: Upsilon,
     shifted = [dcotton[a, b, c] - add(*[ups[d] * pack.weyl[d, a, b, c]
                                         for d in range(n)])
                for a in range(n) for b in range(n) for c in range(n)]
-    dcotton_pair = TensorField(n, 0, 3, shifted)
-    pts = list(points)
-    return {"weyl": max_residual([dweyl], pts),
-            "cotton": max_residual([dcotton], pts),
-            "cotton_pair": max_residual([dcotton_pair], pts),
-            "points": len(pts)}
+    return dweyl, dcotton, TensorField(n, 0, 3, shifted)
 
 
 def einstein_deviation(geom: ChartGeometry) -> TensorField:

@@ -27,7 +27,7 @@ __all__ = [
     "sym_trace_coefficient", "skew_trace_coefficient",
     "matrix_inverse_exprs", "fraction_matrix_inverse",
     "zero_field", "is_symmetric_pair", "is_skew_pair",
-    "max_magnitude", "max_residual",
+    "max_magnitude", "max_residual", "max_residuals",
 ]
 
 
@@ -160,26 +160,39 @@ def max_magnitude(values):
     return worst
 
 
-def max_residual(fields, points):
-    """max_magnitude of every component of the TensorFields and tractor
-    sections in fields, over a sequence of points.
+def max_residuals(families, points) -> list:
+    """max_residual of each family of fields, over the same points.
 
-    All the components go into one compiled table, run once over the
+    The components of every family go into one compiled table, so a
+    subtree the families share is one instruction, run once over the
     rational points (exact Fractions) and once over the float points.
+    Each family then folds its own columns, so a NaN fails only the
+    families whose fields hold it.
     """
     from .kernel import eval_table
     from .program import compile_table
 
-    comps = [c for f in fields
-             for t in ([f] if isinstance(f, TensorField)
-                       else [g for _, g in f.slots()])
-             for c in t.components]
+    comps, bounds = [], [0]
+    for fields in families:
+        comps.extend(c for f in fields
+                     for t in ([f] if isinstance(f, TensorField)
+                               else [g for _, g in f.slots()])
+                     for c in t.components)
+        bounds.append(len(comps))
     exact = [p for p in points if _is_rational_point(p)]
     floats = [p for p in points if not _is_rational_point(p)]
     table = compile_table(comps)
-    return max_magnitude(itertools.chain.from_iterable(
-        eval_table(table, batch).ravel().tolist()
-        for batch in (exact, floats) if batch))
+    outs = [eval_table(table, batch) for batch in (exact, floats) if batch]
+    return [max_magnitude(itertools.chain.from_iterable(
+                out[:, lo:hi].ravel().tolist() for out in outs))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def max_residual(fields, points):
+    """max_magnitude of every component of the TensorFields and tractor
+    sections in fields, over a sequence of points: one family of
+    max_residuals."""
+    return max_residuals([fields], points)[0]
 
 
 def zero_field(dim: int, p: int, q: int) -> TensorField:

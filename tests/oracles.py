@@ -11,23 +11,27 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Two sections keep verbatim copies of replaced code: the per-type code
+Three sections keep verbatim copies of replaced code: the per-type code
 that one slot table per section type replaced (random sections, the
 (1,1) and (2,1) trace-free projectors, the sampled source-equation
-residual), and the seven hand-written connection bodies that the one
+residual), the seven hand-written connection bodies that the one
 Leibniz rule over tractor.py's placement table replaced, with the
-curvature action and the metrisability obstruction it also rewrote.
+curvature action and the metrisability obstruction it also rewrote, and
+max_residual as it was when each family of fields compiled its own
+table.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from protract.expr import ZERO, add
 from protract.geometry import GeometryError, covariant_derivative
-from protract.tensor import TensorField, is_symmetric_pair
+from protract.tensor import (TensorField, _is_rational_point, is_symmetric_pair,
+                             max_magnitude)
 from protract.tractor import (
     CotractorSection,
     S2CotractorSection,
@@ -809,3 +813,30 @@ def metrisability_obstruction_reference(geom: ChartGeometry, t: TensorField):
     scal = [add(*[2 * invn * (C[a, b, d] * t[b, d]) for b, d in pairs])
             for a in range(n)]
     return TensorField(n, 1, 1, vec), TensorField(n, 0, 1, scal)
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of the residual reduction that compiled one table per
+# family of fields (tensor.py), before one table served every family of
+# a check; only its imports are absolute.
+
+def max_residual_reference(fields, points):
+    """max_magnitude of every component of the TensorFields and tractor
+    sections in fields, over a sequence of points.
+
+    All the components go into one compiled table, run once over the
+    rational points (exact Fractions) and once over the float points.
+    """
+    from protract.kernel import eval_table
+    from protract.program import compile_table
+
+    comps = [c for f in fields
+             for t in ([f] if isinstance(f, TensorField)
+                       else [g for _, g in f.slots()])
+             for c in t.components]
+    exact = [p for p in points if _is_rational_point(p)]
+    floats = [p for p in points if not _is_rational_point(p)]
+    table = compile_table(comps)
+    return max_magnitude(itertools.chain.from_iterable(
+        eval_table(table, batch).ravel().tolist()
+        for batch in (exact, floats) if batch))

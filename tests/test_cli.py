@@ -170,6 +170,26 @@ class TestCheckCommand:
         assert exc.value.code == 2
         assert "--steps: must be at least 1" in capsys.readouterr().err
 
+    def test_bianchi_suite_compiles_one_residual_tape(self, monkeypatch):
+        from protract import program
+
+        real = program.compile_table
+        entries = []
+
+        def counted(exprs):
+            table = real(exprs)
+            entries.append(table.n_out)
+            return table
+
+        monkeypatch.setattr(program, "compile_table", counted)
+        rc, out, _, _ = run_cli(["check", "--spec", "nonEinstein3",
+                                  "--suite", "bianchi"])
+        assert rc == 0, out
+        # the metric (probed for symmetry) and its determinant (screening
+        # the sample points), each cached on the geometry; then one tape
+        # for the first and second Bianchi and Cotton-Weyl residuals
+        assert entries == [9, 1, 3 ** 4 + 3 ** 5 + 3 ** 3]
+
     def test_missing_spec_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["check", "--suite", "all"])
@@ -465,12 +485,15 @@ class TestCurvatureCommand:
 
 @pytest.fixture
 def inject_nan(monkeypatch):
-    """inject_nan(index): NaN into one slot of every table evaluation.
+    """inject_nan(index): NaN into one point of every table evaluation.
 
-    Every kernel table evaluation gets NaN written at component index
-    of every row (every point of the batch). Screening sample points
-    through check_invertible_at stays clean, so the suites still find
-    points to evaluate their residuals at.
+    Every kernel table evaluation gets NaN written into every component
+    of row index (the first or the last point of the batch). A table
+    can hold several residual families side by side, and each family
+    folds its own columns row by row, so every family's fold then
+    starts (index 0) or ends (index -1) with a NaN. Screening sample
+    points through check_invertible_at stays clean, so the suites still
+    find points to evaluate their residuals at.
     """
     def install(index):
         real_table = kernel.eval_table
@@ -480,7 +503,7 @@ def inject_nan(monkeypatch):
         def eval_table(table, points):
             out = real_table(table, points)
             if state["on"]:
-                out[..., index] = math.nan
+                out[index] = math.nan
             return out
 
         def screen(self, point):

@@ -451,6 +451,22 @@ class TestInterning:
         assert type(Var(1).index) is int
         assert Const(0.5) is not Const(Fraction(1, 2))
 
+    def test_node_fields_are_the_key_of_sums_products_negations(self):
+        x, y = var(0), var(1)
+        for cls, fields in ((Add, ((x, y),)), (Mul, ((x, y),)), (Neg, (x,))):
+            node = cls(*fields)
+            assert cls(*fields) is node
+            assert _INTERNED[(cls, *fields)]() is node
+        assert add(x, y) is Add((x, y)) and mul(x, y) is Mul((x, y))
+        assert _INTERNED[(Var, (1,), (int,))]() is y
+        # children of equal payloads but other types are other nodes, so
+        # the nodes over them stay apart with no types in their key
+        half, half_float = Const(Fraction(1, 2)), Const(0.5)
+        assert Add((x, half)) is not Add((x, half_float))
+        assert Mul((half, x)) is not Mul((half_float, x))
+        assert Neg(Var(1)) is not Neg(Var(True))
+        assert Neg(half) is not Neg(half_float)
+
     def test_identity_matches_structural_equality(self):
         from oracles import structural_key
 

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from protract.expr import const, evaluate, parse, var
+from protract.cli import load_geometry_spec
+from protract.expr import ONE, const, evaluate, parse, power, var
+from protract.geometry import (_cotton_weyl_field, _first_bianchi_field,
+                               _second_bianchi_field, partial_derivative,
+                               verify_bianchi)
+from protract.projective import (_invariance_fields, einstein_deviation,
+                                 gradient_upsilon)
 from protract.tensor import (
     PointTensor,
     TensorField,
@@ -19,6 +25,7 @@ from protract.tensor import (
     lower_index,
     max_magnitude,
     max_residual,
+    max_residuals,
     raise_index,
     skew_trace_coefficient,
     sym_trace_coefficient,
@@ -30,9 +37,13 @@ from protract.tensor import (
     zero_field,
 )
 
-from gen import poly_field, rng_for
-from oracles import (fraction_gauss_inverse, solve_projector_coefficient,
-                     tf_11_reference, trace_free_21_reference)
+from protract.tractor import TractorSection, metrisability_obstruction
+
+from gen import (float_points, invertible, poly_field, rational_points,
+                 rng_for, section)
+from oracles import (fraction_gauss_inverse, max_residual_reference,
+                     solve_projector_coefficient, tf_11_reference,
+                     trace_free_21_reference)
 
 
 def _vec(values):
@@ -418,6 +429,96 @@ class TestMaxMagnitude:
         assert isinstance(max_residual([f], exact), Fraction)
         got = max_residual([f, s], floats)
         assert isinstance(got, float) and got == pytest.approx(25 / 3)
+
+
+def _assert_same_residual(got, want):
+    """Equal Fractions (or ints) from rational points, bitwise-equal
+    floats otherwise."""
+    assert type(got) is type(want)
+    if isinstance(got, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
+
+
+class TestMaxResiduals:
+    """One table for the families of a check gives every family the value
+    of the old path, which compiled a table per family."""
+
+    def test_random_families_match_a_table_per_family(self):
+        rng = rng_for("max-residuals")
+        for _ in range(12):
+            n = rng.choice((2, 3))
+            base = [poly_field(rng, n, rng.randint(0, 1), rng.randint(0, 2))
+                    for _ in range(4)]
+            recip = power(ONE + var(0) * var(0), -1)
+            families = [[]]
+            for _ in range(rng.randint(2, 4)):
+                family = []
+                for _ in range(rng.randint(1, 3)):
+                    a, b = rng.sample(base, 2)
+                    family.append(rng.choice((
+                        a, tensor_product(a, b), a.scaled(recip),
+                        partial_derivative(tensor_product(a, b)),
+                        section(rng, TractorSection, n))))
+                families.append(family)
+            rng.shuffle(families)
+            exact = rational_points(rng, n, 2)
+            floats = float_points(rng, n, 2)
+            for pts in (exact, floats, exact[:1] + floats + exact[1:], []):
+                got = max_residuals(families, pts)
+                assert len(got) == len(families)
+                for family, value in zip(families, got):
+                    _assert_same_residual(
+                        value, max_residual_reference(family, pts))
+
+    @pytest.mark.parametrize("name", ["flat2", "flat3", "sphere2", "sphere3",
+                                      "nonEinstein2", "nonEinstein3"])
+    def test_suite_families_of_bundled_specs(self, name):
+        spec = load_geometry_spec(name)
+        geom = spec.geom
+        pack, conn = geom.pack(), geom.connection()
+        rng = rng_for("max-residuals-" + name)
+        exact = [p for p in rational_points(rng, spec.dim, 2)
+                 if invertible(geom, p)]
+        floats = [[float(x) for x in p] for p in exact]
+        bianchi = [[_first_bianchi_field(pack.riemann)],
+                   [_second_bianchi_field(conn, pack.riemann)],
+                   [_cotton_weyl_field(pack, conn)]]
+        invariance = [[f] for f in _invariance_fields(
+            geom, gradient_upsilon(spec.phi, spec.dim))]
+        einstein = [[einstein_deviation(geom)],
+                    metrisability_obstruction(geom, geom.metric_inverse())]
+        for pts in (exact, floats):
+            for families in (bianchi, invariance, einstein):
+                want = [max_residual_reference(f, pts) for f in families]
+                for got, value in zip(max_residuals(families, pts), want):
+                    _assert_same_residual(got, value)
+            # verify_bianchi reports its three families from the one table
+            out = verify_bianchi(pack, conn, pts)
+            for key, family in zip(("first", "second", "cotton_weyl"),
+                                   bianchi):
+                _assert_same_residual(out[key],
+                                      max_residual_reference(family, pts))
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nan_stays_in_its_family(self, k, place):
+        x0, x1 = var(0), var(1)
+        families = [[TensorField(2, 0, 1, [const(j + 1) * x1, x0 + j * x1])]
+                    for j in range(3)]
+        # x1/x0 is NaN at x0 = 0.0: the family's first component at the
+        # first point, or its last component at the last point
+        comps = list(families[k][0].components)
+        comps[0 if place == "first" else -1] = x1 * power(x0, -1)
+        families[k] = [TensorField(2, 0, 1, comps)]
+        pts = [[0.5, 0.25], [-0.75, 1.5]]
+        pts.insert(0 if place == "first" else 2, [0.0, 0.5])
+        got = max_residuals(families, pts)
+        for j, (family, value) in enumerate(zip(families, got)):
+            want = max_residual_reference(family, pts)
+            assert math.isnan(value) is math.isnan(want) is (j == k)
+            _assert_same_residual(value, want)
 
 
 @settings(max_examples=40, deadline=None)
