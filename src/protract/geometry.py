@@ -47,7 +47,7 @@ class SingularMetricError(GeometryError, EvalDomainError):
 class AffineConnection:
     """Torsion-free connection given by Christoffel symbols gamma[c][a][b]."""
 
-    __slots__ = ("dim", "gamma", "_flat")
+    __slots__ = ("dim", "gamma", "_flat", "_riemann")
 
     def __init__(self, gamma: TensorField, validate: bool = True):
         if (gamma.p, gamma.q) != (1, 2):
@@ -57,13 +57,20 @@ class AffineConnection:
         self.dim = gamma.dim
         self.gamma = gamma
         self._flat = None
+        self._riemann = None
+
+    def curvature(self) -> TensorField:
+        """riemann(self), built once per connection."""
+        if self._riemann is None:
+            self._riemann = riemann(self)
+        return self._riemann
 
     def is_flat(self) -> bool:
         """Whether the curvature vanishes: every Riemann component within
         1e-12 of zero at the fixed probe points (a non-finite value is
         not flat). Decided once per connection."""
         if self._flat is None:
-            R = riemann(self)
+            R = self.curvature()
             self._flat = max_residual(
                 [R], _probe_points(R.components, self.dim)) <= 1e-12
         return self._flat
@@ -261,7 +268,7 @@ def connection_pack(conn: AffineConnection) -> CurvaturePack:
     n = conn.dim
     if n < 2:
         raise GeometryError("needs dimension at least 2")
-    riem = riemann(conn)
+    riem = conn.curvature()
     ricci = symmetrize(_ricci(riem), (0, 1))
     schouten = ricci.scaled(Fraction(1, n - 1))
     weyl = _weyl(riem, schouten)
@@ -276,7 +283,7 @@ def derive_pack(geom: ChartGeometry) -> CurvaturePack:
     if n < 2:
         raise GeometryError("needs dimension at least 2")
     conn = geom.connection()
-    riem = riemann(conn)
+    riem = conn.curvature()
     ricci = _ricci(riem)
     ginv = geom.metric_inverse()
     scalar = TensorField(n, 0, 0, [add(*[ginv[b, d] * ricci[b, d]

@@ -285,10 +285,10 @@ def _permute_projector(T: Tensor, slots, signed: bool) -> Tensor:
     cache: dict[tuple, object] = {}
     out = []
     for multi in _ranges(n, T.rank):
-        key = tuple(sorted(multi[s] for s in slots)) + tuple(
-            multi[i] for i in range(T.rank) if i not in slots)
-        # same orbit representative object reused across positions
-        canon = cache.get((key, tuple(multi[s] for s in slots))) if signed else cache.get(key)
+        # symmetric: one object per orbit, reused at each of its positions
+        key = None if signed else tuple(sorted(multi[s] for s in slots)) \
+            + tuple(multi[i] for i in range(T.rank) if i not in slots)
+        canon = cache.get(key)
         if canon is None:
             total = 0
             for perm, sign in perms:
@@ -299,9 +299,7 @@ def _permute_projector(T: Tensor, slots, signed: bool) -> Tensor:
                 term = T.components[T.flat(idx)]
                 total = total + (term if sign > 0 else -term)
             canon = weight * total
-            if signed:
-                cache[(key, tuple(multi[s] for s in slots))] = canon
-            else:
+            if key is not None:
                 cache[key] = canon
         out.append(canon)
     return T._with(T.p, T.q, out)

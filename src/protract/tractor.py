@@ -10,7 +10,7 @@ Slot-name conventions, one per section type:
   TractorSection       (nu^b, rho)         rank n + 1
   S2TractorSection     (t^bc sym, nu^c, rho)
   S2CotractorSection   (beta_bc sym, mu_c, sigma)
-  SkewTractorSection   (beta^bc skew, nu^b, rho)
+  SkewTractorSection   (beta^bc skew, nu^b)
 
 A section type is described by its SLOT_SPEC (slot names and valences,
 in order) and SLOT_SYM (the symmetry of each rank-2 slot that has one).
@@ -19,15 +19,19 @@ validation below, complete_pair filling a rank-2 slot from its
 independent entries, the transport bundles' coordinate layout, and the
 random sections of the command-line suites.
 
-Every tractor connection is one Leibniz rule (_leibniz). In a splitting
-the frame B_b, E obeys nabla_a E = B_a and nabla_a B_b = -P_ab E: the
-matrix A_a^c_E = delta_a^c, A_a^E_b = -P_ab. Each slot takes its
-covariant derivative, and A acts on every tractor index, +A on an upper
-one and -A^T on a lower one (_act). _PLACEMENT says, per section type,
-whether its indices are upper or lower and where each slot sits among
-them, with a weight: S2T* reads beta_bc = S_bc, mu_c = 2 S_cE,
-sigma = S_EE, so its pairing with S2T is beta_bc t^bc + mu_c nu^c +
-sigma rho. tractor_curvature is the same action with Omega_ab (W, and
+Every tractor connection, the flat skew system included, is the one
+Leibniz rule (_leibniz). In a splitting the frame B_b, E obeys
+nabla_a E = B_a and nabla_a B_b = -P_ab E: the matrix A_a^c_E =
+delta_a^c, A_a^E_b = -P_ab. Each slot takes its covariant derivative,
+and A acts on every tractor index, +A on an upper one and -A^T on a
+lower one (_act). _PLACEMENT says, per section type, whether its
+indices are upper or lower and where each slot sits among them, with a
+weight: S2T* reads beta_bc = S_bc, mu_c = 2 S_cE, sigma = S_EE, so its
+pairing with S2T is beta_bc t^bc + mu_c nu^c + sigma rho. A place with
+an E entry before a frame index reads the same component as with its E
+entries moved last, negated for a type whose rank-2 slot is skew: the
+Lambda^2 T section reads beta^bc = S^bc, nu^c = S^cE = -S^Ec, and
+S^EE = 0. tractor_curvature is the same action with Omega_ab (W, and
 -C in the E row) for A. A new tractor-tensor section type needs only
 its slot table and its placement row.
 
@@ -193,7 +197,7 @@ class S2CotractorSection(Section):
 
 
 class SkewTractorSection(Section):
-    SLOT_SPEC = (("beta", (2, 0)), ("nu", (1, 0)), ("rho", (0, 0)))
+    SLOT_SPEC = (("beta", (2, 0)), ("nu", (1, 0)))
     SLOT_SYM = {"beta": "skew"}
 
 
@@ -202,12 +206,14 @@ class SkewTractorSection(Section):
 
 # Per section type: whether its tractor indices are upper, and per slot
 # (SLOT_SPEC order) its place among them, "E" for E and a letter for each
-# slot index, and its weight. The two-index types are symmetric.
+# slot index, and its weight. A two-index type is symmetric or skew as
+# SLOT_SYM says of its rank-2 slot.
 _PLACEMENT = {
     CotractorSection: (False, (("E", 1), ("b", 1))),
     TractorSection: (True, (("b", 1), ("E", 1))),
     S2TractorSection: (True, (("bc", 1), ("cE", 1), ("EE", 1))),
     S2CotractorSection: (False, (("bc", 1), ("cE", 2), ("EE", 1))),
+    SkewTractorSection: (True, (("bc", 1), ("cE", 1))),
 }
 
 
@@ -245,6 +251,7 @@ def _act(s: Section, matrix, blocks=(), leading=None) -> Section:
     if cls not in _PLACEMENT:
         raise ValueError("%s has no tractor placement" % cls.__name__)
     upper, row = _PLACEMENT[cls]
+    sign = -1 if "skew" in cls.SLOT_SYM.values() else 1
     n = s.dim
     fields = [f for _, f in s.slots()]
     places = [_slot_places(pattern, n) for pattern, _ in row]
@@ -252,8 +259,12 @@ def _act(s: Section, matrix, blocks=(), leading=None) -> Section:
             for si, slot in enumerate(places)
             for flat, place in enumerate(slot)}
     for place in itertools.product(range(n + 1), repeat=len(row[0][0])):
-        # symmetric: the E entries moved last name the same component
-        read.setdefault(place, read[tuple(sorted(place, key=lambda i: i == n))])
+        moved = tuple(sorted(place, key=lambda i: i == n))
+        # the E entries moved last name the same component, negated for a
+        # skew type; a skew type's E E entry is zero and is never read
+        if place not in read and moved in read:
+            si, flat, w = read[moved]
+            read[place] = (si, flat, sign * w)
     out = []
     for si, slot in enumerate(places):
         w_out = row[si][1]
@@ -267,7 +278,10 @@ def _act(s: Section, matrix, blocks=(), leading=None) -> Section:
                     if entry is None:
                         continue
                     k, factor = entry
-                    sj, fj, w_in = read[place[:pos] + (K,) + place[pos + 1:]]
+                    got = read.get(place[:pos] + (K,) + place[pos + 1:])
+                    if got is None:
+                        continue
+                    sj, fj, w_in = got
                     key = (sj, fj, factor)
                     k = k if upper else -k
                     if w_in != w_out:
@@ -512,56 +526,29 @@ def metrisability_obstruction(geom: ChartGeometry, t: TensorField):
             TensorField(n, 0, 1, [u.rho.components[0] for u in kt]))
 
 
-def flat_skew_prolong_nabla(s: SkewTractorSection, conn: AffineConnection):
-    """Closed system for tf(nabla beta) = 0 over a flat connection.
+def flat_skew_prolong_nabla(geom: ChartGeometry, s: SkewTractorSection):
+    """Closed system for tf(nabla beta) = 0 over a flat connection: the
+    normal Lambda^2 T connection.
 
     slot1 = nabla_a beta^bc - delta_a^b nu^c + delta_a^c nu^b
-    slot2 = nabla_a nu^b - delta_a^b rho
-    slot3 = nabla_a rho
+    slot2 = nabla_a nu^c - P_ad beta^cd
     """
-    n = conn.dim
-    if n < 3:
+    if geom.dim < 3:
         raise GeometryError("needs dimension at least 3")
-    if s.dim != n:
-        raise GeometryError("dimension mismatch")
-    if not conn.is_flat():
+    if not geom.connection().is_flat():
         raise GeometryError("connection is not flat")
-    rho = s.rho.components[0]
-    dbeta = covariant_derivative(conn, s.beta)  # [b][c][a]
-    dnu = covariant_derivative(conn, s.nu)      # [b][a]
-    drho = covariant_derivative(conn, s.rho)    # [a]
-    family = []
-    for a in range(n):
-        slot1 = []
-        for b in range(n):
-            for c in range(n):
-                val = dbeta[b, c, a]
-                if a == b:
-                    val = val - s.nu[c]
-                if a == c:
-                    val = val + s.nu[b]
-                slot1.append(val)
-        slot2 = [dnu[b, a] - (rho if a == b else ZERO) for b in range(n)]
-        family.append(SkewTractorSection(TensorField(n, 2, 0, slot1),
-                                         TensorField(n, 1, 0, slot2),
-                                         _scalar(n, drho[a]), validate=False))
-    return family
+    return _leibniz(geom, s)
 
 
 def skew_induced_parts(conn: AffineConnection, beta: TensorField):
-    """The lower slots a skew solution determines: nu from the divergence
-    of beta, rho from the divergence of nu."""
+    """The nu slot a skew solution determines, from the divergence of beta."""
     n = conn.dim
     if n < 3:
         raise GeometryError("needs dimension at least 3")
     dbeta = covariant_derivative(conn, beta)   # [b][c][a]
     k1 = Fraction(1, n - 1)
-    nu = TensorField(n, 1, 0, [
+    return TensorField(n, 1, 0, [
         k1 * add(*[dbeta[d, c, d] for d in range(n)]) for c in range(n)])
-    dnu = covariant_derivative(conn, nu)        # [b][a]
-    k2 = Fraction(1, n - 2)
-    rho = k2 * add(*[dnu[b, b] for b in range(n)])
-    return nu, _scalar(n, rho)
 
 
 def induced_s2_section(geom: ChartGeometry, t: TensorField) -> S2TractorSection:

@@ -16,6 +16,7 @@ tuples of curve segments chained end to end.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -88,20 +89,25 @@ class NonClosedLoopError(TransportError):
 # curves
 
 class CurveSegment:
-    """Chart curve c(u) with Expr components in the parameter x0."""
+    """Chart curve c(u) with Expr components in the parameter x0.
 
-    __slots__ = ("dim", "components", "velocity", "u0", "u1", "_table")
+    A reversed segment shares its table with the segment it reverses: it
+    reads the components at u0 + u1 - u (that sum taken exactly and
+    rounded once) and negates the velocity.
+    """
+
+    __slots__ = ("dim", "components", "u0", "u1", "_table", "_flip")
 
     def __init__(self, components: Sequence, u0=0, u1=1):
         comps = tuple(as_expr(c) for c in components)
         self.dim = len(comps)
         self.components = comps
-        self.velocity = tuple(diff_all(comps, 0))
         self.u0 = u0
         self.u1 = u1
         if not float(u1) > float(u0):
             raise TransportError("segment needs u1 > u0")
-        self._table = compile_table(list(comps) + list(self.velocity))
+        self._table = compile_table(list(comps) + diff_all(comps, 0))
+        self._flip = None
 
     @property
     def length(self) -> float:
@@ -116,38 +122,20 @@ class CurveSegment:
         """Position and velocity arrays, (N, dim) each, at N parameters."""
         # float parameters: an int or Fraction u0/u1 would select exact
         # arithmetic, which has no sin, cos or exp
-        out = eval_table(self._table, np.asarray(us, dtype=float)[:, None])
-        return out[:, :self.dim], out[:, self.dim:]
+        us = np.asarray(us, dtype=float)
+        if self._flip is not None:
+            us = self._flip - us
+        out = eval_table(self._table, us[:, None])
+        pos, vel = out[:, :self.dim], out[:, self.dim:]
+        # 0.0 - vel, not -vel: a velocity component that is constantly
+        # zero stays +0.0, as the derivative of the reversed curve reads
+        return (pos, vel) if self._flip is None else (pos, 0.0 - vel)
 
     def reversed(self) -> "CurveSegment":
-        u = var(0)
-        total = as_expr(self.u0) + as_expr(self.u1)
-        flipped = [_substitute_param(c, total - u) for c in self.components]
-        return CurveSegment(flipped, self.u0, self.u1)
-
-
-def _substitute_param(e: Expr, replacement: Expr) -> Expr:
-    from .expr import (Add, Call, Const, Mul, Neg, Pow, Var,
-                       _postorder_apply, add, mul, neg, power)
-
-    def rebuild(node, ch):
-        if isinstance(node, Var):
-            return replacement if node.index == 0 else node
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Add):
-            return add(*ch)
-        if isinstance(node, Mul):
-            return mul(*ch)
-        if isinstance(node, Pow):
-            return power(ch[0], node.exponent)
-        if isinstance(node, Neg):
-            return neg(ch[0])
-        if isinstance(node, Call):
-            return Call(node.name, ch[0])
-        return node
-
-    return _postorder_apply([e], rebuild)[0]
+        rev = copy.copy(self)
+        rev._flip = float(Fraction(self.u0) + Fraction(self.u1)) \
+            if self._flip is None else None
+        return rev
 
 
 def reverse_loop(curve) -> tuple:
@@ -166,11 +154,11 @@ def _endpoints(seg: CurveSegment) -> np.ndarray:
     return seg.sample_many([float(seg.u0), float(seg.u1)])[0]
 
 
-def _check_closed(loop: tuple, tol: float = 1e-12):
+def _check_closed(loop: tuple):
     pts = [_endpoints(seg) for seg in loop]
     for i, (_, end) in enumerate(pts):
         nxt = pts[(i + 1) % len(pts)][0]
-        if float(np.max(np.abs(end - nxt))) > tol:
+        if float(np.max(np.abs(end - nxt))) > 1e-12:
             raise NonClosedLoopError("loop is not closed (segment %d)" % i)
 
 
@@ -185,33 +173,32 @@ def line_segment(start, end) -> CurveSegment:
 _TAU = Fraction(math.tau)
 
 
-def circle_loop(center, radius, plane=(0, 1)) -> tuple:
-    """Single-segment circle of given center and radius in a coordinate
-    plane, parametrised over [0, 1]."""
+def circle_loop(center, radius) -> tuple:
+    """Single-segment circle of given center and radius in the (0, 1)
+    coordinate plane, parametrised over [0, 1]."""
     u = var(0)
-    i, j = plane
     comps = [_coef(c) for c in center]
-    comps[i] = comps[i] + _coef(radius) * cos(const(_TAU) * u)
-    comps[j] = comps[j] + _coef(radius) * sin(const(_TAU) * u)
+    comps[0] = comps[0] + _coef(radius) * cos(const(_TAU) * u)
+    comps[1] = comps[1] + _coef(radius) * sin(const(_TAU) * u)
     return (CurveSegment(comps, 0, 1),)
 
 
-def rectangle_loop(corner, width, height, plane=(0, 1)) -> tuple:
-    """Four linear segments tracing an axis-aligned rectangle."""
-    i, j = plane
+def rectangle_loop(corner, width, height) -> tuple:
+    """Four linear segments tracing an axis-aligned rectangle in the
+    (0, 1) coordinate plane."""
     c0 = list(corner)
-    c1 = list(corner); c1[i] += width
-    c2 = list(corner); c2[i] += width; c2[j] += height
-    c3 = list(corner); c3[j] += height
+    c1 = list(corner); c1[0] += width
+    c2 = list(corner); c2[0] += width; c2[1] += height
+    c3 = list(corner); c3[1] += height
     return (line_segment(c0, c1), line_segment(c1, c2),
             line_segment(c2, c3), line_segment(c3, c0))
 
 
-def seeded_loops(box, count: int, seed: int, kinds=("circle", "rect")) -> list:
+def seeded_loops(box, count: int, seed: int) -> list:
     """Reproducible loops inside an evaluation box.
 
-    box: per-coordinate [lo, hi] pairs. Circles and rectangles alternate
-    (as available) in the (0,1) plane; remaining coordinates sit at the
+    box: per-coordinate [lo, hi] pairs. Circles and rectangles alternate,
+    a circle first, in the (0,1) plane; remaining coordinates sit at the
     box centre jittered by the same generator.
     """
     rng = random.Random(seed)
@@ -219,11 +206,10 @@ def seeded_loops(box, count: int, seed: int, kinds=("circle", "rect")) -> list:
     lows = [float(b[0]) for b in box]
     highs = [float(b[1]) for b in box]
     for k in range(count):
-        kind = kinds[k % len(kinds)]
         centre = [lo + (hi - lo) * (0.35 + 0.3 * rng.random())
                   for lo, hi in zip(lows, highs)]
         span = min(highs[0] - lows[0], highs[1] - lows[1])
-        if kind == "circle":
+        if k % 2 == 0:
             radius = span * (0.08 + 0.12 * rng.random())
             loops.append(circle_loop(centre, radius))
         else:
@@ -378,9 +364,8 @@ def s2_cotractor_bundle(geom: ChartGeometry) -> TransportBundle:
 
 
 def skew_bundle(geom: ChartGeometry) -> TransportBundle:
-    def nabla(g, s):
-        return flat_skew_prolong_nabla(s, g.connection())
-    return TransportBundle("skew", SkewTractorSection, nabla, geom)
+    return TransportBundle("skew", SkewTractorSection,
+                           flat_skew_prolong_nabla, geom)
 
 
 def tangent_bundle(geom: ChartGeometry) -> TransportBundle:

@@ -60,3 +60,12 @@ def non_einstein2():
 @pytest.fixture(scope="session")
 def non_einstein3():
     return _geom(3, ["1", "0", "0", "0", "1+x0^2", "0", "0", "0", "1"])
+
+
+@pytest.fixture(scope="session")
+def flat_pulled3():
+    """The Euclidean metric pulled back by y = (x0, x1 + x0^2, x2 + x0 x1):
+    a flat chart whose Christoffel symbols are not zero."""
+    return _geom(3, ["1+4*x0^2+x1^2", "2*x0+x0*x1", "x1",
+                     "2*x0+x0*x1", "1+x0^2", "x0",
+                     "x1", "x0", "1"])

@@ -11,14 +11,17 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Three sections keep verbatim copies of replaced code: the per-type code
+Five sections keep verbatim copies of replaced code: the per-type code
 that one slot table per section type replaced (random sections, the
 (1,1) and (2,1) trace-free projectors, the sampled source-equation
 residual), the seven hand-written connection bodies that the one
 Leibniz rule over tractor.py's placement table replaced, with the
-curvature action and the metrisability obstruction it also rewrote, and
+curvature action and the metrisability obstruction it also rewrote,
 max_residual as it was when each family of fields compiled its own
-table.
+table, the flat skew system with its rho slot that the Lambda^2 T
+placement row replaced, and CurveSegment.reversed as it was when it
+substituted into the curve's DAG. antisymmetrize_reference builds each
+entry of a skew part anew, with no cache.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from protract.tractor import (
     CotractorSection,
     S2CotractorSection,
     S2TractorSection,
+    Section,
     TractorSection,
     _scalar,
 )
@@ -453,13 +457,12 @@ def rand_s2cotractor_reference(rng, dim):
 
 
 def skew_section_reference(rng, dim):
-    """gen.skew_section."""
-    from protract.cli import _rand_poly
+    """gen.skew_section, without the rho slot Lambda^2 T does not have."""
     from protract.tractor import SkewTractorSection
 
     return SkewTractorSection(rand_field_reference(rng, dim, 2, 0, "skew"),
                               rand_field_reference(rng, dim, 1, 0),
-                              _rand_poly(rng, dim), validate=False)
+                              validate=False)
 
 
 def tf_11_reference(M):
@@ -840,3 +843,120 @@ def max_residual_reference(fields, points):
     return max_magnitude(itertools.chain.from_iterable(
         eval_table(table, batch).ravel().tolist()
         for batch in (exact, floats) if batch))
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of the hand-written flat skew system (tractor.py) that the
+# Lambda^2 T placement row replaced, with the section type it acted on:
+# beta^bc, nu^b and an extra scalar rho that integrability forces to
+# zero. Only the section type's name differs.
+
+class SkewRhoSection(Section):
+    """SkewTractorSection as it was, with its rho slot."""
+
+    SLOT_SPEC = (("beta", (2, 0)), ("nu", (1, 0)), ("rho", (0, 0)))
+    SLOT_SYM = {"beta": "skew"}
+
+
+def flat_skew_prolong_nabla_reference(s: SkewRhoSection, conn: AffineConnection):
+    """Closed system for tf(nabla beta) = 0 over a flat connection.
+
+    slot1 = nabla_a beta^bc - delta_a^b nu^c + delta_a^c nu^b
+    slot2 = nabla_a nu^b - delta_a^b rho
+    slot3 = nabla_a rho
+    """
+    n = conn.dim
+    if n < 3:
+        raise GeometryError("needs dimension at least 3")
+    if s.dim != n:
+        raise GeometryError("dimension mismatch")
+    if not conn.is_flat():
+        raise GeometryError("connection is not flat")
+    rho = s.rho.components[0]
+    dbeta = covariant_derivative(conn, s.beta)  # [b][c][a]
+    dnu = covariant_derivative(conn, s.nu)      # [b][a]
+    drho = covariant_derivative(conn, s.rho)    # [a]
+    family = []
+    for a in range(n):
+        slot1 = []
+        for b in range(n):
+            for c in range(n):
+                val = dbeta[b, c, a]
+                if a == b:
+                    val = val - s.nu[c]
+                if a == c:
+                    val = val + s.nu[b]
+                slot1.append(val)
+        slot2 = [dnu[b, a] - (rho if a == b else ZERO) for b in range(n)]
+        family.append(SkewRhoSection(TensorField(n, 2, 0, slot1),
+                                     TensorField(n, 1, 0, slot2),
+                                     _scalar(n, drho[a]), validate=False))
+    return family
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of CurveSegment.reversed (transport.py) as it was before a
+# reversed segment read its own table backwards: it substituted
+# u0 + u1 - x0 for x0 in every component and compiled the result anew.
+
+def reversed_segment_reference(self):
+    """CurveSegment.reversed: a new segment built from the substituted DAG."""
+    from protract.expr import as_expr, var
+    from protract.transport import CurveSegment
+
+    u = var(0)
+    total = as_expr(self.u0) + as_expr(self.u1)
+    flipped = [_substitute_param(c, total - u) for c in self.components]
+    return CurveSegment(flipped, self.u0, self.u1)
+
+
+def _substitute_param(e, replacement):
+    from protract.expr import (Add, Call, Const, Mul, Neg, Pow, Var,
+                               _postorder_apply, add, mul, neg, power)
+
+    def rebuild(node, ch):
+        if isinstance(node, Var):
+            return replacement if node.index == 0 else node
+        if isinstance(node, Const):
+            return node
+        if isinstance(node, Add):
+            return add(*ch)
+        if isinstance(node, Mul):
+            return mul(*ch)
+        if isinstance(node, Pow):
+            return power(ch[0], node.exponent)
+        if isinstance(node, Neg):
+            return neg(ch[0])
+        if isinstance(node, Call):
+            return Call(node.name, ch[0])
+        return node
+
+    return _postorder_apply([e], rebuild)[0]
+
+
+# ---------------------------------------------------------------------------
+# tensor.antisymmetrize as the sequential loop: every entry built anew,
+# with no cache (tensor._permute_projector's signed cache never hit).
+
+def antisymmetrize_reference(T, slots):
+    """Signed average over permutations of the given slots, entry by entry."""
+    from protract.tensor import _perm_sign, _ranges
+
+    slots = tuple(slots)
+    k = len(slots)
+    weight = Fraction(1, 1)
+    for i in range(2, k + 1):
+        weight /= i
+    out = []
+    for multi in _ranges(T.dim, T.rank):
+        total = 0
+        for perm in itertools.permutations(range(k)):
+            sign = _perm_sign(perm)
+            idx = list(multi)
+            vals = [multi[s] for s in slots]
+            for pos, s in enumerate(slots):
+                idx[s] = vals[perm[pos]]
+            term = T.components[T.flat(idx)]
+            total = total + (term if sign > 0 else -term)
+        out.append(weight * total)
+    return out

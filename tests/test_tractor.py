@@ -34,7 +34,7 @@ from protract.tractor import (
     tractor_nabla,
     _leibniz,
 )
-from protract.transport import BUNDLES
+from protract.transport import BUNDLES, skew_bundle, solution_correspondence
 
 from gen import (
     float_points,
@@ -115,8 +115,7 @@ class TestSectionValidation:
     def test_skew_validated(self):
         comps = [parse(s, 2) for s in ("1", "0", "0", "0")]
         with pytest.raises(ValueError, match="^slot beta must be skew$"):
-            SkewTractorSection(TensorField(2, 2, 0, comps), _zero_field(2, 1, 0),
-                               parse("0", 2))
+            SkewTractorSection(TensorField(2, 2, 0, comps), _zero_field(2, 1, 0))
 
     def test_arithmetic(self):
         rng = rng_for("section-arith")
@@ -575,19 +574,11 @@ class TestTractorDuality:
 
 
 class TestSkew:
-    def test_constant_beta_parallel(self, flat3):
-        conn = flat3.connection()
-        comps = [parse(v, 3) for v in ("0", "2", "-1", "-2", "0", "3", "1", "-3", "0")]
-        beta = TensorField(3, 2, 0, comps)
-        s = SkewTractorSection(beta, _zero_field(3, 1, 0), parse("0", 3))
-        fam = flat_skew_prolong_nabla(s, conn)
-        pt = [Fraction(1), Fraction(5), Fraction(-2)]
-        assert _family_max(fam, pt) == 0
-
-    def test_wedge_solution_parallel_and_trace_free(self, flat3):
-        # beta = A + x wedge w with nu = w and rho = 0 solves the system
+    @staticmethod
+    def _wedge_solution():
+        """beta = A + x wedge w with nu = w: a solution of tf(nabla beta) = 0
+        on a chart with zero Christoffel symbols, and parallel there."""
         n = 3
-        conn = flat3.connection()
         w = [Fraction(2), Fraction(-1), Fraction(3)]
         a_const = [[0, 1, -2], [-1, 0, 4], [2, -4, 0]]
         comps = []
@@ -595,46 +586,81 @@ class TestSkew:
             for c in range(n):
                 comps.append(parse(
                     f"{a_const[b][c]} + x{b}*{w[c]} - x{c}*{w[b]}", n))
-        beta = TensorField(n, 2, 0, comps)
-        s = SkewTractorSection(beta, _const_vec(n, w), parse("0", n))
-        fam = flat_skew_prolong_nabla(s, conn)
+        return SkewTractorSection(TensorField(n, 2, 0, comps), _const_vec(n, w))
+
+    def test_constant_beta_parallel(self, flat3):
+        comps = [parse(v, 3) for v in ("0", "2", "-1", "-2", "0", "3", "1", "-3", "0")]
+        beta = TensorField(3, 2, 0, comps)
+        s = SkewTractorSection(beta, _zero_field(3, 1, 0))
+        fam = flat_skew_prolong_nabla(flat3, s)
+        pt = [Fraction(1), Fraction(5), Fraction(-2)]
+        assert _family_max(fam, pt) == 0
+
+    def test_wedge_solution_parallel_and_trace_free(self, flat3):
+        s = self._wedge_solution()
+        fam = flat_skew_prolong_nabla(flat3, s)
         pt = [Fraction(4), Fraction(1), Fraction(-3)]
         assert _family_max(fam, pt) == 0
         # and the underlying trace-free equation holds for beta itself
-        residual = trace_free_skew(covariant_derivative(conn, beta))
+        residual = trace_free_skew(covariant_derivative(flat3.connection(),
+                                                        s.beta))
         assert residual.at(pt).max_abs() == 0
+
+    def test_wedge_solution_correspondence(self, flat3):
+        s = self._wedge_solution()
+        pts = rational_points(rng_for("skew-wedge"), 3, 4)
+        assert solution_correspondence(skew_bundle(flat3), s, pts) == 0
 
     def test_curved_connection_refused(self, sphere3):
         from protract.geometry import GeometryError
 
-        s = SkewTractorSection(_zero_field(3, 2, 0), _zero_field(3, 1, 0),
-                               parse("1", 3))
+        s = SkewTractorSection(_zero_field(3, 2, 0), _zero_field(3, 1, 0))
         # the decision is kept on the connection; every call still refuses
         for _ in range(2):
             with pytest.raises(GeometryError, match="connection is not flat"):
-                flat_skew_prolong_nabla(s, sphere3.connection())
+                flat_skew_prolong_nabla(sphere3, s)
 
     def test_induced_parts(self, flat3):
         n = 3
-        conn = flat3.connection()
         w = [Fraction(1), Fraction(2), Fraction(-2)]
         comps = []
         for b in range(n):
             for c in range(n):
                 comps.append(parse(f"x{b}*{w[c]} - x{c}*{w[b]}", n))
         beta = TensorField(n, 2, 0, comps)
-        nu, rho = skew_induced_parts(conn, beta)
+        nu = skew_induced_parts(flat3.connection(), beta)
         pt = [Fraction(1), Fraction(1), Fraction(1)]
         assert list(nu.at(pt).components) == w
-        assert rho.at(pt).components[0] == 0
 
-    def test_nonzero_rho_not_parallel_on_flat(self, flat3):
-        # the rho direction of the bundle admits no global solution: starting
-        # from nu = x (so rho = 1) the top slot cannot stay zero
-        n = 3
-        conn = flat3.connection()
-        nu = TensorField(n, 1, 0, [parse(f"x{i}", n) for i in range(n)])
-        s = SkewTractorSection(_zero_field(n, 2, 0), nu, parse("1", n))
-        fam = flat_skew_prolong_nabla(s, conn)
-        pt = [Fraction(1), Fraction(2), Fraction(3)]
-        assert _family_max(fam, pt) > 0
+    @pytest.mark.parametrize("chart", ["flat3", "flat_pulled3"])
+    def test_is_the_old_system_at_rho_zero(self, chart, request):
+        # the Leibniz rule on Lambda^2 T against the hand-written system of
+        # oracles.py with its rho slot at zero: equal slot by slot, and
+        # the old system's rho slot stays zero, at rational points of a
+        # chart with zero and one with nonzero Christoffel symbols
+        geom = request.getfixturevalue(chart)
+        conn = geom.connection()
+        rng = rng_for("skew-differential-" + chart)
+        pts = rational_points(rng, 3, 3)
+        zero = _zero_field(3, 0, 0)
+        for _ in range(5):
+            s = section(rng, SkewTractorSection, 3)
+            old_s = oracles.SkewRhoSection(s.beta, s.nu, zero)
+            new = flat_skew_prolong_nabla(geom, s)
+            old = oracles.flat_skew_prolong_nabla_reference(old_s, conn)
+            gaps = [f for u, v in zip(new, old)
+                    for f in (u.beta - v.beta, u.nu - v.nu, v.rho)]
+            assert max_residual(gaps, pts) == 0
+
+    @pytest.mark.parametrize("chart, flat", [
+        ("flat3", True), ("sphere3", True), ("non_einstein3", False)])
+    def test_curvature_vanishes_where_w_and_c_do(self, chart, flat, request):
+        # the placement row gives Lambda^2 T its curvature action too:
+        # zero where W = C = 0, and not zero on a non-Einstein chart
+        geom = request.getfixturevalue(chart)
+        rng = rng_for("skew-curvature")
+        s = section(rng, SkewTractorSection, 3)
+        grid = tractor_curvature(geom, s)
+        pts = [p for p in rational_points(rng, 3, 3) if invertible(geom, p)]
+        worst = max_residual([m for row in grid for m in row], pts)
+        assert (worst == 0) is flat

@@ -38,6 +38,7 @@ from protract.transport import (
 )
 
 from gen import rng_for
+import oracles
 from oracles import (central_diff, richardson_order,
                      sampled_pde_residual_reference)
 
@@ -105,6 +106,29 @@ class TestCurves:
         assert np.allclose(fwd_start, rev_end)
         assert np.allclose(fwd_v, -rev_v)
 
+    @pytest.mark.parametrize("steps", [1, 7, 64])
+    def test_reversed_segment_reads_its_table_backwards(self, steps):
+        # the same floats, bit for bit, as the segment compiled from the
+        # substituted DAG, at every RK4 node, u0 and u1 included; and
+        # reversing twice gives the original samples
+        loops = [circle_loop([0.2, 0.1], 0.55), circle_loop([0, 0, 0], 0.4),
+                 rectangle_loop([0.1, -0.3], 0.2, 0.45),
+                 (line_segment([0, 1], [2, 5]),
+                  line_segment([0.25, -1 / 3, 1], [-0.7, 0.1, 3]))]
+        for seg in (seg for loop in loops for seg in loop):
+            u0, h = float(seg.u0), seg.length / steps
+            nodes = [u0] + [u0 + (k + f) * h for k in range(steps)
+                            for f in (0.5, 1)]
+            assert nodes[-1] == float(seg.u1)
+            old = oracles.reversed_segment_reference(seg).sample_many(nodes)
+            rev = seg.reversed()
+            for new, want in ((rev.sample_many(nodes), old),
+                              (rev.reversed().sample_many(nodes),
+                               seg.sample_many(nodes))):
+                for x, y in zip(new, want):
+                    assert [v.hex() for v in x.ravel().tolist()] \
+                        == [v.hex() for v in y.ravel().tolist()]
+
     def test_reverse_loop_order(self):
         loop = rectangle_loop([0.1, 0.1], 0.2, 0.2)
         rev = reverse_loop(loop)
@@ -141,7 +165,7 @@ class TestBundleMachinery:
         assert cotractor_bundle(flat2).rank == 3
         assert tractor_bundle(sphere2).rank == 3
         assert s2_tractor_bundle(flat3).rank == 10  # 6 sym + 3 + 1
-        assert skew_bundle(flat3).rank == 7  # 3 skew + 3 + 1
+        assert skew_bundle(flat3).rank == 6  # 3 skew + 3
         assert tangent_bundle(sphere2).rank == 2
 
     def test_basis_round_trip(self, flat2):
@@ -321,12 +345,12 @@ class TestHolonomy:
         assert rep.fixed_dim == 2
 
     def test_flat_skew_dimension_six(self, flat3):
-        # the rho direction admits no global parallel section, so the fixed
-        # space is 6-dimensional out of rank 7
+        # Lambda^2 T over a flat chart is flat: every direction of the
+        # rank-6 bundle is the value of a parallel section
         loops = seeded_loops([[-1, 1], [-1, 1], [-1, 1]], 5, seed=14)
         rep = holonomy_dimension(skew_bundle(flat3), loops,
                                  steps=400, seed=14)
-        assert rep.rank == 7
+        assert rep.rank == 6
         assert rep.fixed_dim == 6
 
     def test_skew_build_decides_flatness_once(self, flat3, monkeypatch):
@@ -341,7 +365,7 @@ class TestHolonomy:
         monkeypatch.setattr(geometry, "riemann", counted)
         # a geometry of its own, so no earlier test decided its flatness
         bundle = skew_bundle(geometry.ChartGeometry(flat3.metric))
-        assert bundle.coefficients_at([[0.1, 0.2, 0.3]]).shape == (1, 3, 7, 7)
+        assert bundle.coefficients_at([[0.1, 0.2, 0.3]]).shape == (1, 3, 6, 6)
         assert len(calls) == 1
 
     def test_report_json_schema(self, flat2):
