@@ -59,7 +59,7 @@ from .transport import (
     TransportError,
     circle_loop,
     cotractor_bundle,
-    holonomy_dimension,
+    holonomy_dimensions,
     line_segment,
     loop_matrix,
     rectangle_loop,
@@ -415,15 +415,18 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     pts = _eval_points(spec)
     loops = seeded_loops(spec.box, 5, seed)
     sv_tol = tol if tol is not None else 1e-6
-    for make_bundle in (cotractor_bundle, tractor_bundle):
-        bundle = make_bundle(geom)
+    bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
+                                       s2_tractor_bundle)]
+    reps = holonomy_dimensions(bundles, loops, steps=steps, seed=seed,
+                               sv_tol=sv_tol)
+    # the cotractor and tractor curvature grids reduce from one table
+    grids = [tractor_curvature(geom, _rand_section(
+        random.Random(seed), bundle.section_cls, spec.dim))
+        for bundle in bundles[:2]]
+    curvs = max_residuals([[member for row in grid for member in row]
+                           for grid in grids], pts[:4])
+    for bundle, rep, curv in zip(bundles[:2], reps, map(float, curvs)):
         label = bundle.name
-        rep = holonomy_dimension(bundle, loops, steps=steps, seed=seed,
-                                 sv_tol=sv_tol)
-        grid = tractor_curvature(geom, _rand_section(
-            random.Random(seed), bundle.section_cls, spec.dim))
-        curv = float(max_residual(
-            (member for row in grid for member in row), pts[:4]))
         report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
         report.metrics["%s_curvature_max" % label] = curv
         if curv < 1e-10:
@@ -434,9 +437,7 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
             resid = 0.0 if rep.fixed_dim < bundle.rank else 1.0
         report.add(name % label,
                    _unless_nonfinite(resid, curv, *rep.singular_values), 0.5)
-    mb = s2_tractor_bundle(geom)
-    mrep = holonomy_dimension(mb, loops, steps=steps, seed=seed,
-                              sv_tol=sv_tol)
+    mb, mrep = bundles[2], reps[2]
     report.metrics["%s_fixed_dim" % mb.name] = mrep.fixed_dim
     report.metrics["%s_rank" % mb.name] = mb.rank
     report.metrics["holonomy_singular_values"] = mrep.singular_values

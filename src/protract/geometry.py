@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import EvalDomainError, ZERO, add, diff_all, mul, neg
+from .expr import EvalDomainError, Expr, ZERO, add, diff_all, mul, neg
 from .tensor import (
     TensorField,
     _probe_points,
@@ -179,6 +179,25 @@ def partial_derivative(T: TensorField) -> TensorField:
                                      for a in range(n) for lo in range(lows)])
 
 
+def _nabla_component(gamma: TensorField, T: TensorField, up: tuple, a: int,
+                     lo: tuple, partial) -> Expr:
+    """nabla_a T^up_lo from the partial derivative d_a T^up_lo: one
+    +gamma term per upper slot and one -gamma term per lower slot."""
+    n = T.dim
+    terms = [partial]
+    for i in range(len(up)):
+        for e in range(n):
+            repl = up[:i] + (e,) + up[i + 1:]
+            terms.append(mul(gamma[up[i], a, e],
+                             T.components[T.flat(repl + lo)]))
+    for j in range(len(lo)):
+        for e in range(n):
+            repl = lo[:j] + (e,) + lo[j + 1:]
+            terms.append(neg(mul(gamma[e, a, lo[j]],
+                                 T.components[T.flat(up + repl)])))
+    return add(*terms)
+
+
 def covariant_derivative(conn: AffineConnection, T: TensorField) -> TensorField:
     """Connection derivative; the new covariant slot comes first.
 
@@ -189,26 +208,11 @@ def covariant_derivative(conn: AffineConnection, T: TensorField) -> TensorField:
     if conn.dim != T.dim:
         raise GeometryError("dimension mismatch")
     n, p, q = T.dim, T.p, T.q
-    gamma = conn.gamma
-    out = []
-    for multi, val in zip(itertools.product(range(n), repeat=p + q + 1),
-                          partial_derivative(T).components):
-        up = multi[:p]
-        a = multi[p]
-        lo = multi[p + 1:]
-        terms = [val]
-        for i in range(p):
-            for e in range(n):
-                repl = up[:i] + (e,) + up[i + 1:]
-                terms.append(mul(gamma[up[i], a, e],
-                                 T.components[T.flat(repl + lo)]))
-        for j in range(q):
-            for e in range(n):
-                repl = lo[:j] + (e,) + lo[j + 1:]
-                terms.append(neg(mul(gamma[e, a, lo[j]],
-                                     T.components[T.flat(up + repl)])))
-        out.append(add(*terms))
-    return TensorField(n, p, q + 1, out)
+    return TensorField(n, p, q + 1, [
+        _nabla_component(conn.gamma, T, multi[:p], multi[p], multi[p + 1:],
+                         val)
+        for multi, val in zip(itertools.product(range(n), repeat=p + q + 1),
+                              partial_derivative(T).components)])
 
 
 def riemann(conn: AffineConnection) -> TensorField:
@@ -328,15 +332,22 @@ def _second_bianchi_field(conn: AffineConnection,
 
 def _cotton_weyl_field(pack: CurvaturePack,
                        conn: AffineConnection) -> TensorField:
-    """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d]."""
+    """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d].
+
+    The divergence differentiates by x^c only the components W^c_abd it
+    reads, and builds each nabla_c W_ab{}^c{}_d term as
+    covariant_derivative would."""
     W = pack.weyl
     C = pack.cotton
     n = W.dim
-    dW = covariant_derivative(conn, W)  # [c][e][a][b][d] = nabla_e W_ab^c_d
-    return TensorField(n, 0, 3, [(n - 2) * C[a, b, d]
-                                 - add(*[dW[c, c, a, b, d] for c in range(n)])
-                                 for a, b, d in itertools.product(
-                                     range(n), repeat=3)])
+    low = n ** 3
+    # dW[c][abd] = d_c W_ab^c_d
+    dW = [diff_all(W.components[c * low:(c + 1) * low], c) for c in range(n)]
+    return TensorField(n, 0, 3, [
+        (n - 2) * C[a, b, d]
+        - add(*[_nabla_component(conn.gamma, W, (c,), c, (a, b, d),
+                                 dW[c][k]) for c in range(n)])
+        for k, (a, b, d) in enumerate(itertools.product(range(n), repeat=3))])
 
 
 def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:

@@ -8,7 +8,11 @@ RK4; since the right side is linear, whole frames transport as matrices,
 and each RK4 step is one propagator matrix. A loop is transported as one
 batch: the coefficients at the RK4 nodes of all its segments come from
 one evaluation, and every step propagator from stacked matrix products;
-only the product of the propagators runs step by step.
+only the product of the propagators runs step by step. The bundles of
+one holonomy_dimensions call share each batch: their coefficients are
+one compiled table, so a loop's curve is sampled once and that table
+evaluated once at its nodes, and each bundle runs RK4 on its own block
+of columns.
 
 Curves are expression vectors in the single parameter x0; loops are
 tuples of curve segments chained end to end.
@@ -59,7 +63,8 @@ __all__ = [
     "seeded_loops", "reverse_loop", "TangentSection", "TransportBundle",
     "cotractor_bundle", "tractor_bundle", "s2_tractor_bundle",
     "s2_cotractor_bundle", "skew_bundle", "tangent_bundle", "BUNDLES",
-    "transport", "holonomy_dimension", "HolonomyReport",
+    "transport", "holonomy_dimension", "holonomy_dimensions",
+    "HolonomyReport",
     "solution_correspondence", "transported_sampler", "sampled_pde_residual",
 ]
 
@@ -325,7 +330,9 @@ class TransportBundle:
 
     # --- connection coefficients ---
 
-    def _build_A(self):
+    def coefficient_entries(self) -> list:
+        """The n * rank * rank entries of the coefficient matrices, in the
+        flat order of one point's coefficients_at stack."""
         n, r = self.dim, self.rank
         entries = [ZERO] * (n * r * r)
         for j in range(r):
@@ -334,14 +341,18 @@ class TransportBundle:
                 col = self.flatten_fields(family[a])
                 for i in range(r):
                     entries[(a * r + i) * r + j] = col[i]
-        self._A_table = compile_table(entries)
+        return entries
+
+    def coefficient_table(self):
+        """The compiled coefficient entries, built once per bundle."""
+        if self._A_table is None:
+            self._A_table = compile_table(self.coefficient_entries())
+        return self._A_table
 
     def coefficients_at(self, points) -> np.ndarray:
         """Connection coefficients at N points, as an (N, n, rank, rank)
         array: one stack of n coefficient matrices per point."""
-        if self._A_table is None:
-            self._build_A()
-        flat = eval_table(self._A_table, points)
+        flat = eval_table(self.coefficient_table(), points)
         return flat.reshape(len(flat), self.dim, self.rank, self.rank)
 
 
@@ -386,18 +397,27 @@ BUNDLES = {
 # ---------------------------------------------------------------------------
 # transport
 
-def _propagators(bundle: TransportBundle, jobs) -> list:
-    """RK4 propagators, acting on coordinate vectors, of the segments of
-    (segment, steps) jobs.
+def _shared_table(bundles: Sequence[TransportBundle]):
+    """One compiled table of the coefficient entries of bundles over one
+    geometry, each bundle's entries a column block in bundle order. A
+    single bundle keeps its own table."""
+    if any(b.geom is not bundles[0].geom for b in bundles):
+        raise TransportError("bundles must share one geometry")
+    if len(bundles) == 1:
+        return bundles[0].coefficient_table()
+    return compile_table([e for b in bundles for e in b.coefficient_entries()])
 
-    The curves are sampled per segment at their 2*steps + 1 RK4 nodes;
-    the connection coefficients and the node matrices -v^a A_a are then
-    formed once for the nodes of all jobs, and the step propagators of
-    each job in one batch. Only the product of the step propagators runs
-    step by step.
+
+def _propagators(bundles: Sequence[TransportBundle], table, jobs) -> list:
+    """RK4 propagators, acting on coordinate vectors, of the segments of
+    (segment, steps) jobs: per job, one propagator per bundle.
+
+    The curves are sampled per segment at their 2*steps + 1 RK4 nodes,
+    and the shared coefficient table is evaluated once at the nodes of
+    all jobs. Per bundle, the node matrices -v^a A_a are then formed from
+    its column block, and the step propagators of each job in one batch.
+    Only the product of the step propagators runs step by step.
     """
-    r = bundle.rank
-    eye = np.eye(r)
     hs, xs, vs = [], [], []
     for seg, steps in jobs:
         u0, u1 = float(seg.u0), float(seg.u1)
@@ -414,32 +434,43 @@ def _propagators(bundle: TransportBundle, jobs) -> list:
         vs.append(vel)
     v = np.concatenate(vs)
     N, dim = v.shape
-    A = bundle.coefficients_at(np.concatenate(xs)).reshape(N, dim, r * r)
-    # non-finite coefficients propagate as NaN, like the kernel's numerics
-    with np.errstate(all="ignore"):
-        M = -(v[:, None, :] @ A).reshape(N, r, r)
+    flat = eval_table(table, np.concatenate(xs))
 
-    out = []
-    start = 0
-    for h, vel in zip(hs, vs):
-        Mj = M[start:start + len(vel)]
-        start += len(vel)
-        k1 = Mj[0:-1:2]
-        m_mid = Mj[1::2]
-        k2 = m_mid @ (eye + 0.5 * h * k1)
-        k3 = m_mid @ (eye + 0.5 * h * k2)
-        k4 = Mj[2::2] @ (eye + h * k3)
-        S = eye
-        for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
-            S = P @ S
-        out.append(S)
+    out = [[] for _ in hs]
+    lo = 0
+    for bundle in bundles:
+        r = bundle.rank
+        eye = np.eye(r)
+        hi = lo + dim * r * r
+        # a contiguous copy: the matrix products see the layout a table
+        # of the bundle's own entries gives
+        A = np.ascontiguousarray(flat[:, lo:hi]).reshape(N, dim, r * r)
+        lo = hi
+        # non-finite coefficients propagate as NaN, like the kernel's
+        # numerics
+        with np.errstate(all="ignore"):
+            M = -(v[:, None, :] @ A).reshape(N, r, r)
+        start = 0
+        for props, h, vel in zip(out, hs, vs):
+            Mj = M[start:start + len(vel)]
+            start += len(vel)
+            k1 = Mj[0:-1:2]
+            m_mid = Mj[1::2]
+            k2 = m_mid @ (eye + 0.5 * h * k1)
+            k3 = m_mid @ (eye + 0.5 * h * k2)
+            k4 = Mj[2::2] @ (eye + h * k3)
+            S = eye
+            for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
+                S = P @ S
+            props.append(S)
     return out
 
 
 def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
                     steps: int) -> np.ndarray:
     """RK4 propagator for one segment: the one-job case of _propagators."""
-    return _propagators(bundle, [(seg, steps)])[0]
+    return _propagators([bundle], bundle.coefficient_table(),
+                        [(seg, steps)])[0][0]
 
 
 def _split_steps(loop: tuple, steps: int | None) -> list:
@@ -459,15 +490,23 @@ def _split_steps(loop: tuple, steps: int | None) -> list:
     return out
 
 
+def _loop_matrices(bundles, table, loop: tuple, steps: int | None) -> list:
+    """Per bundle, the product of the propagators of a loop's segments,
+    all from one batch."""
+    mats = [np.eye(b.rank) for b in bundles]
+    jobs = zip(loop, _split_steps(loop, steps))
+    for props in _propagators(bundles, table, jobs):
+        mats = [P @ S for P, S in zip(props, mats)]
+    return mats
+
+
 def loop_matrix(bundle: TransportBundle, curve, steps: int | None = None,
                 check_closed: bool = False) -> np.ndarray:
     loop = _as_loop(curve)
     if check_closed:
         _check_closed(loop)
-    S = np.eye(bundle.rank)
-    for P in _propagators(bundle, zip(loop, _split_steps(loop, steps))):
-        S = P @ S
-    return S
+    return _loop_matrices([bundle], bundle.coefficient_table(), loop,
+                          steps)[0]
 
 
 def transport(bundle: TransportBundle, curve, initial,
@@ -506,9 +545,10 @@ class HolonomyReport:
         }
 
 
-def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
-                       seed=None, sv_tol: float = 1e-6) -> HolonomyReport:
-    """Fixed-subspace dimension of sampled loop holonomy.
+def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None,
+                        sv_tol: float = 1e-6) -> list:
+    """Fixed-subspace dimension of sampled loop holonomy, one
+    HolonomyReport per bundle; the bundles share one geometry.
 
     Transports the identity frame around each loop, stacks Hol_i - I,
     and counts singular values below sv_tol; that number upper-bounds
@@ -519,26 +559,44 @@ def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
     to the first loop's start point by transport along the straight
     connector. Without this the stacked fixed space would mix frames
     at unrelated points and the upper-bound property would be lost.
+
+    The bundles' coefficients are one compiled table, and each loop and
+    each connector is one batch for all of them: its curve is sampled
+    once and the table evaluated once at its RK4 nodes.
     """
+    bundles = list(bundles)
+    table = _shared_table(bundles)
     loop_list = [_as_loop(lp) for lp in loops]
     base = _endpoints(loop_list[0][0])[0].tolist()
-    mats = []
+    mats = [[] for _ in bundles]
     for loop in loop_list:
-        hol = loop_matrix(bundle, loop, steps, check_closed=True)
+        _check_closed(loop)
+        hols = _loop_matrices(bundles, table, loop, steps)
         start = _endpoints(loop[0])[0].tolist()
         if max(abs(a - b) for a, b in zip(base, start)) > 1e-12:
             seg = line_segment(base, start)
             conn_steps = max(50, round((steps or 1000) * seg.length))
-            T = _segment_matrix(bundle, seg, conn_steps)
-            hol = np.linalg.solve(T, hol @ T)
-        mats.append(hol)
-    stacked = np.vstack([m - np.eye(bundle.rank) for m in mats])
-    # No rank can be read off a non-finite holonomy (svd would raise);
-    # NaN singular values let the caller fail the check they decide.
-    sv = np.linalg.svd(stacked, compute_uv=False) \
-        if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
-    fixed = int(np.sum(sv < sv_tol))
-    return HolonomyReport(bundle.rank, mats, sv.tolist(), fixed, seed)
+            Ts = _propagators(bundles, table, [(seg, conn_steps)])[0]
+            hols = [np.linalg.solve(T, hol @ T) for T, hol in zip(Ts, hols)]
+        for got, hol in zip(mats, hols):
+            got.append(hol)
+    reports = []
+    for bundle, got in zip(bundles, mats):
+        stacked = np.vstack([m - np.eye(bundle.rank) for m in got])
+        # No rank can be read off a non-finite holonomy (svd would raise);
+        # NaN singular values let the caller fail the check they decide.
+        sv = np.linalg.svd(stacked, compute_uv=False) \
+            if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
+        fixed = int(np.sum(sv < sv_tol))
+        reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed,
+                                      seed))
+    return reports
+
+
+def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
+                       seed=None, sv_tol: float = 1e-6) -> HolonomyReport:
+    """holonomy_dimensions of a single bundle."""
+    return holonomy_dimensions([bundle], loops, steps, seed, sv_tol)[0]
 
 
 # ---------------------------------------------------------------------------

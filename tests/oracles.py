@@ -11,7 +11,7 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Five sections keep verbatim copies of replaced code: the per-type code
+Seven sections keep verbatim copies of replaced code: the per-type code
 that one slot table per section type replaced (random sections, the
 (1,1) and (2,1) trace-free projectors, the sampled source-equation
 residual), the seven hand-written connection bodies that the one
@@ -19,9 +19,12 @@ Leibniz rule over tractor.py's placement table replaced, with the
 curvature action and the metrisability obstruction it also rewrote,
 max_residual as it was when each family of fields compiled its own
 table, the flat skew system with its rho slot that the Lambda^2 T
-placement row replaced, and CurveSegment.reversed as it was when it
-substituted into the curve's DAG. antisymmetrize_reference builds each
-entry of a skew part anew, with no cache.
+placement row replaced, CurveSegment.reversed as it was when it
+substituted into the curve's DAG, the Cotton-Weyl field as it was when
+it built the whole nabla W, and holonomy_dimension with its
+per-bundle RK4 batches as it was before bundles shared one coefficient
+table. antisymmetrize_reference builds each entry of a skew part anew,
+with no cache.
 """
 
 from __future__ import annotations
@@ -960,3 +963,132 @@ def antisymmetrize_reference(T, slots):
             total = total + (term if sign > 0 else -term)
         out.append(weight * total)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of _cotton_weyl_field (geometry.py) as it was when it built
+# the whole nabla W, all n^5 components, and read only the n^4 with c = e.
+
+def cotton_weyl_field_reference(pack, conn):
+    """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d]."""
+    W = pack.weyl
+    C = pack.cotton
+    n = W.dim
+    dW = covariant_derivative(conn, W)  # [c][e][a][b][d] = nabla_e W_ab^c_d
+    return TensorField(n, 0, 3, [(n - 2) * C[a, b, d]
+                                 - add(*[dW[c, c, a, b, d] for c in range(n)])
+                                 for a, b, d in itertools.product(
+                                     range(n), repeat=3)])
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of holonomy_dimension and _propagators (transport.py) as
+# they were when each bundle compiled, sampled and evaluated on its own:
+# every loop and lasso connector one batch per bundle, its coefficients
+# from TransportBundle.coefficients_at. loop_matrix and _segment_matrix
+# are copied with them, as the callers holonomy_dimension went through.
+
+def propagators_reference(bundle, jobs) -> list:
+    """RK4 propagators, acting on coordinate vectors, of the segments of
+    (segment, steps) jobs.
+
+    The curves are sampled per segment at their 2*steps + 1 RK4 nodes;
+    the connection coefficients and the node matrices -v^a A_a are then
+    formed once for the nodes of all jobs, and the step propagators of
+    each job in one batch. Only the product of the step propagators runs
+    step by step.
+    """
+    r = bundle.rank
+    eye = np.eye(r)
+    hs, xs, vs = [], [], []
+    for seg, steps in jobs:
+        u0, u1 = float(seg.u0), float(seg.u1)
+        h = (u1 - u0) / steps
+        # node 2k is the start of step k (the end of step k-1), node 2k+1
+        # its midpoint
+        nodes = [u0]
+        for k in range(steps):
+            u = u0 + k * h
+            nodes += (u + 0.5 * h, u + h)
+        pos, vel = seg.sample_many(nodes)
+        hs.append(h)
+        xs.append(pos)
+        vs.append(vel)
+    v = np.concatenate(vs)
+    N, dim = v.shape
+    A = bundle.coefficients_at(np.concatenate(xs)).reshape(N, dim, r * r)
+    # non-finite coefficients propagate as NaN, like the kernel's numerics
+    with np.errstate(all="ignore"):
+        M = -(v[:, None, :] @ A).reshape(N, r, r)
+
+    out = []
+    start = 0
+    for h, vel in zip(hs, vs):
+        Mj = M[start:start + len(vel)]
+        start += len(vel)
+        k1 = Mj[0:-1:2]
+        m_mid = Mj[1::2]
+        k2 = m_mid @ (eye + 0.5 * h * k1)
+        k3 = m_mid @ (eye + 0.5 * h * k2)
+        k4 = Mj[2::2] @ (eye + h * k3)
+        S = eye
+        for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
+            S = P @ S
+        out.append(S)
+    return out
+
+
+def _segment_matrix_reference(bundle, seg, steps):
+    """RK4 propagator for one segment: the one-job case of _propagators."""
+    return propagators_reference(bundle, [(seg, steps)])[0]
+
+
+def _loop_matrix_reference(bundle, curve, steps=None, check_closed=False):
+    from protract.transport import _as_loop, _check_closed, _split_steps
+
+    loop = _as_loop(curve)
+    if check_closed:
+        _check_closed(loop)
+    S = np.eye(bundle.rank)
+    for P in propagators_reference(bundle,
+                                   zip(loop, _split_steps(loop, steps))):
+        S = P @ S
+    return S
+
+
+def holonomy_dimension_reference(bundle, loops, steps=1000, seed=None,
+                                 sv_tol=1e-6):
+    """Fixed-subspace dimension of sampled loop holonomy.
+
+    Transports the identity frame around each loop, stacks Hol_i - I,
+    and counts singular values below sv_tol; that number upper-bounds
+    the dimension of the parallel-section space.
+
+    A parallel section is fixed by holonomy based at its own point, so
+    loops starting elsewhere are lassoed: each holonomy is conjugated
+    to the first loop's start point by transport along the straight
+    connector. Without this the stacked fixed space would mix frames
+    at unrelated points and the upper-bound property would be lost.
+    """
+    from protract.transport import (HolonomyReport, _as_loop, _endpoints,
+                                    line_segment)
+
+    loop_list = [_as_loop(lp) for lp in loops]
+    base = _endpoints(loop_list[0][0])[0].tolist()
+    mats = []
+    for loop in loop_list:
+        hol = _loop_matrix_reference(bundle, loop, steps, check_closed=True)
+        start = _endpoints(loop[0])[0].tolist()
+        if max(abs(a - b) for a, b in zip(base, start)) > 1e-12:
+            seg = line_segment(base, start)
+            conn_steps = max(50, round((steps or 1000) * seg.length))
+            T = _segment_matrix_reference(bundle, seg, conn_steps)
+            hol = np.linalg.solve(T, hol @ T)
+        mats.append(hol)
+    stacked = np.vstack([m - np.eye(bundle.rank) for m in mats])
+    # No rank can be read off a non-finite holonomy (svd would raise);
+    # NaN singular values let the caller fail the check they decide.
+    sv = np.linalg.svd(stacked, compute_uv=False) \
+        if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
+    fixed = int(np.sum(sv < sv_tol))
+    return HolonomyReport(bundle.rank, mats, sv.tolist(), fixed, seed)

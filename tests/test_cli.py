@@ -190,6 +190,33 @@ class TestCheckCommand:
         # for the first and second Bianchi and Cotton-Weyl residuals
         assert entries == [9, 1, 3 ** 4 + 3 ** 5 + 3 ** 3]
 
+    def test_holonomy_suite_compiles_one_coefficient_tape(self, monkeypatch):
+        from protract import program, transport
+
+        real = program.compile_table
+        entries = []
+
+        def counted(exprs):
+            table = real(exprs)
+            entries.append(table.n_out)
+            return table
+
+        monkeypatch.setattr(program, "compile_table", counted)
+        monkeypatch.setattr(transport, "compile_table", counted)
+        # at 50 steps the RK4 error exceeds sv_tol, so only the tapes are
+        # checked here, not the verdict
+        run_cli(["check", "--spec", "sphere2", "--suite", "holonomy",
+                 "--steps", "50"])
+        # one coefficient table for the cotractor, tractor and
+        # metrisability bundles, 2 * (9 + 9 + 36) entries, and none of
+        # their own
+        assert entries.count(2 * (3 ** 2 + 3 ** 2 + 6 ** 2)) == 1
+        assert 2 * 3 ** 2 not in entries and 2 * 6 ** 2 not in entries
+        # one table for both curvature grids: 2 x 2 sections of rank 3
+        # per bundle, and no grid of its own
+        assert entries.count(2 * 2 * 2 * 3) == 1
+        assert 2 * 2 * 3 not in entries
+
     def test_missing_spec_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["check", "--suite", "all"])

@@ -11,6 +11,7 @@ from protract.geometry import (
     AffineConnection,
     ChartGeometry,
     SingularMetricError,
+    _cotton_weyl_field,
     connection_pack,
     cotton_weyl_relation,
     covariant_derivative,
@@ -24,8 +25,9 @@ from protract.geometry import (
 from protract.tensor import TensorField, contract, tensor_product, zero_field
 
 from gen import invertible, poly_field, random_metric, rational_points, rng_for
-from oracles import (commutator_family, covariant_derivative_sequential,
-                     fd_christoffel, fd_curvature_stack)
+from oracles import (commutator_family, cotton_weyl_field_reference,
+                     covariant_derivative_sequential, fd_christoffel,
+                     fd_curvature_stack)
 
 
 def _flat(n):
@@ -377,6 +379,24 @@ class TestCottonWeylRelation:
                if invertible(non_einstein2, p)]
         res = cotton_weyl_relation(non_einstein2.pack(), non_einstein2.connection(), pts)
         assert res == 0
+
+
+    @pytest.mark.parametrize("name", ["flat2", "flat3", "sphere2", "sphere3",
+                                      "nonEinstein2", "nonEinstein3"])
+    def test_field_nodes_are_the_full_divergence(self, name):
+        # the contracted divergence builds the very nodes read off the
+        # whole nabla W
+        geom = load_geometry_spec(name).geom
+        args = (geom.pack(), geom.connection())
+        _assert_same_nodes(_cotton_weyl_field(*args),
+                           cotton_weyl_field_reference(*args))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_field_nodes_are_the_full_divergence_random(self, n):
+        geom = random_metric(rng_for("cw-nodes-%d" % n), n)
+        args = (geom.pack(), geom.connection())
+        _assert_same_nodes(_cotton_weyl_field(*args),
+                           cotton_weyl_field_reference(*args))
 
 
 class TestDerivativeWork:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from protract.cli import load_geometry_spec
 from protract.expr import diff, parse
 from protract.tensor import TensorField
 from protract.tractor import (
@@ -19,13 +20,16 @@ from protract.transport import (
     NonClosedLoopError,
     NotParallelError,
     TangentSection,
+    TransportError,
     circle_loop,
     cotractor_bundle,
     holonomy_dimension,
+    holonomy_dimensions,
     line_segment,
     loop_matrix,
     rectangle_loop,
     reverse_loop,
+    s2_cotractor_bundle,
     s2_tractor_bundle,
     sampled_pde_residual,
     seeded_loops,
@@ -64,6 +68,15 @@ def _rk4_reference(bundle, seg, steps):
         k4 = M[2 * k + 2] @ (eye + h * k3)
         S = (eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) @ S
     return S
+
+
+def _assert_same_report(got, want):
+    assert (got.rank, got.fixed_dim, got.seed) == (want.rank, want.fixed_dim,
+                                                   want.seed)
+    assert got.singular_values == want.singular_values
+    assert len(got.matrices) == len(want.matrices)
+    for g, w in zip(got.matrices, want.matrices):
+        assert g.tobytes() == w.tobytes()
 
 
 class TestCurves:
@@ -270,30 +283,37 @@ class TestTransport:
             assert loop_matrix(bundle, loop, steps).tobytes() == S.tobytes()
 
     def test_one_coefficient_batch_per_loop(self, sphere2, monkeypatch):
-        from protract.transport import TransportBundle, _endpoints, _split_steps
+        import protract.transport as transport
+        from protract.transport import _endpoints, _split_steps
 
-        rows = []
-        inner = TransportBundle.coefficients_at
+        calls = []
+        inner = transport.eval_table
 
-        def counted(self, points):
-            rows.append(len(points))
-            return inner(self, points)
+        def counted(table, points):
+            calls.append((table.n_out, len(points)))
+            return inner(table, points)
 
-        monkeypatch.setattr(TransportBundle, "coefficients_at", counted)
-        bundle = tractor_bundle(sphere2)
-        steps = 80
+        monkeypatch.setattr(transport, "eval_table", counted)
+
+        def coefficient_rows(n_out):
+            # curve tables have 2 * dim entries; every other evaluation
+            # is of the coefficient table
+            assert {m for m, _ in calls} <= {2 * 2, n_out}
+            return [k for m, k in calls if m == n_out]
 
         def loop_rows(loop):
             return sum(2 * s + 1 for s in _split_steps(loop, steps))
 
+        bundle = tractor_bundle(sphere2)
+        steps = 80
         rect = rectangle_loop([-0.2, 0.1], 0.5, 0.3)
         circle = circle_loop([0.1, 0.2], 0.45)
         for loop in (rect, circle):
-            rows.clear()
+            calls.clear()
             loop_matrix(bundle, loop, steps)
-            assert rows == [loop_rows(loop)]
+            assert coefficient_rows(2 * 3 ** 2) == [loop_rows(loop)]
 
-        # holonomy: one call per loop, then one per lasso connector from
+        # holonomy: one batch per loop, then one per lasso connector from
         # the first loop's start
         loops = seeded_loops([[-1, 1], [-1, 1]], 4, seed=12)
         base = _endpoints(loops[0][0])[0]
@@ -304,12 +324,20 @@ class TestTransport:
             if np.max(np.abs(start - base)) > 1e-12:
                 seg = line_segment(base.tolist(), start.tolist())
                 expected.append(2 * max(50, round(steps * seg.length)) + 1)
-        rows.clear()
-        holonomy_dimension(bundle, loops, steps=steps)
-        assert rows == expected
-        assert len(rows) > len(loops)
-        # no batch is larger than one loop's nodes: the memory bound
-        assert max(rows) <= max(loop_rows(loop) for loop in loops)
+        assert len(expected) > len(loops)
+        # three bundles share each batch: still one evaluation per loop or
+        # connector, of their one table, not three
+        for bundles in ([bundle], [cotractor_bundle(sphere2), bundle,
+                                   s2_tractor_bundle(sphere2)]):
+            calls.clear()
+            if len(bundles) == 1:
+                holonomy_dimension(bundle, loops, steps=steps)
+            else:
+                holonomy_dimensions(bundles, loops, steps=steps)
+            rows = coefficient_rows(2 * sum(b.rank ** 2 for b in bundles))
+            assert rows == expected
+            # no batch is larger than one loop's nodes: the memory bound
+            assert max(rows) <= max(loop_rows(loop) for loop in loops)
 
     def test_rk4_observed_order(self, sphere2):
         bundle = tangent_bundle(sphere2)
@@ -367,6 +395,37 @@ class TestHolonomy:
         bundle = skew_bundle(geometry.ChartGeometry(flat3.metric))
         assert bundle.coefficients_at([[0.1, 0.2, 0.3]]).shape == (1, 3, 6, 6)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name,steps", [
+        ("flat2", 60), ("sphere2", 60), ("nonEinstein2", 60),
+        ("nonEinstein3", 30), ("sphere3", 12)])
+    def test_shared_table_matches_per_bundle_reference(self, name, steps):
+        # the three bundles of the holonomy suite through one coefficient
+        # table give bitwise the holonomy each gave through its own
+        spec = load_geometry_spec(name)
+        bundles = [make(spec.geom) for make in (
+            cotractor_bundle, tractor_bundle, s2_tractor_bundle)]
+        loops = seeded_loops(spec.box, 5, seed=7)
+        reps = holonomy_dimensions(bundles, loops, steps=steps, seed=7)
+        for bundle, rep in zip(bundles, reps):
+            _assert_same_report(rep, oracles.holonomy_dimension_reference(
+                bundle, loops, steps=steps, seed=7))
+
+    @pytest.mark.parametrize("make,name", [(s2_cotractor_bundle, "sphere2"),
+                                           (skew_bundle, "flat3")])
+    def test_single_bundle_matches_reference(self, make, name):
+        spec = load_geometry_spec(name)
+        bundle = make(spec.geom)
+        loops = seeded_loops(spec.box, 5, seed=8)
+        rep, = holonomy_dimensions([bundle], loops, steps=40, seed=8)
+        _assert_same_report(rep, oracles.holonomy_dimension_reference(
+            bundle, loops, steps=40, seed=8))
+
+    def test_bundles_must_share_one_geometry(self, flat2, sphere2):
+        loops = seeded_loops([[-1, 1], [-1, 1]], 2, seed=9)
+        with pytest.raises(TransportError, match="one geometry"):
+            holonomy_dimensions([cotractor_bundle(flat2),
+                                 cotractor_bundle(sphere2)], loops, steps=20)
 
     def test_report_json_schema(self, flat2):
         loops = seeded_loops([[-1, 1], [-1, 1]], 2, seed=15)
