@@ -1,7 +1,13 @@
 """Command-line front end: geometry-spec files, check suites, reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
-input (bad spec, unknown suite, missing data for a suite).
+input, reported as one ``error:`` line: a bad spec (among them a box pair
+that is not two finite floats, and a ``samples`` that is not an object
+with integer ``count`` and ``seed`` only), an unknown suite, missing data
+for a suite, a ``--point`` that is not ``dim`` finite floats, a bad curve.
+
+Every check compares its residual with one fixed threshold, which the
+report records.
 
 Reports are deterministic for a given (spec, seed): JSON output carries
 no timing and is dumped with sorted keys, so repeated runs are
@@ -81,17 +87,14 @@ class SpecError(ValueError):
 @dataclass
 class GeometrySpec:
     dim: int
-    coords: list
     geom: ChartGeometry
     phi: Expr | None
     upsilon: list | None
     box: list
     sample_count: int
     sample_seed: int
-    fixed_points: list | None
     mode: str
     digest: str
-    name: str
 
 
 @dataclass
@@ -138,35 +141,57 @@ def load_geometry_spec(source: str) -> GeometrySpec:
     if source in BUNDLED:
         raw = (resources.files("protract") / "data" / (source + ".json")) \
             .read_bytes()
-        name = source
     else:
         try:
             with open(source, "rb") as fh:
                 raw = fh.read()
         except OSError as e:
             raise SpecError("cannot read spec %r: %s" % (source, e)) from e
-        name = source
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise SpecError("spec %r is not valid JSON: %s" % (source, e)) from e
     digest = hashlib.sha256(raw).hexdigest()
-    return _build_spec(data, digest, name)
+    return _build_spec(data, digest)
 
 
-def _build_spec(data: dict, digest: str, name: str) -> GeometrySpec:
+def _finite_floats(values, count: int, what: str) -> list:
+    """values as count finite floats, or a SpecError naming what."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError) as e:
+        raise SpecError("%s: %s" % (what, e)) from e
+    if len(out) != count:
+        raise SpecError("%s needs %d coordinates" % (what, count))
+    if not all(map(math.isfinite, out)):
+        raise SpecError("%s coordinates must be finite" % what)
+    return out
+
+
+def _build_spec(data: dict, digest: str) -> GeometrySpec:
     try:
         dim = int(data["dim"])
         coords = list(data["coords"])
         rows = data["metric"]
-        box = [list(map(float, pair)) for pair in data["box"]]
+        pairs = list(data["box"])
         mode = data.get("mode", "float")
+        samples = data.get("samples", {})
+        if not isinstance(samples, dict):
+            raise TypeError("samples must be an object")
+        count, seed = samples.get("count", 20), samples.get("seed", 0)
+        if not all(type(v) is int for v in (count, seed)):
+            raise TypeError("samples count and seed must be integers")
     except (KeyError, TypeError, ValueError) as e:
         raise SpecError("spec missing or malformed field: %s" % e) from e
     if dim < 2:
         raise SpecError("dim must be at least 2")
     if len(coords) != dim:
         raise SpecError("coords length != dim")
+    extra = sorted(set(samples) - {"count", "seed"})
+    if extra:
+        raise SpecError("samples takes count and seed only, not %s"
+                        % ", ".join(map(repr, extra)))
+    box = [_finite_floats(pair, 2, "box pair %r" % (pair,)) for pair in pairs]
     if len(box) != dim or any(not lo < hi for lo, hi in box):
         raise SpecError("box needs %d nonempty [lo, hi] pairs" % dim)
     if mode not in ("rational", "float"):
@@ -197,28 +222,13 @@ def _build_spec(data: dict, digest: str, name: str) -> GeometrySpec:
             raise SpecError("upsilon failed to parse: %s" % e) from e
         if len(upsilon) != dim:
             raise SpecError("upsilon needs %d entries" % dim)
-
-    samples = data.get("samples", {})
-    fixed = None
-    count, seed = 20, 0
-    if "points" in samples:
-        fixed = [list(p) for p in samples["points"]]
-        count = len(fixed)
-    else:
-        count = int(samples.get("count", 20))
-        seed = int(samples.get("seed", 0))
-    return GeometrySpec(dim, coords, geom, phi, upsilon, box, count, seed,
-                        fixed, mode, digest, name)
+    return GeometrySpec(dim, geom, phi, upsilon, box, count, seed, mode,
+                        digest)
 
 
 def sample_points(spec: GeometrySpec, seed: int | None = None,
                   count: int | None = None) -> list:
     """Seeded points inside the box; Fractions in rational mode."""
-    if spec.fixed_points is not None and seed is None and count is None:
-        if spec.mode == "rational":
-            return [[Fraction(c).limit_denominator(10**6) for c in p]
-                    for p in spec.fixed_points]
-        return [[float(c) for c in p] for p in spec.fixed_points]
     rng = random.Random(spec.sample_seed if seed is None else seed)
     n = count if count is not None else spec.sample_count
     pts = []
@@ -285,14 +295,13 @@ def _rand_section(rng, cls, dim) -> Section:
 # suites
 
 def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
-                   tol: float | None, steps: int):
+                   steps: int):
     from .expr import diff
 
     geom = spec.geom
     n = spec.dim
     rng = random.Random(seed ^ 0xD0A1)
     pts = _eval_points(spec, seed=seed, count=10)
-    threshold = tol if tol is not None else 1e-10
     # the samples are the first 200 (section pair, coordinate, point)
     # triples in that order: 200 // m residuals at all m points, then
     # one more at the first 200 % m points
@@ -325,12 +334,12 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
         if rest:
             worst = max_magnitude([worst, max_residual(resids[full:full + 1],
                                                        pts[:rest])])
-        report.add(check, worst, threshold)
+        report.add(check, worst, 1e-10)
     report.metrics["duality_samples"] = 200
 
 
 def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
-                      tol: float | None, steps: int):
+                      steps: int):
     if spec.phi is None and spec.upsilon is None:
         raise SpecError("invariance suite needs phi or upsilon in the spec")
     if spec.phi is not None:
@@ -339,23 +348,21 @@ def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
         ups = Upsilon(TensorField(spec.dim, 0, 1, spec.upsilon))
     pts = _eval_points(spec)
     out = check_weyl_cotton_invariance(spec.geom, ups, pts)
-    report.add("weyl_invariance", out["weyl"],
-               tol if tol is not None else 1e-8)
-    report.add("cotton_invariance", out["cotton"],
-               tol if tol is not None else 1e-7)
+    report.add("weyl_invariance", out["weyl"], 1e-8)
+    report.add("cotton_invariance", out["cotton"], 1e-7)
     report.metrics["cotton_weyl_shift_identity"] = float(out["cotton_pair"])
     report.metrics["points"] = out["points"]
 
 
 def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
-                    tol: float | None, steps: int):
+                    steps: int):
     geom = spec.geom
     n = spec.dim
     pts = _eval_points(spec)
     dev, obs = map(float, max_residuals(
         [[einstein_deviation(geom)],
          metrisability_obstruction(geom, geom.metric_inverse())], pts))
-    small = tol if tol is not None else 1e-8
+    small = 1e-8
     report.metrics["einstein_deviation_max"] = dev
     report.metrics["obstruction_max"] = obs
     report.metrics["connections_differ"] = bool(obs >= small)
@@ -388,17 +395,16 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
 
 
 def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
-                   tol: float | None, steps: int):
+                   steps: int):
     geom = spec.geom
     pts = _eval_points(spec)
     lift = metric_lift(geom)
     report.add("metric_lift_parallel",
                max_residual(metrisability_prolong_nabla(geom, lift), pts),
-               tol if tol is not None else 1e-7)
+               1e-7)
     bundle = s2_tractor_bundle(geom)
     res = solution_correspondence(bundle, lift, pts[:5])
-    report.add("metrisability_residual", res,
-               tol if tol is not None else 1e-7)
+    report.add("metrisability_residual", res, 1e-7)
 
     rng = random.Random(seed ^ 0x97)
     s = _rand_section(rng, S2TractorSection, spec.dim)
@@ -410,15 +416,13 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
 
 
 def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
-                    tol: float | None, steps: int):
+                    steps: int):
     geom = spec.geom
     pts = _eval_points(spec)
     loops = seeded_loops(spec.box, 5, seed)
-    sv_tol = tol if tol is not None else 1e-6
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
                                        s2_tractor_bundle)]
-    reps = holonomy_dimensions(bundles, loops, steps=steps, seed=seed,
-                               sv_tol=sv_tol)
+    reps = holonomy_dimensions(bundles, loops, steps=steps, seed=seed)
     # the cotractor and tractor curvature grids reduce from one table
     grids = [tractor_curvature(geom, _rand_section(
         random.Random(seed), bundle.section_cls, spec.dim))
@@ -447,22 +451,17 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
 
 
 def _suite_bianchi(spec: GeometrySpec, report: Report, seed: int,
-                   tol: float | None, steps: int):
+                   steps: int):
     pts = _eval_points(spec)
-    _add_bianchi_checks(spec, report, spec.geom.pack(), pts, tol)
+    _add_bianchi_checks(spec, report, spec.geom.pack(), pts)
 
 
-def _add_bianchi_checks(spec: GeometrySpec, report: Report, pack, pts,
-                        tol: float | None):
-    conn = spec.geom.connection()
-    out = verify_bianchi(pack, conn, pts)
-    exact = spec.mode == "rational"
+def _add_bianchi_checks(spec: GeometrySpec, report: Report, pack, pts):
+    out = verify_bianchi(pack, spec.geom.connection(), pts)
     report.add("bianchi_first", out["first"],
-               tol if tol is not None else (1e-30 if exact else 1e-10))
-    report.add("bianchi_second", out["second"],
-               tol if tol is not None else 1e-7)
-    report.add("cotton_weyl_relation", out["cotton_weyl"],
-               tol if tol is not None else 1e-7)
+               1e-30 if spec.mode == "rational" else 1e-10)
+    report.add("bianchi_second", out["second"], 1e-7)
+    report.add("cotton_weyl_relation", out["cotton_weyl"], 1e-7)
 
 
 # Every suite by name, in the order "all" runs them.
@@ -478,12 +477,12 @@ SUITES = (*_SUITES, "all")
 
 
 def run_suite(spec: GeometrySpec, suite: str, report: Report, seed: int,
-              tol: float | None, steps: int):
+              steps: int):
     if suite not in SUITES:
         raise SpecError("unknown suite %r (choose from %s)"
                         % (suite, ", ".join(SUITES)))
     for name in (_SUITES if suite == "all" else (suite,)):
-        _SUITES[name](spec, report, seed, tol, steps)
+        _SUITES[name](spec, report, seed, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +492,7 @@ def _value_json(pt_tensor) -> list:
     return [float(c) for c in pt_tensor.components]
 
 
-def cmd_curvature(spec: GeometrySpec, point, tol: float | None,
-                  seed: int | None) -> Report:
+def cmd_curvature(spec: GeometrySpec, point, seed: int | None) -> Report:
     report = Report("curvature", spec.digest)
     if point is not None:
         try:
@@ -512,16 +510,16 @@ def cmd_curvature(spec: GeometrySpec, point, tol: float | None,
         values[name] = _value_json(fieldlike.at(show[0]))
     report.metrics["values_at"] = [float(c) for c in show[0]]
     report.metrics["values"] = values
-    _add_bianchi_checks(spec, report, pack, pts, tol)
+    _add_bianchi_checks(spec, report, pack, pts)
     return report
 
 
-def cmd_check(spec: GeometrySpec, suite: str, tol: float | None,
-              seed: int | None, steps: int) -> Report:
+def cmd_check(spec: GeometrySpec, suite: str, seed: int | None,
+              steps: int) -> Report:
     report = Report("check", spec.digest)
     report.metrics["suite"] = suite
     use_seed = spec.sample_seed if seed is None else seed
-    run_suite(spec, suite, report, use_seed, tol, steps)
+    run_suite(spec, suite, report, use_seed, steps)
     return report
 
 
@@ -558,8 +556,7 @@ def parse_curve(text: str, box):
 
 
 def cmd_transport(spec: GeometrySpec, bundle_name: str, curve_text,
-                  steps: int, seed: int | None, loop_mode: bool,
-                  tol: float | None) -> Report:
+                  steps: int, seed: int | None, loop_mode: bool) -> Report:
     import numpy as np
 
     report = Report("transport", spec.digest)
@@ -578,8 +575,7 @@ def cmd_transport(spec: GeometrySpec, bundle_name: str, curve_text,
     final = forward @ np.asarray(initial, dtype=float)
     back = loop_matrix(bundle, reverse_loop(curve), steps) @ final
     rev_err = float(np.max(np.abs(back - np.asarray(initial))))
-    report.add("reverse_transport", rev_err,
-               tol if tol is not None else 1e-8)
+    report.add("reverse_transport", rev_err, 1e-8)
 
     coarse = max(2, steps // 4)
     ref = loop_matrix(bundle, curve, steps * 4)
@@ -660,8 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the spec's seed")
         p.add_argument("--mode", choices=("rational", "float"),
                        help="override the spec's arithmetic mode")
-        p.add_argument("--tol", type=float,
-                       help="override default thresholds")
 
     pc = sub.add_parser("curvature", help="curvature stack and identities")
     common(pc)
@@ -697,20 +691,16 @@ def main(argv=None) -> int:
         if args.command == "curvature":
             point = None
             if args.point:
-                vals = [float(v) for v in args.point.split(",")]
-                if len(vals) != spec.dim:
-                    raise SpecError("--point needs %d coordinates" % spec.dim)
-                if not all(map(math.isfinite, vals)):
-                    raise SpecError("--point coordinates must be finite")
+                vals = _finite_floats(args.point.split(","), spec.dim,
+                                      "--point")
                 point = [Fraction(v).limit_denominator(10**6)
                          for v in vals] if spec.mode == "rational" else vals
-            report = cmd_curvature(spec, point, args.tol, args.seed)
+            report = cmd_curvature(spec, point, args.seed)
         elif args.command == "check":
-            report = cmd_check(spec, args.suite, args.tol, args.seed,
-                               args.steps)
+            report = cmd_check(spec, args.suite, args.seed, args.steps)
         else:
             report = cmd_transport(spec, args.bundle, args.curve, args.steps,
-                                   args.seed, args.loop, args.tol)
+                                   args.seed, args.loop)
     except (SpecError, ExprError, GeometryError, TransportError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

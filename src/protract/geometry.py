@@ -182,19 +182,21 @@ def partial_derivative(T: TensorField) -> TensorField:
 def _nabla_component(gamma: TensorField, T: TensorField, up: tuple, a: int,
                      lo: tuple, partial) -> Expr:
     """nabla_a T^up_lo from the partial derivative d_a T^up_lo: one
-    +gamma term per upper slot and one -gamma term per lower slot."""
+    +gamma term per upper slot and one -gamma term per lower slot. A
+    term whose component of T is ZERO is skipped; add would drop it."""
     n = T.dim
+    comps = T.components
     terms = [partial]
     for i in range(len(up)):
         for e in range(n):
-            repl = up[:i] + (e,) + up[i + 1:]
-            terms.append(mul(gamma[up[i], a, e],
-                             T.components[T.flat(repl + lo)]))
+            comp = comps[T.flat(up[:i] + (e,) + up[i + 1:] + lo)]
+            if comp is not ZERO:
+                terms.append(mul(gamma[up[i], a, e], comp))
     for j in range(len(lo)):
         for e in range(n):
-            repl = lo[:j] + (e,) + lo[j + 1:]
-            terms.append(neg(mul(gamma[e, a, lo[j]],
-                                 T.components[T.flat(up + repl)])))
+            comp = comps[T.flat(up + lo[:j] + (e,) + lo[j + 1:])]
+            if comp is not ZERO:
+                terms.append(neg(mul(gamma[e, a, lo[j]], comp)))
     return add(*terms)
 
 

@@ -473,11 +473,9 @@ def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
                         [(seg, steps)])[0][0]
 
 
-def _split_steps(loop: tuple, steps: int | None) -> list:
+def _split_steps(loop: tuple, steps: int) -> list:
     lengths = [seg.length for seg in loop]
     total = sum(lengths)
-    if steps is None:
-        steps = max(1, round(1000 * total))
     out = []
     assigned = 0
     for i, L in enumerate(lengths):
@@ -490,7 +488,7 @@ def _split_steps(loop: tuple, steps: int | None) -> list:
     return out
 
 
-def _loop_matrices(bundles, table, loop: tuple, steps: int | None) -> list:
+def _loop_matrices(bundles, table, loop: tuple, steps: int) -> list:
     """Per bundle, the product of the propagators of a loop's segments,
     all from one batch."""
     mats = [np.eye(b.rank) for b in bundles]
@@ -500,8 +498,10 @@ def _loop_matrices(bundles, table, loop: tuple, steps: int | None) -> list:
     return mats
 
 
-def loop_matrix(bundle: TransportBundle, curve, steps: int | None = None,
+def loop_matrix(bundle: TransportBundle, curve, steps: int,
                 check_closed: bool = False) -> np.ndarray:
+    """The RK4 propagator of a curve or loop: steps RK4 steps in all,
+    split over its segments by parameter length."""
     loop = _as_loop(curve)
     if check_closed:
         _check_closed(loop)
@@ -509,9 +509,8 @@ def loop_matrix(bundle: TransportBundle, curve, steps: int | None = None,
                           steps)[0]
 
 
-def transport(bundle: TransportBundle, curve, initial,
-              steps: int | None = None):
-    """Transport an initial section value along a curve.
+def transport(bundle: TransportBundle, curve, initial, steps: int):
+    """Transport an initial section value along a curve in steps RK4 steps.
 
     initial: dict of PointTensors keyed by slot name (returned form), or
     a flat coordinate vector (a flat vector is returned then).
@@ -545,13 +544,16 @@ class HolonomyReport:
         }
 
 
-def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None,
-                        sv_tol: float = 1e-6) -> list:
+# Singular values of the stacked Hol - I below this count as zero.
+_SV_TOL = 1e-6
+
+
+def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None) -> list:
     """Fixed-subspace dimension of sampled loop holonomy, one
     HolonomyReport per bundle; the bundles share one geometry.
 
     Transports the identity frame around each loop, stacks Hol_i - I,
-    and counts singular values below sv_tol; that number upper-bounds
+    and counts singular values below _SV_TOL; that number upper-bounds
     the dimension of the parallel-section space.
 
     A parallel section is fixed by holonomy based at its own point, so
@@ -575,7 +577,7 @@ def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None,
         start = _endpoints(loop[0])[0].tolist()
         if max(abs(a - b) for a, b in zip(base, start)) > 1e-12:
             seg = line_segment(base, start)
-            conn_steps = max(50, round((steps or 1000) * seg.length))
+            conn_steps = max(50, round(steps * seg.length))
             Ts = _propagators(bundles, table, [(seg, conn_steps)])[0]
             hols = [np.linalg.solve(T, hol @ T) for T, hol in zip(Ts, hols)]
         for got, hol in zip(mats, hols):
@@ -587,16 +589,16 @@ def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None,
         # NaN singular values let the caller fail the check they decide.
         sv = np.linalg.svd(stacked, compute_uv=False) \
             if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
-        fixed = int(np.sum(sv < sv_tol))
+        fixed = int(np.sum(sv < _SV_TOL))
         reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed,
                                       seed))
     return reports
 
 
 def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
-                       seed=None, sv_tol: float = 1e-6) -> HolonomyReport:
+                       seed=None) -> HolonomyReport:
     """holonomy_dimensions of a single bundle."""
-    return holonomy_dimensions([bundle], loops, steps, seed, sv_tol)[0]
+    return holonomy_dimensions([bundle], loops, steps, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +634,16 @@ def _pde_residual_field(bundle: TransportBundle, section: Section):
 
 
 def solution_correspondence(bundle: TransportBundle, section: Section,
-                            points, parallel_tol: float = 1e-7) -> float:
+                            points) -> float:
     """Max-abs residual of the source PDE for a parallel section.
 
     Raises NotParallelError when the connection applied to the section
-    exceeds parallel_tol at any sample point, and returns NaN when that
+    exceeds 1e-7 at any sample point, and returns NaN when that
     parallel residual is NaN.
     """
     pts = list(points)
     parallel = max_residual(bundle.nabla(bundle.geom, section), pts)
-    if parallel > parallel_tol:
+    if parallel > 1e-7:
         raise NotParallelError(
             "section is not parallel: residual %.3e" % parallel)
     if parallel != parallel:

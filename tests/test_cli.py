@@ -288,6 +288,46 @@ class TestSpecLoading:
         assert rc == 2
         assert "metric entry" in err
 
+    @pytest.mark.parametrize("command", [["curvature"],
+                                         ["check", "--suite", "bianchi"],
+                                         ["transport", "tractor"]])
+    def test_tol_flag_rejected_by_parser(self, command, capsys):
+        # every check keeps its one fixed threshold
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--spec", "flat2", "--tol", "1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+class TestInputFaults:
+    """Malformed input exits 2 with one error line, never a traceback."""
+
+    # (command, spec fields, text the error names); samples takes count
+    # and seed only, so fixed points are refused, not silently re-sampled
+    @pytest.mark.parametrize("command, spec, named", [
+        (["curvature", "--point", "abc"], {}, "--point"),
+        (["curvature", "--point", "0.1,"], {}, "--point"),
+        (["check", "--suite", "bianchi"], {"samples": {"count": "abc"}},
+         "samples"),
+        (["check", "--suite", "bianchi"], {"samples": {"seed": 1.5}},
+         "samples"),
+        (["check", "--suite", "bianchi"], {"samples": "x"}, "samples"),
+        (["check", "--suite", "bianchi"],
+         {"samples": {"points": [[0.1, 0.2]]}}, "points"),
+        (["transport", "tractor"], {"box": [[-1, "inf"], [-1, 1]]},
+         "finite"),
+        (["check", "--suite", "bianchi"], {"box": [[-1], [-1, 1]]},
+         "box pair"),
+    ], ids=["point-text", "point-empty", "samples-count", "samples-seed",
+            "samples-text", "samples-points", "box-inf", "box-short"])
+    def test_exits_2_with_one_error_line(self, tmp_path, command, spec,
+                                         named):
+        rc, out, err, _ = run_cli(
+            command + ["--spec", write_spec(tmp_path, mode="float", **spec)])
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err and out == ""
+
 
 class TestTransportCommand:
     def test_flat_loop_reports_zero_deviation(self, tmp_path):

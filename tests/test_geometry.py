@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protract.cli import load_geometry_spec
-from protract.expr import EvalDomainError, diff, evaluate, parse
+from protract.expr import ZERO, EvalDomainError, diff, evaluate, parse
 from protract.geometry import (
     AffineConnection,
     ChartGeometry,
@@ -200,6 +200,8 @@ class TestCovariantDerivative:
     def test_components_are_the_sequential_sums(self, n):
         # one add per component builds the very nodes the running sum
         # val = val +- G*T built, on metrics, random fields and curvature
+        from protract.transport import BUNDLES
+
         rng = rng_for("nabla-sequential-%d" % n)
         geom = random_metric(rng, n)
         conn = geom.connection()
@@ -207,6 +209,17 @@ class TestCovariantDerivative:
                   poly_field(rng, n, 1, 1), poly_field(rng, n, 0, 2)]
         if n < 4:
             fields.append(riemann(conn))
+        # sparse fields, where the ZERO terms are skipped: the slot fields
+        # of each basis section (one ONE, the rest ZERO), and random
+        # fields with about half their entries ZERO
+        for name in ("cotractor", "tractor", "metrisability", "s2dual"):
+            bundle = BUNDLES[name](geom)
+            for j in range(bundle.rank):
+                fields.extend(f for _, f in bundle.basis_section(j).slots())
+        for p, q in ((1, 0), (1, 1), (0, 2)):
+            comps = [ZERO if rng.random() < 0.5 else c
+                     for c in poly_field(rng, n, p, q).components]
+            fields.append(TensorField(n, p, q, comps))
         for field in fields:
             _assert_same_nodes(covariant_derivative(conn, field),
                                covariant_derivative_sequential(conn, field))
