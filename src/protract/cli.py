@@ -3,8 +3,9 @@
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
 input, reported as one ``error:`` line: a bad spec (among them a box pair
 that is not two finite floats, and a ``samples`` that is not an object
-with integer ``count`` and ``seed`` only), an unknown suite, missing data
-for a suite, a ``--point`` that is not ``dim`` finite floats, a bad curve.
+with integer ``count`` and ``seed`` only, or whose count is below 1), an
+unknown suite, missing data for a suite, a ``--point`` that is not
+``dim`` finite floats, a bad curve.
 
 Every check compares its residual with one fixed threshold, which the
 report records.
@@ -191,6 +192,8 @@ def _build_spec(data: dict, digest: str) -> GeometrySpec:
     if extra:
         raise SpecError("samples takes count and seed only, not %s"
                         % ", ".join(map(repr, extra)))
+    if count < 1:
+        raise SpecError("samples.count must be at least 1, not %d" % count)
     box = [_finite_floats(pair, 2, "box pair %r" % (pair,)) for pair in pairs]
     if len(box) != dim or any(not lo < hi for lo, hi in box):
         raise SpecError("box needs %d nonempty [lo, hi] pairs" % dim)

@@ -27,6 +27,14 @@ Constants are kept exact, so one table serves both arithmetic modes:
 for a rational batch kernel.eval_table runs it once per point over
 (numerator, denominator) int pairs, and otherwise once over float64
 columns, with each constant rounded once.
+
+share_fold_prefixes rewrites a compiled table so that sums and products
+whose operand lists start alike compute that common prefix once: a
+fold's first operand may then be the register of a shared prefix, an ADD
+or MUL instruction that is no node of the DAG. The values are unchanged,
+because the walker folds strictly left to right. It pays where a table
+is walked many times: transport's coefficient tables, once per RK4
+batch.
 """
 
 from __future__ import annotations
@@ -124,3 +132,109 @@ def compile_table(exprs) -> CompiledTable:
     max_var = max((a for op, a in zip(ops, args) if op == OP_VAR), default=-1)
     return CompiledTable(ops, args, operands, starts, last_read, outputs,
                          n_slots, max_var)
+
+
+def share_fold_prefixes(table: CompiledTable) -> CompiledTable:
+    """The table with every sum and product prefix computed once.
+
+    The walker folds an ADD or MUL strictly left to right, so folds of
+    one op that start with the same k operands compute the same partial
+    result, bit for bit in float and as the same reduced pair in exact
+    mode. The operand sequences of the folds form a trie (one per op);
+    a trie node at depth 2 or more becomes a register where folds
+    branch or where a fold ends, and each fold reads its deepest such
+    register followed by the rest of its operands. Every distinct
+    prefix is then one binary operation, the fewest left folds allow.
+    A prefix register is emitted just before its first reader, so it
+    lives from there to its last reader; every value, entry and raised
+    error is the original table's.
+    """
+    ops, args = table.ops, table.args
+    operands, starts = table.operands, table.starts
+    n = len(ops)
+    n_nodes = len(operands) + 2
+    # trie node k (0 and 1 are the ADD and MUL roots) extends node
+    # parent[k] by register operand[k], under the key
+    # operand * n_nodes + parent (measured faster than parent * n_nodes +
+    # operand). Only ints go in, so the garbage collector never scans
+    # the trie.
+    child = {}
+    parent, operand = [-1, -1], [-1, -1]
+    fanout = [0, 0]
+    ends = bytearray(2)
+    fold_end = {}
+    for i in range(n):
+        op = ops[i]
+        if (op != OP_ADD and op != OP_MUL) or starts[i + 1] - starts[i] < 2:
+            continue
+        node = op - OP_ADD
+        for x in operands[starts[i]:starts[i + 1]]:
+            key = x * n_nodes + node
+            nxt = child.get(key)
+            if nxt is None:
+                nxt = child[key] = len(parent)
+                parent.append(node)
+                operand.append(x)
+                fanout.append(0)
+                ends.append(0)
+                fanout[node] += 1
+            node = nxt
+        ends[node] = 1
+        fold_end[i] = node
+    del child
+
+    new_ops, new_args = [], []
+    new_operands, new_starts = array("l"), array("l", [0])
+    reg = [0] * n             # the new register of each instruction
+    node_reg = [-1] * len(parent)
+    path = []
+    for i in range(n):
+        op = ops[i]
+        end = fold_end.get(i)
+        if end is None:
+            new_ops.append(op)
+            new_args.append(args[i])
+            new_operands.extend(map(reg.__getitem__,
+                                    operands[starts[i]:starts[i + 1]]))
+            new_starts.append(len(new_operands))
+            reg[i] = len(new_ops) - 1
+            continue
+        if node_reg[end] < 0:
+            # emit the registers from the deepest one already emitted
+            # (or the root) down to the fold's own end
+            node = end
+            while node > 1 and node_reg[node] < 0:
+                path.append(node)
+                node = parent[node]
+            first = len(new_operands)
+            if node > 1:
+                new_operands.append(node_reg[node])
+            while path:
+                node = path.pop()
+                new_operands.append(reg[operand[node]])
+                if len(new_operands) - first > 1 and (ends[node]
+                                                      or fanout[node] > 1):
+                    new_ops.append(op)
+                    new_args.append(0)
+                    new_starts.append(len(new_operands))
+                    r = node_reg[node] = len(new_ops) - 1
+                    first = len(new_operands)
+                    if path:
+                        new_operands.append(r)
+        reg[i] = node_reg[end]
+
+    m = len(new_ops)
+    outputs = [reg[r] for r in table.outputs]
+    last_read = array("l", [0]) * m
+    reads = [0] * m
+    for i in range(m):
+        for r in new_operands[new_starts[i]:new_starts[i + 1]]:
+            last_read[r] = i
+            reads[r] += 1
+    for r in outputs:
+        last_read[r] = m
+        reads[r] += 1
+    n_slots = sum(1 for op, k in zip(new_ops, reads)
+                  if k > 1 and op != OP_CONST and op != OP_VAR)
+    return CompiledTable(new_ops, new_args, new_operands, new_starts,
+                         last_read, outputs, n_slots, table.max_var)

@@ -11,8 +11,11 @@ one evaluation, and every step propagator from stacked matrix products;
 only the product of the propagators runs step by step. The bundles of
 one holonomy_dimensions call share each batch: their coefficients are
 one compiled table, so a loop's curve is sampled once and that table
-evaluated once at its nodes, and each bundle runs RK4 on its own block
-of columns.
+evaluated once at its nodes, and each bundle forms its node matrices
+from its own block of columns. The bundles of one rank then run one RK4
+chain, one stacked matrix product per step for all of them. A
+coefficient table is walked once per batch, so it computes each shared
+sum and product prefix once (program.share_fold_prefixes).
 
 Curves are expression vectors in the single parameter x0; loops are
 tuples of curve segments chained end to end.
@@ -32,7 +35,7 @@ import numpy as np
 from .expr import Expr, ZERO, as_expr, const, cos, diff_all, sin, var
 from .geometry import ChartGeometry, covariant_derivative
 from .kernel import eval_table
-from .program import compile_table
+from .program import compile_table, share_fold_prefixes
 from .tensor import (
     PointTensor,
     TensorField,
@@ -346,7 +349,8 @@ class TransportBundle:
     def coefficient_table(self):
         """The compiled coefficient entries, built once per bundle."""
         if self._A_table is None:
-            self._A_table = compile_table(self.coefficient_entries())
+            self._A_table = share_fold_prefixes(
+                compile_table(self.coefficient_entries()))
         return self._A_table
 
     def coefficients_at(self, points) -> np.ndarray:
@@ -405,18 +409,22 @@ def _shared_table(bundles: Sequence[TransportBundle]):
         raise TransportError("bundles must share one geometry")
     if len(bundles) == 1:
         return bundles[0].coefficient_table()
-    return compile_table([e for b in bundles for e in b.coefficient_entries()])
+    return share_fold_prefixes(compile_table(
+        [e for b in bundles for e in b.coefficient_entries()]))
 
 
 def _propagators(bundles: Sequence[TransportBundle], table, jobs) -> list:
     """RK4 propagators, acting on coordinate vectors, of the segments of
-    (segment, steps) jobs: per job, one propagator per bundle.
+    (segment, steps) jobs: per job, one propagator per bundle, in bundle
+    order.
 
     The curves are sampled per segment at their 2*steps + 1 RK4 nodes,
     and the shared coefficient table is evaluated once at the nodes of
     all jobs. Per bundle, the node matrices -v^a A_a are then formed from
-    its column block, and the step propagators of each job in one batch.
-    Only the product of the step propagators runs step by step.
+    its column block. The bundles of one rank run one RK4 chain: their
+    node matrices stack, the step propagators of each job are formed in
+    one batch, and only the product of the step propagators runs step by
+    step, one stacked matrix product per step for the whole rank.
     """
     hs, xs, vs = [], [], []
     for seg, steps in jobs:
@@ -436,20 +444,27 @@ def _propagators(bundles: Sequence[TransportBundle], table, jobs) -> list:
     N, dim = v.shape
     flat = eval_table(table, np.concatenate(xs))
 
-    out = [[] for _ in hs]
-    lo = 0
-    for bundle in bundles:
-        r = bundle.rank
+    # each bundle's column block starts where the previous one ends
+    offsets = list(itertools.accumulate(
+        (dim * b.rank ** 2 for b in bundles), initial=0))
+    by_rank = {}
+    for k, bundle in enumerate(bundles):
+        by_rank.setdefault(bundle.rank, []).append(k)
+    out = [[None] * len(bundles) for _ in hs]
+    for r, group in by_rank.items():
         eye = np.eye(r)
-        hi = lo + dim * r * r
-        # a contiguous copy: the matrix products see the layout a table
-        # of the bundle's own entries gives
-        A = np.ascontiguousarray(flat[:, lo:hi]).reshape(N, dim, r * r)
-        lo = hi
-        # non-finite coefficients propagate as NaN, like the kernel's
-        # numerics
-        with np.errstate(all="ignore"):
-            M = -(v[:, None, :] @ A).reshape(N, r, r)
+        # (N, bundles, r, r): each matrix product acts on the last two
+        # axes, so every bundle's products are the ones it would get alone
+        M = np.empty((N, len(group), r, r))
+        for j, k in enumerate(group):
+            # a contiguous copy: the matrix products see the layout a
+            # table of the bundle's own entries gives
+            A = np.ascontiguousarray(
+                flat[:, offsets[k]:offsets[k + 1]]).reshape(N, dim, r * r)
+            # non-finite coefficients propagate as NaN, like the kernel's
+            # numerics
+            with np.errstate(all="ignore"):
+                M[:, j] = -(v[:, None, :] @ A).reshape(N, r, r)
         start = 0
         for props, h, vel in zip(out, hs, vs):
             Mj = M[start:start + len(vel)]
@@ -462,7 +477,8 @@ def _propagators(bundles: Sequence[TransportBundle], table, jobs) -> list:
             S = eye
             for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
                 S = P @ S
-            props.append(S)
+            for k, Sk in zip(group, S):
+                props[k] = Sk
     return out
 
 

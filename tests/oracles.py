@@ -11,7 +11,7 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Seven sections keep verbatim copies of replaced code: the per-type code
+Eight sections keep verbatim copies of replaced code: the per-type code
 that one slot table per section type replaced (random sections, the
 (1,1) and (2,1) trace-free projectors, the sampled source-equation
 residual), the seven hand-written connection bodies that the one
@@ -21,10 +21,11 @@ max_residual as it was when each family of fields compiled its own
 table, the flat skew system with its rho slot that the Lambda^2 T
 placement row replaced, CurveSegment.reversed as it was when it
 substituted into the curve's DAG, the Cotton-Weyl field as it was when
-it built the whole nabla W, and holonomy_dimension with its
-per-bundle RK4 batches as it was before bundles shared one coefficient
-table. antisymmetrize_reference builds each entry of a skew part anew,
-with no cache.
+it built the whole nabla W, holonomy_dimension with its per-bundle RK4
+batches as it was before bundles shared one coefficient table, and
+_propagators as it was when each bundle ran its own RK4 chain.
+antisymmetrize_reference builds each entry of a skew part anew, with
+no cache.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from protract.expr import ZERO, add
 from protract.geometry import GeometryError, covariant_derivative
+from protract.kernel import eval_table
 from protract.tensor import (TensorField, _is_rational_point, is_symmetric_pair,
                              max_magnitude)
 from protract.tractor import (
@@ -1092,3 +1094,66 @@ def holonomy_dimension_reference(bundle, loops, steps=1000, seed=None,
         if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
     fixed = int(np.sum(sv < sv_tol))
     return HolonomyReport(bundle.rank, mats, sv.tolist(), fixed, seed)
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of _propagators (transport.py) as it was when every bundle
+# ran its own RK4 chain, before the bundles of one rank shared one stacked
+# chain; only its name and signature annotations differ.
+
+def propagators_per_bundle_reference(bundles, table, jobs) -> list:
+    """RK4 propagators, acting on coordinate vectors, of the segments of
+    (segment, steps) jobs: per job, one propagator per bundle.
+
+    The curves are sampled per segment at their 2*steps + 1 RK4 nodes,
+    and the shared coefficient table is evaluated once at the nodes of
+    all jobs. Per bundle, the node matrices -v^a A_a are then formed from
+    its column block, and the step propagators of each job in one batch.
+    Only the product of the step propagators runs step by step.
+    """
+    hs, xs, vs = [], [], []
+    for seg, steps in jobs:
+        u0, u1 = float(seg.u0), float(seg.u1)
+        h = (u1 - u0) / steps
+        # node 2k is the start of step k (the end of step k-1), node 2k+1
+        # its midpoint
+        nodes = [u0]
+        for k in range(steps):
+            u = u0 + k * h
+            nodes += (u + 0.5 * h, u + h)
+        pos, vel = seg.sample_many(nodes)
+        hs.append(h)
+        xs.append(pos)
+        vs.append(vel)
+    v = np.concatenate(vs)
+    N, dim = v.shape
+    flat = eval_table(table, np.concatenate(xs))
+
+    out = [[] for _ in hs]
+    lo = 0
+    for bundle in bundles:
+        r = bundle.rank
+        eye = np.eye(r)
+        hi = lo + dim * r * r
+        # a contiguous copy: the matrix products see the layout a table
+        # of the bundle's own entries gives
+        A = np.ascontiguousarray(flat[:, lo:hi]).reshape(N, dim, r * r)
+        lo = hi
+        # non-finite coefficients propagate as NaN, like the kernel's
+        # numerics
+        with np.errstate(all="ignore"):
+            M = -(v[:, None, :] @ A).reshape(N, r, r)
+        start = 0
+        for props, h, vel in zip(out, hs, vs):
+            Mj = M[start:start + len(vel)]
+            start += len(vel)
+            k1 = Mj[0:-1:2]
+            m_mid = Mj[1::2]
+            k2 = m_mid @ (eye + 0.5 * h * k1)
+            k3 = m_mid @ (eye + 0.5 * h * k2)
+            k4 = Mj[2::2] @ (eye + h * k3)
+            S = eye
+            for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
+                S = P @ S
+            props.append(S)
+    return out

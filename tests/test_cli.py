@@ -328,6 +328,18 @@ class TestInputFaults:
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err and "Traceback" not in err and out == ""
 
+    # the duality suite draws its own points, so only a check at load
+    # refuses the count there
+    @pytest.mark.parametrize("suite", ["duality", "bianchi"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_count_below_one_exits_2(self, tmp_path, suite, count):
+        rc, out, err, _ = run_cli(
+            ["check", "--suite", suite, "--spec",
+             write_spec(tmp_path, samples={"count": count, "seed": 3})])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "samples.count" in err and "Traceback" not in err
+
 
 class TestTransportCommand:
     def test_flat_loop_reports_zero_deviation(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Compiled evaluation tables and the batched kernel, exact and float."""
+"""Compiled evaluation tables, the fold-prefix pass and the batched
+kernel, exact and float."""
 
 import math
 from fractions import Fraction
@@ -6,13 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from protract.cli import load_geometry_spec
 from protract.expr import (EvalDomainError, ExactModeError, Pow, _walk_unique,
-                           add, const, diff, evaluate, mul, neg, parse)
+                           add, const, diff, evaluate, mul, neg, parse, sin,
+                           var)
+from protract.geometry import GeometryError
 from protract import kernel
 from protract.kernel import eval_table
-from protract.program import OP_CONST, OP_MUL, OP_VAR, compile_table
+from protract.program import (OP_ADD, OP_CONST, OP_MUL, OP_VAR, compile_table,
+                              share_fold_prefixes)
+from protract.transport import (BUNDLES, _shared_table, cotractor_bundle,
+                                s2_tractor_bundle, tractor_bundle)
 
-from gen import rng_for
+from gen import float_points, poly, rational_points, rng_for
 from test_expr import _random_rational_expr, _random_smooth_expr
 
 
@@ -325,3 +332,172 @@ def test_exact_empty_batch():
     with pytest.raises(ExactModeError):
         eval_table(compile_table([parse("x0 + sin(x1)", 2)]),
                    np.empty((0, 2), dtype=object))
+
+
+# ---------------------------------------------------------------------------
+# share_fold_prefixes: each sum and product prefix computed once
+
+def _fold_prefixes(table) -> set:
+    """The distinct (op, leading operands) runs of two operands or more
+    that the table's sums and products fold through."""
+    out = set()
+    for i, op in enumerate(table.ops):
+        if op in (OP_ADD, OP_MUL):
+            xs = tuple(_operands(table, i))
+            out.update((op,) + xs[:k] for k in range(2, len(xs) + 1))
+    return out
+
+
+def _binary_fold_ops(table) -> int:
+    return sum(len(_operands(table, i)) - 1
+               for i, op in enumerate(table.ops) if op in (OP_ADD, OP_MUL))
+
+
+def _assert_shares_fold_prefixes(table, shared):
+    """Operands before their reader, last_read and n_slots by the rules
+    _assert_register_tape states, no sum or product computed twice, and
+    one binary operation per distinct fold prefix of the original."""
+    reads = [0] * len(shared)
+    last = [None] * len(shared)
+    assert len(shared.starts) == len(shared) + 1
+    for i in range(len(shared)):
+        for r in _operands(shared, i):
+            assert 0 <= r < i
+            reads[r] += 1
+            last[r] = i
+    for r in shared.outputs:
+        reads[r] += 1
+        last[r] = len(shared)
+    assert list(shared.last_read) == last
+    assert shared.n_slots == sum(
+        1 for op, n in zip(shared.ops, reads)
+        if n > 1 and op not in (OP_CONST, OP_VAR))
+    folds = [(op, tuple(_operands(shared, i)))
+             for i, op in enumerate(shared.ops) if op in (OP_ADD, OP_MUL)]
+    assert len(set(folds)) == len(folds)
+    assert _binary_fold_ops(shared) == len(_fold_prefixes(table))
+    assert (shared.n_out, shared.max_var) == (table.n_out, table.max_var)
+
+
+def _assert_same_values(table, shared, points):
+    """Bitwise-equal floats, or equal Fractions, or the same error."""
+    try:
+        want = eval_table(table, points)
+    except (EvalDomainError, ExactModeError) as e:
+        with pytest.raises(type(e)):
+            eval_table(shared, points)
+        return
+    got = eval_table(shared, points)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if want.dtype == object:
+        assert all(type(v) is Fraction for v in got.flat)
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def _prefix_family(rng, dim, smooth):
+    """Sums and products whose operand lists start with a few shared
+    runs of random polynomials, coordinates, constants beyond the float
+    range and negative powers, with sin, cos and exp when smooth."""
+    pool = [poly(rng, dim) for _ in range(5)]
+    pool += [var(k) for k in range(dim)]
+    pool += [const(10 ** 400), const(Fraction(-3, 7)),
+             Pow(var(0), -2), Pow(add(var(dim - 1), const(1)), -1)]
+    if smooth:
+        pool += [_random_smooth_expr(rng, dim, depth=3) for _ in range(3)]
+    else:
+        pool += [_random_rational_expr(rng, dim, depth=3) for _ in range(3)]
+    stems = [[rng.choice(pool) for _ in range(rng.randint(2, 4))]
+             for _ in range(4)]
+    exprs = []
+    for _ in range(12):
+        fold = rng.choice((add, mul))
+        items = rng.choice(stems) + [rng.choice(pool)
+                                     for _ in range(rng.randint(0, 3))]
+        e = fold(*items)
+        exprs.append(e)
+        pool.append(e)   # later folds may read earlier ones
+    exprs.append(neg(exprs[0]))
+    return exprs
+
+
+def test_shared_fold_prefixes_on_random_dags():
+    rng = rng_for("fold-prefixes")
+    specials = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e300)
+    for trial in range(30):
+        dim = rng.randint(1, 3)
+        smooth = trial % 2 == 0
+        table = compile_table(_prefix_family(rng, dim, smooth))
+        shared = share_fold_prefixes(table)
+        _assert_shares_fold_prefixes(table, shared)
+        points = float_points(rng, dim, 5)
+        points += [[rng.choice(specials) for _ in range(dim)]
+                   for _ in range(5)]
+        _assert_same_values(table, shared, points)
+        # rational rows: equal Fractions, or the same error (0^-k raises
+        # EvalDomainError, sin, cos or exp ExactModeError)
+        _assert_same_values(table, shared, rational_points(rng, dim, 3))
+        _assert_same_values(table, shared, [[0] * dim])
+
+
+def test_shared_fold_prefixes_raise_as_the_table_does():
+    x0 = parse("x0", 1)
+    table = compile_table([mul(x0, x0, Pow(x0, -1)), mul(x0, x0, const(3)),
+                           add(sin(x0), x0, x0)])
+    shared = share_fold_prefixes(table)
+    _assert_shares_fold_prefixes(table, shared)
+    with pytest.raises(ExactModeError):
+        eval_table(shared, [[Fraction(1, 2)]])
+    table = compile_table([mul(x0, x0, Pow(x0, -1)), mul(x0, x0, const(3))])
+    shared = share_fold_prefixes(table)
+    assert eval_table(shared, [[Fraction(1, 2)]]).tolist() == [
+        [Fraction(1, 2), Fraction(3, 4)]]
+    with pytest.raises(EvalDomainError):
+        eval_table(shared, [[Fraction(1, 2)], [0]])
+    _assert_same_values(table, shared, [[0.0], [-0.0], [math.inf]])
+
+
+@pytest.mark.parametrize("name", ["flat2", "flat3", "sphere2", "sphere3",
+                                  "nonEinstein2", "nonEinstein3"])
+def test_shared_fold_prefixes_on_bundle_coefficients(name):
+    # every bundle's coefficient table, where the bundle builds: the
+    # skew bundle needs a flat chart of dimension 3 or more
+    spec = load_geometry_spec(name)
+    rng = rng_for("fold-prefixes-" + name)
+    points = float_points(rng, spec.dim, 4)
+    points += [[math.nan] + [0.25] * (spec.dim - 1),
+               [math.inf, -math.inf] + [0.0] * (spec.dim - 2)]
+    built = []
+    for bundle_name, make in BUNDLES.items():
+        try:
+            entries = make(spec.geom).coefficient_entries()
+        except GeometryError:
+            assert bundle_name == "skew" and name != "flat3"
+            continue
+        built.append(bundle_name)
+        table = compile_table(entries)
+        shared = share_fold_prefixes(table)
+        _assert_shares_fold_prefixes(table, shared)
+        _assert_same_values(table, shared, points)
+        _assert_same_values(table, shared, rational_points(rng, spec.dim, 1))
+    assert len(built) == (6 if name == "flat3" else 5)
+
+
+def test_holonomy_tape_folds_each_prefix_once():
+    # the sphere2 holonomy suite's one coefficient tape: 4,980 binary
+    # sums and products per batch without the pass, 2,395 with it
+    geom = load_geometry_spec("sphere2").geom
+    bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
+                                       s2_tractor_bundle)]
+    table = compile_table([e for b in bundles
+                           for e in b.coefficient_entries()])
+    shared = _shared_table(bundles)
+    assert _binary_fold_ops(table) == 4980
+    assert _binary_fold_ops(shared) == 2395
+    _assert_shares_fold_prefixes(table, shared)
+    # a table with no shared prefix is its own result
+    plain = compile_table([parse("x0 * x1 + 2", 2), parse("x0 - x1", 2)])
+    again = share_fold_prefixes(plain)
+    assert (again.ops, list(again.operands), list(again.starts)) == (
+        plain.ops, list(plain.operands), list(plain.starts))

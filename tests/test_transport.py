@@ -411,6 +411,34 @@ class TestHolonomy:
             _assert_same_report(rep, oracles.holonomy_dimension_reference(
                 bundle, loops, steps=steps, seed=7))
 
+    @pytest.mark.parametrize("name,steps", [("sphere3", 12),
+                                            ("nonEinstein3", 16)])
+    def test_rank_chains_match_per_bundle_reference(self, name, steps):
+        # interleaved ranks: each rank runs one stacked RK4 chain, and
+        # every propagator is bitwise the one its own chain gave, in
+        # bundle order
+        from protract.transport import (_propagators, _shared_table,
+                                        _split_steps)
+
+        spec = load_geometry_spec(name)
+        bundles = [make(spec.geom) for make in (
+            s2_tractor_bundle, cotractor_bundle, s2_cotractor_bundle,
+            tractor_bundle)]
+        assert [b.rank for b in bundles] == [10, 4, 10, 4]
+        table = _shared_table(bundles)
+        for loop in (rectangle_loop([-0.2, 0.1, 0.3], 0.5, 0.3),
+                     circle_loop([0.1, 0.2, -0.1], 0.45)):
+            jobs = list(zip(loop, _split_steps(loop, steps)))
+            got = _propagators(bundles, table, jobs)
+            want = oracles.propagators_per_bundle_reference(bundles, table,
+                                                            jobs)
+            assert len(got) == len(want) == len(loop)
+            for props, refs in zip(got, want):
+                assert [p.shape for p in props] == [(b.rank, b.rank)
+                                                    for b in bundles]
+                assert [p.tobytes() for p in props] == [
+                    p.tobytes() for p in refs]
+
     @pytest.mark.parametrize("make,name", [(s2_cotractor_bundle, "sphere2"),
                                            (skew_bundle, "flat3")])
     def test_single_bundle_matches_reference(self, make, name):
