@@ -96,6 +96,9 @@ class GeometrySpec:
     sample_seed: int
     mode: str
     digest: str
+    # screened sample points by (seed, count); see _eval_points
+    screened: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
 
 @dataclass
@@ -248,17 +251,23 @@ def sample_points(spec: GeometrySpec, seed: int | None = None,
 
 
 def _eval_points(spec: GeometrySpec, seed=None, count=None) -> list:
-    pts = sample_points(spec, seed, count)
-    ok = []
-    for p in pts:
-        try:
-            spec.geom.check_invertible_at(p)
-        except (GeometryError, EvalDomainError):
-            continue
-        ok.append(p)
+    """The sample points at which the metric is invertible, screened once
+    per spec, seed and count."""
+    key = (spec.sample_seed if seed is None else seed,
+           spec.sample_count if count is None else count)
+    ok = spec.screened.get(key)
+    if ok is None:
+        ok = []
+        for p in sample_points(spec, *key):
+            try:
+                spec.geom.check_invertible_at(p)
+            except (GeometryError, EvalDomainError):
+                continue
+            ok.append(p)
+        spec.screened[key] = ok
     if not ok:
         raise SpecError("no usable sample points inside the box")
-    return ok
+    return list(ok)
 
 
 def _unless_nonfinite(residual, *evidence) -> float:

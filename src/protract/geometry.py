@@ -5,6 +5,12 @@ curvature tensor R_ab{}^c{}_d is stored as [c][a][b][d] and its sign is
 fixed by the commutation rule (nabla_a nabla_b - nabla_b nabla_a) v^c =
 R_ab{}^c{}_d v^d, which the test suite asserts directly so the
 convention cannot drift.
+
+gamma^c_ab (symmetric in ab) and R_ab{}^c{}_d, W_ab{}^c{}_d and C_abc
+(skew in ab) are built once per orbit of the pair (tensor.pair_field):
+the mirror entry is the same node or its Neg, so values are exactly
+symmetric or skew, floats too, and every later field and table shares
+the smaller DAG.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .tensor import (
     max_magnitude,
     max_residual,
     max_residuals,
+    pair_field,
     symmetrize,
 )
 
@@ -160,11 +167,12 @@ def levi_civita(geom: ChartGeometry) -> AffineConnection:
     ginv = geom.metric_inverse()
     dg = partial_derivative(geom.metric)  # [a][d][b] = d_a g_db
     half = Fraction(1, 2)
-    comps = [half * add(*[ginv[c, d] * (dg[a, d, b] + dg[b, d, a]
-                                        - dg[d, a, b])
-                          for d in range(n)])
-             for c in range(n) for a in range(n) for b in range(n)]
-    return AffineConnection(TensorField(n, 1, 2, comps), validate=False)
+
+    def component(c, a, b):
+        return half * add(*[ginv[c, d] * (dg[a, d, b] + dg[b, d, a]
+                                          - dg[d, a, b]) for d in range(n)])
+    return AffineConnection(pair_field(n, 1, 2, (1, 2), 1, component),
+                            validate=False)
 
 
 def partial_derivative(T: TensorField) -> TensorField:
@@ -222,14 +230,14 @@ def riemann(conn: AffineConnection) -> TensorField:
     n = conn.dim
     gamma = conn.gamma
     dgamma = partial_derivative(gamma)  # [c][a][b][d] = d_a gamma^c_bd
-    comps = []
-    for c, a, b, d in itertools.product(range(n), repeat=4):
+
+    def component(c, a, b, d):
         terms = [dgamma[c, a, b, d], -dgamma[c, b, a, d]]
         for e in range(n):
             terms.append(gamma[c, a, e] * gamma[e, b, d])
             terms.append(-(gamma[c, b, e] * gamma[e, a, d]))
-        comps.append(add(*terms))
-    return TensorField(n, 1, 3, comps)
+        return add(*terms)
+    return pair_field(n, 1, 3, (1, 2), -1, component)
 
 
 def _ricci(riem: TensorField) -> TensorField:
@@ -238,30 +246,20 @@ def _ricci(riem: TensorField) -> TensorField:
 
 
 def _weyl(riem: TensorField, schouten: TensorField) -> TensorField:
-    n = riem.dim
-    comps = []
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    val = riem[c, a, b, d]
-                    if a == c:
-                        val = val - schouten[b, d]
-                    if b == c:
-                        val = val + schouten[a, d]
-                    comps.append(val)
-    return TensorField(n, 1, 3, comps)
+    def component(c, a, b, d):
+        val = riem[c, a, b, d]
+        if a == c:
+            val = val - schouten[b, d]
+        if b == c:
+            val = val + schouten[a, d]
+        return val
+    return pair_field(riem.dim, 1, 3, (1, 2), -1, component)
 
 
 def _cotton(conn: AffineConnection, schouten: TensorField) -> TensorField:
     dP = covariant_derivative(conn, schouten)  # [a][b][c] = nabla_a P_bc
-    n = conn.dim
-    comps = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                comps.append(dP[a, b, c] - dP[b, a, c])
-    return TensorField(n, 0, 3, comps)
+    return pair_field(conn.dim, 0, 3, (0, 1), -1,
+                      lambda a, b, c: dP[a, b, c] - dP[b, a, c])
 
 
 def connection_pack(conn: AffineConnection) -> CurvaturePack:

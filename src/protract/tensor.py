@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import (EvalDomainError, Call, Const, ZERO, _walk_unique, add,
-                   as_expr, const, power)
+                   as_expr, const, neg, power)
 
 __all__ = [
     "Tensor", "TensorField", "PointTensor",
@@ -26,7 +26,7 @@ __all__ = [
     "trace_free_11", "trace_free_sym", "trace_free_skew",
     "sym_trace_coefficient", "skew_trace_coefficient",
     "matrix_inverse_exprs", "fraction_matrix_inverse",
-    "zero_field", "is_symmetric_pair", "is_skew_pair",
+    "zero_field", "pair_field", "is_symmetric_pair", "is_skew_pair",
     "max_magnitude", "max_residual", "max_residuals",
 ]
 
@@ -197,6 +197,29 @@ def max_residual(fields, points):
 
 def zero_field(dim: int, p: int, q: int) -> TensorField:
     return TensorField(dim, p, q, [ZERO] * dim ** (p + q))
+
+
+def pair_field(dim: int, p: int, q: int, slots, sign: int,
+               build) -> TensorField:
+    """Field symmetric (sign 1) or skew (sign -1) in slots i < j, built
+    once per orbit of their swap: build(*multi) runs where multi[i] <
+    multi[j], and where multi[i] == multi[j] when symmetric. The mirror
+    entry is the same node or its Neg and a skew diagonal is ZERO, so
+    the values are exactly symmetric or skew, in float arithmetic too."""
+    i, j = slots
+    # the mirror of flat index k lies (multi[i] - multi[j]) * step before it
+    step = dim ** (p + q - 1 - i) - dim ** (p + q - 1 - j)
+    comps = []
+    for k, multi in enumerate(_ranges(dim, p + q)):
+        s = multi[i] - multi[j]
+        if s < 0 or (s == 0 and sign > 0):
+            comps.append(build(*multi))
+        elif s == 0:
+            comps.append(ZERO)
+        else:
+            mirror = comps[k - s * step]
+            comps.append(mirror if sign > 0 else neg(mirror))
+    return TensorField(dim, p, q, comps)
 
 
 def _ranges(dim, count):

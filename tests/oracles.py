@@ -23,7 +23,9 @@ placement row replaced, CurveSegment.reversed as it was when it
 substituted into the curve's DAG, the Cotton-Weyl field as it was when
 it built the whole nabla W, holonomy_dimension with its per-bundle RK4
 batches as it was before bundles shared one coefficient table, and
-_propagators as it was when each bundle ran its own RK4 chain.
+_propagators as it was when each bundle ran its own RK4 chain; and
+levi_civita, riemann, _weyl and _cotton as they were when each built
+every component, before a mirrored entry was the same node or its Neg.
 antisymmetrize_reference builds each entry of a skew part anew, with
 no cache.
 """
@@ -36,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from protract.expr import ZERO, add
-from protract.geometry import GeometryError, covariant_derivative
+from protract.geometry import (AffineConnection, GeometryError,
+                               covariant_derivative, partial_derivative)
 from protract.kernel import eval_table
 from protract.tensor import (TensorField, _is_rational_point, is_symmetric_pair,
                              max_magnitude)
@@ -1157,3 +1160,65 @@ def propagators_per_bundle_reference(bundles, table, jobs) -> list:
                 S = P @ S
             props.append(S)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of levi_civita, riemann, _weyl and _cotton (geometry.py)
+# as they were when each built every component on its own: gamma^c_ba a
+# separate sum from gamma^c_ab, and the zero diagonal and mirrored half of
+# R, W and C full sums. Only their names differ.
+
+def levi_civita_reference(geom) -> AffineConnection:
+    """Koszul formula: gamma^c_ab = g^cd(d_a g_db + d_b g_da - d_d g_ab)/2."""
+    n = geom.dim
+    ginv = geom.metric_inverse()
+    dg = partial_derivative(geom.metric)  # [a][d][b] = d_a g_db
+    half = Fraction(1, 2)
+    comps = [half * add(*[ginv[c, d] * (dg[a, d, b] + dg[b, d, a]
+                                        - dg[d, a, b])
+                          for d in range(n)])
+             for c in range(n) for a in range(n) for b in range(n)]
+    return AffineConnection(TensorField(n, 1, 2, comps), validate=False)
+
+
+def riemann_reference(conn: AffineConnection) -> TensorField:
+    """Curvature of the connection, stored as [c][a][b][d]."""
+    n = conn.dim
+    gamma = conn.gamma
+    dgamma = partial_derivative(gamma)  # [c][a][b][d] = d_a gamma^c_bd
+    comps = []
+    for c, a, b, d in itertools.product(range(n), repeat=4):
+        terms = [dgamma[c, a, b, d], -dgamma[c, b, a, d]]
+        for e in range(n):
+            terms.append(gamma[c, a, e] * gamma[e, b, d])
+            terms.append(-(gamma[c, b, e] * gamma[e, a, d]))
+        comps.append(add(*terms))
+    return TensorField(n, 1, 3, comps)
+
+
+def weyl_reference(riem: TensorField, schouten: TensorField) -> TensorField:
+    n = riem.dim
+    comps = []
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                for d in range(n):
+                    val = riem[c, a, b, d]
+                    if a == c:
+                        val = val - schouten[b, d]
+                    if b == c:
+                        val = val + schouten[a, d]
+                    comps.append(val)
+    return TensorField(n, 1, 3, comps)
+
+
+def cotton_reference(conn: AffineConnection,
+                     schouten: TensorField) -> TensorField:
+    dP = covariant_derivative(conn, schouten)  # [a][b][c] = nabla_a P_bc
+    n = conn.dim
+    comps = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                comps.append(dP[a, b, c] - dP[b, a, c])
+    return TensorField(n, 0, 3, comps)

@@ -14,7 +14,8 @@ import math
 import pytest
 
 from protract import kernel, transport
-from protract.cli import SUITES, _SUITES, build_parser, main
+from protract.cli import (SUITES, _SUITES, _eval_points, build_parser,
+                          load_geometry_spec, main, sample_points)
 from protract.geometry import ChartGeometry
 
 
@@ -560,6 +561,40 @@ class TestCurvatureCommand:
              "--json", str(path)], json_path=path)
         assert rc == 0
         assert all(v == 0.0 for v in report["metrics"]["values"]["riemann"])
+
+
+class TestSampleScreening:
+    @pytest.fixture
+    def screened(self, monkeypatch):
+        """The points check_invertible_at is called on, in order."""
+        calls = []
+        real = ChartGeometry.check_invertible_at
+
+        def counted(self, point):
+            calls.append(tuple(point))
+            return real(self, point)
+        monkeypatch.setattr(ChartGeometry, "check_invertible_at", counted)
+        return calls
+
+    def test_once_per_seed_and_count(self, screened):
+        spec = load_geometry_spec("nonEinstein3")
+        first = _eval_points(spec)
+        assert first == sample_points(spec)
+        assert _eval_points(spec, spec.sample_seed, spec.sample_count) \
+            == first
+        first.clear()   # a caller's list is its own
+        assert _eval_points(spec) == sample_points(spec)
+        assert len(screened) == spec.sample_count
+        assert _eval_points(spec, seed=5, count=3) == sample_points(spec, 5, 3)
+        assert len(screened) == spec.sample_count + 3
+
+    def test_check_all_screens_each_batch_once(self, screened):
+        # the spec's points once for every suite, and the duality suite's
+        # ten seeded points once
+        run_cli(["check", "--suite", "all", "--steps", "20", "--spec",
+                 "sphere2"])
+        assert len(screened) == load_geometry_spec("sphere2").sample_count \
+            + 10
 
 
 @pytest.fixture

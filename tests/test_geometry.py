@@ -1,17 +1,19 @@
 """Connections, curvature, and the differential identities tying them together."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from protract.cli import load_geometry_spec
-from protract.expr import ZERO, EvalDomainError, diff, evaluate, parse
+from protract.cli import BUNDLED, load_geometry_spec
+from protract.expr import ZERO, EvalDomainError, diff, evaluate, neg, parse
 from protract.geometry import (
     AffineConnection,
     ChartGeometry,
     SingularMetricError,
     _cotton_weyl_field,
+    _ricci,
     connection_pack,
     cotton_weyl_relation,
     covariant_derivative,
@@ -22,12 +24,17 @@ from protract.geometry import (
     torsion,
     verify_bianchi,
 )
-from protract.tensor import TensorField, contract, tensor_product, zero_field
+from protract.kernel import eval_table
+from protract.program import compile_table
+from protract.projective import gradient_upsilon, projective_change
+from protract.tensor import TensorField, symmetrize, tensor_product
 
 from gen import invertible, poly_field, random_metric, rational_points, rng_for
-from oracles import (commutator_family, cotton_weyl_field_reference,
+from oracles import (commutator_family, cotton_reference,
+                     cotton_weyl_field_reference,
                      covariant_derivative_sequential, fd_christoffel,
-                     fd_curvature_stack)
+                     fd_curvature_stack, levi_civita_reference,
+                     riemann_reference, weyl_reference)
 
 
 def _flat(n):
@@ -347,6 +354,85 @@ class TestCurvaturePack:
         assert a.components == b.components
 
 
+def _reference_stack(conn, symmetric_ricci):
+    """(R, W, C) of a connection from the copies of the constructors that
+    built every component; the Ricci tensor is symmetrized as
+    connection_pack does when symmetric_ricci."""
+    R = riemann_reference(conn)
+    ricci = _ricci(R)
+    if symmetric_ricci:
+        ricci = symmetrize(ricci, (0, 1))
+    P = ricci.scaled(Fraction(1, conn.dim - 1))
+    return R, weyl_reference(R, P), cotton_reference(conn, P)
+
+
+def _assert_equal_at(got, want, pts):
+    # every component of every field, exactly, from one table per side
+    assert [(f.p, f.q) for f in got] == [(f.p, f.q) for f in want]
+    values = [eval_table(compile_table([c for f in fields
+                                        for c in f.components]), pts)
+              .tolist() for fields in (got, want)]
+    assert values[0] == values[1]
+
+
+def _orbit_geometry(name):
+    """(geometry, phi) of a bundled spec, or of a random metric "randomN"
+    with a random polynomial phi."""
+    if name in BUNDLED:
+        spec = load_geometry_spec(name)
+        return spec.geom, spec.phi
+    n = int(name[-1])
+    rng = rng_for("orbit-%d" % n)
+    return random_metric(rng, n), poly_field(rng, n, 0, 0).components[0]
+
+
+class TestSymmetryOrbits:
+    """Gamma, R, W and C are built once per orbit of their symmetric or
+    skew pair; the copies of the constructors that built every component
+    check the Koszul formula and the curvature sums."""
+
+    @pytest.mark.parametrize("name", [*BUNDLED, "random2", "random3"])
+    def test_equals_every_component_construction(self, name):
+        geom, phi = _orbit_geometry(name)
+        n = geom.dim
+        pts = [p for p in rational_points(rng_for("orbit-pts-" + name), n, 4)
+               if invertible(geom, p)][:2]
+        assert pts
+        conn = levi_civita(geom)
+        ref = levi_civita_reference(geom)
+        pack = derive_pack(geom)
+        _assert_equal_at([conn.gamma, pack.riemann, pack.weyl, pack.cotton],
+                         [ref.gamma, *_reference_stack(ref, False)], pts)
+        ups = gradient_upsilon(phi, n)
+        changed = connection_pack(projective_change(conn, ups))
+        want = _reference_stack(projective_change(ref, ups), True)
+        _assert_equal_at([changed.riemann, changed.weyl, changed.cotton],
+                         list(want), pts)
+
+    @pytest.mark.parametrize("name", [*BUNDLED, "random2", "random3"])
+    def test_mirror_is_the_same_node_or_its_neg(self, name):
+        geom, phi = _orbit_geometry(name)
+        n = geom.dim
+        gamma = geom.connection().gamma
+        pack = geom.pack()
+        changed = connection_pack(projective_change(
+            geom.connection(), gradient_upsilon(phi, n)))
+        for c, a, b in itertools.product(range(n), repeat=3):
+            assert gamma[c, a, b] is gamma[c, b, a]
+        for T in (pack.riemann, pack.weyl, changed.riemann, changed.weyl):
+            for c, a, b, d in itertools.product(range(n), repeat=4):
+                if a == b:
+                    assert T[c, a, b, d] is ZERO
+                elif a < b:
+                    assert T[c, b, a, d] is neg(T[c, a, b, d])
+        for C in (pack.cotton, changed.cotton):
+            for a, b, c in itertools.product(range(n), repeat=3):
+                if a == b:
+                    assert C[a, b, c] is ZERO
+                elif a < b:
+                    assert C[b, a, c] is neg(C[a, b, c])
+
+
 class TestBianchi:
     def test_flat_exact_zero(self, flat3):
         pack = flat3.pack()
@@ -432,6 +518,8 @@ class TestDerivativeWork:
 
 class TestTorsion:
     def test_levi_civita_torsion_free(self, non_einstein3):
+        # structural: gamma^c_ba is the node gamma^c_ab; TestSymmetryOrbits
+        # checks the Koszul formula against the every-component copy
         t = torsion(non_einstein3.connection())
         pt = t.at([Fraction(1), Fraction(2), Fraction(3)])
         assert all(c == 0 for c in pt.components)

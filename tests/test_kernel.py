@@ -485,16 +485,16 @@ def test_shared_fold_prefixes_on_bundle_coefficients(name):
 
 
 def test_holonomy_tape_folds_each_prefix_once():
-    # the sphere2 holonomy suite's one coefficient tape: 4,980 binary
-    # sums and products per batch without the pass, 2,395 with it
+    # the sphere2 holonomy suite's one coefficient tape: 1,929 binary
+    # sums and products per batch without the pass, 1,117 with it
     geom = load_geometry_spec("sphere2").geom
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
                                        s2_tractor_bundle)]
     table = compile_table([e for b in bundles
                            for e in b.coefficient_entries()])
     shared = _shared_table(bundles)
-    assert _binary_fold_ops(table) == 4980
-    assert _binary_fold_ops(shared) == 2395
+    assert _binary_fold_ops(table) == 1929
+    assert _binary_fold_ops(shared) == 1117
     _assert_shares_fold_prefixes(table, shared)
     # a table with no shared prefix is its own result
     plain = compile_table([parse("x0 * x1 + 2", 2), parse("x0 - x1", 2)])

@@ -1,5 +1,6 @@
 """Multi-index arrays: products, contractions, projectors."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protract.cli import load_geometry_spec
-from protract.expr import ONE, const, evaluate, parse, power, var
+from protract.expr import ONE, ZERO, const, evaluate, neg, parse, power, var
 from protract.geometry import (_cotton_weyl_field, _first_bianchi_field,
                                _second_bianchi_field, partial_derivative,
                                verify_bianchi)
@@ -26,6 +27,7 @@ from protract.tensor import (
     max_magnitude,
     max_residual,
     max_residuals,
+    pair_field,
     raise_index,
     skew_trace_coefficient,
     sym_trace_coefficient,
@@ -195,6 +197,35 @@ class TestSymmetrization:
         skew = antisymmetrize(tensor_product(_vec([1, 0]), _vec([0, 1])), (0, 1))
         assert is_skew_pair(skew, 0, 1)
         assert not is_skew_pair(sym, 0, 1) or all(c == 0 for c in sym.components)
+
+
+class TestPairField:
+    @pytest.mark.parametrize("sign", [1, -1], ids=["symmetric", "skew"])
+    @pytest.mark.parametrize("p,q,slots", [(1, 2, (1, 2)), (1, 3, (1, 2)),
+                                           (0, 3, (0, 1)), (0, 3, (0, 2)),
+                                           (2, 1, (0, 1))])
+    def test_builds_once_per_orbit(self, p, q, slots, sign):
+        n = 3
+        calls = []
+
+        def build(*multi):
+            calls.append(multi)
+            return var(0) * len(calls)   # a new node per call
+
+        T = pair_field(n, p, q, slots, sign, build)
+        assert (T.dim, T.p, T.q) == (n, p, q)
+        i, j = slots
+        multis = list(itertools.product(range(n), repeat=p + q))
+        assert calls == [m for m in multis
+                         if m[i] < m[j] or (m[i] == m[j] and sign > 0)]
+        for m in multis:
+            mirror = list(m)
+            mirror[i], mirror[j] = m[j], m[i]
+            if m[i] == m[j]:
+                assert (T[m] is ZERO) == (sign < 0)
+            elif m[i] < m[j]:
+                assert T[mirror] is (T[m] if sign > 0 else neg(T[m]))
+        assert (is_symmetric_pair if sign > 0 else is_skew_pair)(T, i, j)
 
 
 class TestMetricActions:
