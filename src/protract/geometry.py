@@ -6,11 +6,11 @@ fixed by the commutation rule (nabla_a nabla_b - nabla_b nabla_a) v^c =
 R_ab{}^c{}_d v^d, which the test suite asserts directly so the
 convention cannot drift.
 
-gamma^c_ab (symmetric in ab) and R_ab{}^c{}_d, W_ab{}^c{}_d and C_abc
-(skew in ab) are built once per orbit of the pair (tensor.pair_field):
-the mirror entry is the same node or its Neg, so values are exactly
-symmetric or skew, floats too, and every later field and table shares
-the smaller DAG.
+gamma^c_ab (symmetric in ab) and R_ab{}^c{}_d, W_ab{}^c{}_d, C_abc and,
+in the second Bianchi identity, nabla_e R_ab{}^c{}_d (skew in ab) are
+built once per orbit of the pair (tensor.pair_field): the mirror entry
+is the same node or its Neg, so values are exactly symmetric or skew,
+floats too, and every later field and table shares the smaller DAG.
 """
 
 from __future__ import annotations
@@ -321,9 +321,17 @@ def _first_bianchi_field(R: TensorField) -> TensorField:
 def _second_bianchi_field(conn: AffineConnection,
                           R: TensorField) -> TensorField:
     """nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d,
-    stored as [c][e][a][b][d]."""
+    stored as [c][e][a][b][d].
+
+    nabla R is skew in ab like R, so it is built once per orbit of the
+    pair (tensor.pair_field): an entry with a < b is the node
+    covariant_derivative builds, its mirror that node's Neg and the
+    diagonal ZERO. Every component of the identity is still summed."""
     n = R.dim
-    dR = covariant_derivative(conn, R)  # [c][e][a][b][d] = nabla_e R_ab^c_d
+    dR_part = partial_derivative(R)  # [c][e][a][b][d] = d_e R_ab^c_d
+    dR = pair_field(n, 1, 4, (2, 3), -1, lambda c, e, a, b, d: (
+        _nabla_component(conn.gamma, R, (c,), e, (a, b, d),
+                         dR_part[c, e, a, b, d])))
     return TensorField(n, 1, 4, [dR[c, e, a, b, d] + dR[c, b, e, a, d]
                                  + dR[c, a, b, e, d]
                                  for c, e, a, b, d in itertools.product(
@@ -360,7 +368,9 @@ def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
                  cotton_weyl_relation)
 
     The three fields share Gamma, R and most of their products, so they
-    are reduced from one compiled table.
+    are reduced from one compiled table. The second reads nabla R once
+    per skew orbit of ab (see _second_bianchi_field), but every
+    component of each identity is reduced.
     """
     R = pack.riemann
     pts = list(points)

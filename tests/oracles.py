@@ -25,7 +25,8 @@ it built the whole nabla W, holonomy_dimension with its per-bundle RK4
 batches as it was before bundles shared one coefficient table, and
 _propagators as it was when each bundle ran its own RK4 chain; and
 levi_civita, riemann, _weyl and _cotton as they were when each built
-every component, before a mirrored entry was the same node or its Neg.
+every component, before a mirrored entry was the same node or its Neg,
+and _second_bianchi_field as it was when it read the whole nabla R.
 antisymmetrize_reference builds each entry of a skew part anew, with
 no cache.
 """
@@ -1222,3 +1223,20 @@ def cotton_reference(conn: AffineConnection,
             for c in range(n):
                 comps.append(dP[a, b, c] - dP[b, a, c])
     return TensorField(n, 0, 3, comps)
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of _second_bianchi_field (geometry.py) as it was when it
+# read the whole nabla R: the mirrored half in ab and the zero diagonal
+# full sums of their own. Only its name differs.
+
+def second_bianchi_field_reference(conn: AffineConnection,
+                                   R: TensorField) -> TensorField:
+    """nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d,
+    stored as [c][e][a][b][d]."""
+    n = R.dim
+    dR = covariant_derivative(conn, R)  # [c][e][a][b][d] = nabla_e R_ab^c_d
+    return TensorField(n, 1, 4, [dR[c, e, a, b, d] + dR[c, b, e, a, d]
+                                 + dR[c, a, b, e, d]
+                                 for c, e, a, b, d in itertools.product(
+                                     range(n), repeat=5)])

@@ -14,6 +14,7 @@ from protract.geometry import (
     SingularMetricError,
     _cotton_weyl_field,
     _ricci,
+    _second_bianchi_field,
     connection_pack,
     cotton_weyl_relation,
     covariant_derivative,
@@ -34,7 +35,8 @@ from oracles import (commutator_family, cotton_reference,
                      cotton_weyl_field_reference,
                      covariant_derivative_sequential, fd_christoffel,
                      fd_curvature_stack, levi_civita_reference,
-                     riemann_reference, weyl_reference)
+                     riemann_reference, second_bianchi_field_reference,
+                     weyl_reference)
 
 
 def _flat(n):
@@ -387,9 +389,10 @@ def _orbit_geometry(name):
 
 
 class TestSymmetryOrbits:
-    """Gamma, R, W and C are built once per orbit of their symmetric or
-    skew pair; the copies of the constructors that built every component
-    check the Koszul formula and the curvature sums."""
+    """Gamma, R, W, C and the nabla R of the second Bianchi identity are
+    built once per orbit of their symmetric or skew pair; the copies of
+    the constructors that built every component check the Koszul
+    formula, the curvature sums and the Bianchi sums."""
 
     @pytest.mark.parametrize("name", [*BUNDLED, "random2", "random3"])
     def test_equals_every_component_construction(self, name):
@@ -431,6 +434,40 @@ class TestSymmetryOrbits:
                     assert C[a, b, c] is ZERO
                 elif a < b:
                     assert C[b, a, c] is neg(C[a, b, c])
+
+    @pytest.mark.parametrize("name",
+                             [*BUNDLED, "random2", "random3", "random4"])
+    def test_second_bianchi_equals_whole_nabla_r(self, name):
+        geom, _ = _orbit_geometry(name)
+        n = geom.dim
+        pts = [p for p in rational_points(rng_for("bianchi2-pts-" + name),
+                                          n, 4) if invertible(geom, p)][:2]
+        assert len(pts) == 2
+        args = (geom.connection(), geom.pack().riemann)
+        _assert_equal_at([_second_bianchi_field(*args)],
+                         [second_bianchi_field_reference(*args)], pts)
+
+    @pytest.mark.parametrize("name",
+                             [*BUNDLED, "random2", "random3", "random4"])
+    def test_second_bianchi_reads_nabla_r_once_per_orbit(self, name):
+        # the cyclic sums of the field are those of a nabla R whose a < b
+        # entries are covariant_derivative's nodes, a > b entries their
+        # Neg and a = b entries ZERO
+        geom, _ = _orbit_geometry(name)
+        n = geom.dim
+        conn, R = geom.connection(), geom.pack().riemann
+        whole = covariant_derivative(conn, R)
+
+        def dR(c, e, a, b, d):
+            if a == b:
+                return ZERO
+            if a > b:
+                return neg(whole[c, e, b, a, d])
+            return whole[c, e, a, b, d]
+        want = TensorField(n, 1, 4, [
+            dR(c, e, a, b, d) + dR(c, b, e, a, d) + dR(c, a, b, e, d)
+            for c, e, a, b, d in itertools.product(range(n), repeat=5)])
+        _assert_same_nodes(_second_bianchi_field(conn, R), want)
 
 
 class TestBianchi:

@@ -11,8 +11,8 @@ from protract.cli import load_geometry_spec
 from protract.expr import (EvalDomainError, ExactModeError, Pow, _walk_unique,
                            add, const, diff, evaluate, mul, neg, parse, sin,
                            var)
-from protract.geometry import GeometryError
-from protract import kernel
+from protract.geometry import GeometryError, verify_bianchi
+from protract import kernel, program
 from protract.kernel import eval_table
 from protract.program import (OP_ADD, OP_CONST, OP_MUL, OP_VAR, compile_table,
                               share_fold_prefixes)
@@ -482,6 +482,24 @@ def test_shared_fold_prefixes_on_bundle_coefficients(name):
         _assert_same_values(table, shared, points)
         _assert_same_values(table, shared, rational_points(rng, spec.dim, 1))
     assert len(built) == (6 if name == "flat3" else 5)
+
+
+def test_bianchi_table_reads_nabla_r_once_per_orbit(monkeypatch):
+    # the sphere3 bianchi suite's one table: 4,941 instructions and
+    # 47,740 operand reads while the second Bianchi field read the whole
+    # nabla R, 4,596 and 43,247 with its mirror in ab a Neg of its partner
+    geom = load_geometry_spec("sphere3").geom
+    pack, conn = geom.pack(), geom.connection()
+    built = []
+
+    def recording(exprs):
+        built.append(compile_table(exprs))
+        return built[-1]
+    monkeypatch.setattr(program, "compile_table", recording)
+    res = verify_bianchi(pack, conn,
+                         [[Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]])
+    assert res["first"] == res["second"] == 0
+    assert [(len(t), len(t.operands)) for t in built] == [(4596, 43247)]
 
 
 def test_holonomy_tape_folds_each_prefix_once():
