@@ -6,11 +6,13 @@ fixed by the commutation rule (nabla_a nabla_b - nabla_b nabla_a) v^c =
 R_ab{}^c{}_d v^d, which the test suite asserts directly so the
 convention cannot drift.
 
-gamma^c_ab (symmetric in ab) and R_ab{}^c{}_d, W_ab{}^c{}_d, C_abc and,
-in the second Bianchi identity, nabla_e R_ab{}^c{}_d (skew in ab) are
-built once per orbit of the pair (tensor.pair_field): the mirror entry
-is the same node or its Neg, so values are exactly symmetric or skew,
-floats too, and every later field and table shares the smaller DAG.
+gamma^c_ab (symmetric in ab), R_ab{}^c{}_d, W_ab{}^c{}_d, C_abc and the
+Cotton-Weyl field (skew in ab) and the two Bianchi cyclic sums (totally
+skew in their three cyclic slots, since R is skew in ab) are built once
+per orbit of those slots (tensor.pair_field): the other entries are the
+same node or its Neg, or ZERO at a repeated skew index, so values are
+exactly symmetric or skew, floats too, and every later field and table
+shares the smaller DAG.
 """
 
 from __future__ import annotations
@@ -256,10 +258,28 @@ def _weyl(riem: TensorField, schouten: TensorField) -> TensorField:
     return pair_field(riem.dim, 1, 3, (1, 2), -1, component)
 
 
+def _partials(T: TensorField, reads) -> list:
+    """d_a T at each multi-index m with reads(a, *m), as one dict per
+    coordinate a keyed by m: one diff_all per coordinate over only the
+    components it reads."""
+    multis = list(itertools.product(range(T.dim), repeat=T.rank))
+    out = []
+    for a in range(T.dim):
+        ms = [m for m in multis if reads(a, *m)]
+        out.append(dict(zip(ms, diff_all([T[m] for m in ms], a))))
+    return out
+
+
 def _cotton(conn: AffineConnection, schouten: TensorField) -> TensorField:
-    dP = covariant_derivative(conn, schouten)  # [a][b][c] = nabla_a P_bc
+    """nabla_a P_bc - nabla_b P_ac, reading nabla_a P_bc only for a != b,
+    each the node covariant_derivative builds."""
+    dP = _partials(schouten, lambda a, b, c: a != b)
+
+    def nabla(a, b, c):
+        return _nabla_component(conn.gamma, schouten, (), a, (b, c),
+                                dP[a][b, c])
     return pair_field(conn.dim, 0, 3, (0, 1), -1,
-                      lambda a, b, c: dP[a, b, c] - dP[b, a, c])
+                      lambda a, b, c: nabla(a, b, c) - nabla(b, a, c))
 
 
 def connection_pack(conn: AffineConnection) -> CurvaturePack:
@@ -311,11 +331,12 @@ def torsion(conn: AffineConnection) -> TensorField:
 
 
 def _first_bianchi_field(R: TensorField) -> TensorField:
-    """R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a, stored as [c][a][b][d]."""
-    n = R.dim
-    return TensorField(n, 1, 3, [R[c, a, b, d] + R[c, d, a, b] + R[c, b, d, a]
-                                 for c, a, b, d in itertools.product(
-                                     range(n), repeat=4)])
+    """R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a, stored as [c][a][b][d].
+
+    R is skew in ab, so the cyclic sum is totally skew in abd and is
+    built once per increasing triple a < b < d (tensor.pair_field)."""
+    return pair_field(R.dim, 1, 3, (1, 2, 3), -1, lambda c, a, b, d: (
+        R[c, a, b, d] + R[c, d, a, b] + R[c, b, d, a]))
 
 
 def _second_bianchi_field(conn: AffineConnection,
@@ -323,39 +344,37 @@ def _second_bianchi_field(conn: AffineConnection,
     """nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d,
     stored as [c][e][a][b][d].
 
-    nabla R is skew in ab like R, so it is built once per orbit of the
-    pair (tensor.pair_field): an entry with a < b is the node
-    covariant_derivative builds, its mirror that node's Neg and the
-    diagonal ZERO. Every component of the identity is still summed."""
-    n = R.dim
-    dR_part = partial_derivative(R)  # [c][e][a][b][d] = d_e R_ab^c_d
-    dR = pair_field(n, 1, 4, (2, 3), -1, lambda c, e, a, b, d: (
-        _nabla_component(conn.gamma, R, (c,), e, (a, b, d),
-                         dR_part[c, e, a, b, d])))
-    return TensorField(n, 1, 4, [dR[c, e, a, b, d] + dR[c, b, e, a, d]
-                                 + dR[c, a, b, e, d]
-                                 for c, e, a, b, d in itertools.product(
-                                     range(n), repeat=5)])
+    Totally skew in eab like the first identity, so it is built once per
+    increasing triple e < a < b. That reads nabla_x R_yz{}^c{}_d with
+    y < z and x not in {y, z}, each once and each the node
+    covariant_derivative builds; the partials are those of only the R
+    components these read."""
+    dR = _partials(R, lambda x, c, y, z, d: x != y < z != x)
+
+    def nabla(c, x, y, z, d):
+        return _nabla_component(conn.gamma, R, (c,), x, (y, z, d),
+                                dR[x][c, y, z, d])
+    return pair_field(R.dim, 1, 4, (1, 2, 3), -1, lambda c, e, a, b, d: (
+        nabla(c, e, a, b, d) + nabla(c, b, e, a, d)
+        + neg(nabla(c, a, e, b, d))))
 
 
 def _cotton_weyl_field(pack: CurvaturePack,
                        conn: AffineConnection) -> TensorField:
     """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d].
 
-    The divergence differentiates by x^c only the components W^c_abd it
-    reads, and builds each nabla_c W_ab{}^c{}_d term as
-    covariant_derivative would."""
+    Skew in ab, so it is built for a < b only. The divergence
+    differentiates by x^c only the components W^c_abd (a < b) it reads,
+    and builds each nabla_c W_ab{}^c{}_d term as covariant_derivative
+    would."""
     W = pack.weyl
     C = pack.cotton
     n = W.dim
-    low = n ** 3
-    # dW[c][abd] = d_c W_ab^c_d
-    dW = [diff_all(W.components[c * low:(c + 1) * low], c) for c in range(n)]
-    return TensorField(n, 0, 3, [
+    dW = _partials(W, lambda x, c, a, b, d: x == c and a < b)
+    return pair_field(n, 0, 3, (0, 1), -1, lambda a, b, d: (
         (n - 2) * C[a, b, d]
         - add(*[_nabla_component(conn.gamma, W, (c,), c, (a, b, d),
-                                 dW[c][k]) for c in range(n)])
-        for k, (a, b, d) in enumerate(itertools.product(range(n), repeat=3))])
+                                 dW[c][c, a, b, d]) for c in range(n)])))
 
 
 def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
@@ -368,9 +387,11 @@ def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
                  cotton_weyl_relation)
 
     The three fields share Gamma, R and most of their products, so they
-    are reduced from one compiled table. The second reads nabla R once
-    per skew orbit of ab (see _second_bianchi_field), but every
-    component of each identity is reduced.
+    are reduced from one compiled table. A cyclic sum of a tensor skew
+    in ab is totally skew in its three slots, so each Bianchi field is
+    built at increasing triples only (a < b < d, e < a < b) and the
+    Cotton-Weyl field at a < b; every other entry is one of those or its
+    Neg, or ZERO at a repeated index, and every component is reduced.
     """
     R = pack.riemann
     pts = list(points)

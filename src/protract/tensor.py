@@ -201,24 +201,31 @@ def zero_field(dim: int, p: int, q: int) -> TensorField:
 
 def pair_field(dim: int, p: int, q: int, slots, sign: int,
                build) -> TensorField:
-    """Field symmetric (sign 1) or skew (sign -1) in slots i < j, built
-    once per orbit of their swap: build(*multi) runs where multi[i] <
-    multi[j], and where multi[i] == multi[j] when symmetric. The mirror
-    entry is the same node or its Neg and a skew diagonal is ZERO, so
-    the values are exactly symmetric or skew, in float arithmetic too."""
-    i, j = slots
-    # the mirror of flat index k lies (multi[i] - multi[j]) * step before it
-    step = dim ** (p + q - 1 - i) - dim ** (p + q - 1 - j)
+    """Field symmetric (sign 1) in a pair of slots i < j, or totally skew
+    (sign -1) in an increasing tuple of two or more slots, built once
+    per orbit of their permutations: build(*multi) runs where the slot
+    values increase, strictly when skew. Any other entry is the entry
+    with its slot values sorted, the same node or, skew and by an odd
+    permutation, its Neg; a skew entry with a repeated slot value is
+    ZERO. So the values are exactly symmetric or skew, in float
+    arithmetic too."""
+    width = p + q
     comps = []
-    for k, multi in enumerate(_ranges(dim, p + q)):
-        s = multi[i] - multi[j]
-        if s < 0 or (s == 0 and sign > 0):
+    for k, multi in enumerate(_ranges(dim, width)):
+        vals = [multi[s] for s in slots]
+        ordered = sorted(vals)
+        distinct = len(set(vals)) == len(vals)
+        if vals == ordered and (distinct or sign > 0):
             comps.append(build(*multi))
-        elif s == 0:
+        elif not distinct and sign < 0:
             comps.append(ZERO)
         else:
-            mirror = comps[k - s * step]
-            comps.append(mirror if sign > 0 else neg(mirror))
+            # sorting lowers the first slot value it moves, so the sorted
+            # entry lies before k
+            rep = comps[k - sum((v - o) * dim ** (width - 1 - s)
+                                for s, v, o in zip(slots, vals, ordered))]
+            odd = sum(x > y for x, y in itertools.combinations(vals, 2)) % 2
+            comps.append(neg(rep) if odd and sign < 0 else rep)
     return TensorField(dim, p, q, comps)
 
 

@@ -11,7 +11,7 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Eight sections keep verbatim copies of replaced code: the per-type code
+Eleven sections keep verbatim copies of replaced code: the per-type code
 that one slot table per section type replaced (random sections, the
 (1,1) and (2,1) trace-free projectors, the sampled source-equation
 residual), the seven hand-written connection bodies that the one
@@ -26,7 +26,9 @@ batches as it was before bundles shared one coefficient table, and
 _propagators as it was when each bundle ran its own RK4 chain; and
 levi_civita, riemann, _weyl and _cotton as they were when each built
 every component, before a mirrored entry was the same node or its Neg,
-and _second_bianchi_field as it was when it read the whole nabla R.
+and _second_bianchi_field as it was when it read the whole nabla R; and
+_first_bianchi_field, _second_bianchi_field, _cotton_weyl_field and
+_cotton as they were when each built every component of its field.
 antisymmetrize_reference builds each entry of a skew part anew, with
 no cache.
 """
@@ -38,12 +40,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from protract.expr import ZERO, add
+from protract.expr import ZERO, add, diff_all
 from protract.geometry import (AffineConnection, GeometryError,
-                               covariant_derivative, partial_derivative)
+                               _nabla_component, covariant_derivative,
+                               partial_derivative)
 from protract.kernel import eval_table
 from protract.tensor import (TensorField, _is_rational_point, is_symmetric_pair,
-                             max_magnitude)
+                             max_magnitude, pair_field)
 from protract.tractor import (
     CotractorSection,
     S2CotractorSection,
@@ -1240,3 +1243,64 @@ def second_bianchi_field_reference(conn: AffineConnection,
                                  + dR[c, a, b, e, d]
                                  for c, e, a, b, d in itertools.product(
                                      range(n), repeat=5)])
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of _first_bianchi_field, _second_bianchi_field,
+# _cotton_weyl_field and _cotton (geometry.py) as they were when each
+# built every component of its field: the cyclic sums at every index, the
+# Cotton-Weyl field for every (a, b) and Cotton from the whole nabla P.
+# Only their names differ, and the helpers they call are imported.
+
+def first_bianchi_whole_reference(R: TensorField) -> TensorField:
+    """R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a, stored as [c][a][b][d]."""
+    n = R.dim
+    return TensorField(n, 1, 3, [R[c, a, b, d] + R[c, d, a, b] + R[c, b, d, a]
+                                 for c, a, b, d in itertools.product(
+                                     range(n), repeat=4)])
+
+
+def second_bianchi_whole_reference(conn: AffineConnection,
+                                   R: TensorField) -> TensorField:
+    """nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d,
+    stored as [c][e][a][b][d].
+
+    nabla R is skew in ab like R, so it is built once per orbit of the
+    pair (tensor.pair_field): an entry with a < b is the node
+    covariant_derivative builds, its mirror that node's Neg and the
+    diagonal ZERO. Every component of the identity is still summed."""
+    n = R.dim
+    dR_part = partial_derivative(R)  # [c][e][a][b][d] = d_e R_ab^c_d
+    dR = pair_field(n, 1, 4, (2, 3), -1, lambda c, e, a, b, d: (
+        _nabla_component(conn.gamma, R, (c,), e, (a, b, d),
+                         dR_part[c, e, a, b, d])))
+    return TensorField(n, 1, 4, [dR[c, e, a, b, d] + dR[c, b, e, a, d]
+                                 + dR[c, a, b, e, d]
+                                 for c, e, a, b, d in itertools.product(
+                                     range(n), repeat=5)])
+
+
+def cotton_weyl_whole_reference(pack, conn: AffineConnection) -> TensorField:
+    """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d].
+
+    The divergence differentiates by x^c only the components W^c_abd it
+    reads, and builds each nabla_c W_ab{}^c{}_d term as
+    covariant_derivative would."""
+    W = pack.weyl
+    C = pack.cotton
+    n = W.dim
+    low = n ** 3
+    # dW[c][abd] = d_c W_ab^c_d
+    dW = [diff_all(W.components[c * low:(c + 1) * low], c) for c in range(n)]
+    return TensorField(n, 0, 3, [
+        (n - 2) * C[a, b, d]
+        - add(*[_nabla_component(conn.gamma, W, (c,), c, (a, b, d),
+                                 dW[c][k]) for c in range(n)])
+        for k, (a, b, d) in enumerate(itertools.product(range(n), repeat=3))])
+
+
+def cotton_whole_reference(conn: AffineConnection,
+                           schouten: TensorField) -> TensorField:
+    dP = covariant_derivative(conn, schouten)  # [a][b][c] = nabla_a P_bc
+    return pair_field(conn.dim, 0, 3, (0, 1), -1,
+                      lambda a, b, c: dP[a, b, c] - dP[b, a, c])

@@ -13,6 +13,7 @@ from protract.geometry import (
     ChartGeometry,
     SingularMetricError,
     _cotton_weyl_field,
+    _first_bianchi_field,
     _ricci,
     _second_bianchi_field,
     connection_pack,
@@ -33,10 +34,12 @@ from protract.tensor import TensorField, symmetrize, tensor_product
 from gen import invertible, poly_field, random_metric, rational_points, rng_for
 from oracles import (commutator_family, cotton_reference,
                      cotton_weyl_field_reference,
+                     cotton_weyl_whole_reference, cotton_whole_reference,
                      covariant_derivative_sequential, fd_christoffel,
-                     fd_curvature_stack, levi_civita_reference,
-                     riemann_reference, second_bianchi_field_reference,
-                     weyl_reference)
+                     fd_curvature_stack, first_bianchi_whole_reference,
+                     levi_civita_reference, riemann_reference,
+                     second_bianchi_field_reference,
+                     second_bianchi_whole_reference, weyl_reference)
 
 
 def _flat(n):
@@ -67,6 +70,30 @@ def _tensor_nabla(conn, field):
 def _assert_same_nodes(got, want):
     assert (got.dim, got.p, got.q) == (want.dim, want.p, want.q)
     assert all(g is w for g, w in zip(got.components, want.components))
+
+
+def _assert_skew_orbits(got, slots, want):
+    """got is totally skew in slots by construction: where their values
+    strictly increase it holds want's node, where one repeats ZERO, and
+    elsewhere the entry with the values sorted, or its Neg when sorting
+    takes an odd number of swaps."""
+    assert (got.dim, got.p, got.q) == (want.dim, want.p, want.q)
+    for multi in itertools.product(range(got.dim), repeat=got.rank):
+        vals = [multi[s] for s in slots]
+        if len(set(vals)) < len(vals):
+            assert got[multi] is ZERO
+            continue
+        swaps = 0
+        for i in range(len(vals)):           # bubble sort, counting swaps
+            for j in range(len(vals) - 1 - i):
+                if vals[j] > vals[j + 1]:
+                    vals[j], vals[j + 1] = vals[j + 1], vals[j]
+                    swaps += 1
+        rep = list(multi)
+        for s, v in zip(slots, vals):
+            rep[s] = v
+        node = want[tuple(rep)]
+        assert got[multi] is (neg(node) if swaps % 2 else node)
 
 
 class TestLeviCivita:
@@ -450,9 +477,10 @@ class TestSymmetryOrbits:
     @pytest.mark.parametrize("name",
                              [*BUNDLED, "random2", "random3", "random4"])
     def test_second_bianchi_reads_nabla_r_once_per_orbit(self, name):
-        # the cyclic sums of the field are those of a nabla R whose a < b
-        # entries are covariant_derivative's nodes, a > b entries their
-        # Neg and a = b entries ZERO
+        # where e < a < b the field holds the cyclic sum of a nabla R
+        # whose a < b entries are covariant_derivative's nodes, a > b
+        # entries their Neg and a = b entries ZERO; its other entries
+        # follow by total skew symmetry in eab
         geom, _ = _orbit_geometry(name)
         n = geom.dim
         conn, R = geom.connection(), geom.pack().riemann
@@ -467,7 +495,60 @@ class TestSymmetryOrbits:
         want = TensorField(n, 1, 4, [
             dR(c, e, a, b, d) + dR(c, b, e, a, d) + dR(c, a, b, e, d)
             for c, e, a, b, d in itertools.product(range(n), repeat=5)])
-        _assert_same_nodes(_second_bianchi_field(conn, R), want)
+        _assert_skew_orbits(_second_bianchi_field(conn, R), (1, 2, 3), want)
+
+
+class TestIdentityOrbits:
+    """The first and second Bianchi fields are built once per increasing
+    triple of their cyclic slots, the Cotton-Weyl field once per a < b
+    and Cotton from nabla_a P_bc at a != b only; the copies that built
+    every component of each field check them."""
+
+    @pytest.mark.parametrize("name",
+                             [*BUNDLED, "random2", "random3", "random4"])
+    def test_equal_to_the_whole_fields(self, name):
+        geom, phi = _orbit_geometry(name)
+        n = geom.dim
+        pts = [p for p in rational_points(rng_for("identity-pts-" + name),
+                                          n, 4) if invertible(geom, p)][:2]
+        assert len(pts) == 2
+        conn, pack = geom.connection(), geom.pack()
+        R = pack.riemann
+        moved = projective_change(conn, gradient_upsilon(phi, n))
+        changed = connection_pack(moved)
+        _assert_equal_at(
+            [_first_bianchi_field(R), _second_bianchi_field(conn, R),
+             _cotton_weyl_field(pack, conn), pack.cotton, changed.cotton],
+            [first_bianchi_whole_reference(R),
+             second_bianchi_whole_reference(conn, R),
+             cotton_weyl_whole_reference(pack, conn),
+             cotton_whole_reference(conn, pack.schouten),
+             cotton_whole_reference(moved, changed.schouten)], pts)
+
+    @pytest.mark.parametrize("name",
+                             [*BUNDLED, "random2", "random3", "random4"])
+    def test_each_orbit_is_the_whole_fields_node(self, name):
+        geom, phi = _orbit_geometry(name)
+        n = geom.dim
+        conn, pack = geom.connection(), geom.pack()
+        R = pack.riemann
+        first = _first_bianchi_field(R)
+        second = _second_bianchi_field(conn, R)
+        _assert_skew_orbits(first, (1, 2, 3),
+                            first_bianchi_whole_reference(R))
+        _assert_skew_orbits(second, (1, 2, 3),
+                            second_bianchi_whole_reference(conn, R))
+        _assert_skew_orbits(_cotton_weyl_field(pack, conn), (0, 1),
+                            cotton_weyl_whole_reference(pack, conn))
+        if n == 2:   # no three distinct slot values: both are vacuous
+            assert all(c is ZERO for f in (first, second)
+                       for c in f.components)
+        moved = projective_change(conn, gradient_upsilon(phi, n))
+        changed = connection_pack(moved)
+        _assert_same_nodes(pack.cotton,
+                           cotton_whole_reference(conn, pack.schouten))
+        _assert_same_nodes(changed.cotton,
+                           cotton_whole_reference(moved, changed.schouten))
 
 
 class TestBianchi:
@@ -520,19 +601,19 @@ class TestCottonWeylRelation:
     @pytest.mark.parametrize("name", ["flat2", "flat3", "sphere2", "sphere3",
                                       "nonEinstein2", "nonEinstein3"])
     def test_field_nodes_are_the_full_divergence(self, name):
-        # the contracted divergence builds the very nodes read off the
-        # whole nabla W
+        # where a < b the contracted divergence builds the very nodes
+        # read off the whole nabla W; the rest is skew in ab
         geom = load_geometry_spec(name).geom
         args = (geom.pack(), geom.connection())
-        _assert_same_nodes(_cotton_weyl_field(*args),
-                           cotton_weyl_field_reference(*args))
+        _assert_skew_orbits(_cotton_weyl_field(*args), (0, 1),
+                            cotton_weyl_field_reference(*args))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_field_nodes_are_the_full_divergence_random(self, n):
         geom = random_metric(rng_for("cw-nodes-%d" % n), n)
         args = (geom.pack(), geom.connection())
-        _assert_same_nodes(_cotton_weyl_field(*args),
-                           cotton_weyl_field_reference(*args))
+        _assert_skew_orbits(_cotton_weyl_field(*args), (0, 1),
+                            cotton_weyl_field_reference(*args))
 
 
 class TestDerivativeWork:

@@ -17,6 +17,7 @@ from protract.projective import (_invariance_fields, einstein_deviation,
 from protract.tensor import (
     PointTensor,
     TensorField,
+    _perm_sign,
     antisymmetrize,
     contract,
     fraction_matrix_inverse,
@@ -226,6 +227,38 @@ class TestPairField:
             elif m[i] < m[j]:
                 assert T[mirror] is (T[m] if sign > 0 else neg(T[m]))
         assert (is_symmetric_pair if sign > 0 else is_skew_pair)(T, i, j)
+
+    @pytest.mark.parametrize("n,p,q,slots", [(3, 1, 3, (1, 2, 3)),
+                                             (3, 1, 4, (1, 2, 3)),
+                                             (4, 0, 3, (0, 1, 2)),
+                                             (4, 0, 4, (0, 2, 3)),
+                                             (4, 0, 4, (0, 1, 2, 3))])
+    def test_skew_in_more_slots_builds_once_per_increasing_tuple(
+            self, n, p, q, slots):
+        calls = []
+
+        def build(*multi):
+            calls.append(multi)
+            return var(0) * len(calls)   # a new node per call
+
+        T = pair_field(n, p, q, slots, -1, build)
+        multis = list(itertools.product(range(n), repeat=p + q))
+        assert calls == [m for m in multis
+                         if all(m[s] < m[t] for s, t in zip(slots, slots[1:]))]
+        for m in multis:
+            vals = [m[s] for s in slots]
+            if len(set(vals)) < len(vals):
+                assert T[m] is ZERO
+                continue
+            # the sign of the permutation that sorts the values
+            order = sorted(range(len(vals)), key=vals.__getitem__)
+            rep = list(m)
+            for s, k in zip(slots, order):
+                rep[s] = vals[k]
+            node = T[tuple(rep)]
+            assert T[m] is (node if _perm_sign(order) > 0 else neg(node))
+        for s, t in itertools.combinations(slots, 2):
+            assert is_skew_pair(T, s, t)
 
 
 class TestMetricActions:
