@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -251,19 +252,14 @@ def sample_points(spec: GeometrySpec, seed: int | None = None,
 
 
 def _eval_points(spec: GeometrySpec, seed=None, count=None) -> list:
-    """The sample points at which the metric is invertible, screened once
-    per spec, seed and count."""
+    """The sample points at which the metric is invertible, screened in
+    one batch (ChartGeometry.invertible_at) per spec, seed and count."""
     key = (spec.sample_seed if seed is None else seed,
            spec.sample_count if count is None else count)
     ok = spec.screened.get(key)
     if ok is None:
-        ok = []
-        for p in sample_points(spec, *key):
-            try:
-                spec.geom.check_invertible_at(p)
-            except (GeometryError, EvalDomainError):
-                continue
-            ok.append(p)
+        pts = sample_points(spec, *key)
+        ok = list(itertools.compress(pts, spec.geom.invertible_at(pts)))
         spec.screened[key] = ok
     if not ok:
         raise SpecError("no usable sample points inside the box")

@@ -18,18 +18,19 @@ shares the smaller DAG.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .expr import EvalDomainError, Expr, ZERO, add, diff_all, mul, neg
 from .tensor import (
     TensorField,
+    _is_rational_point,
     _probe_points,
     contract,
     is_symmetric_pair,
     matrix_inverse_exprs,
-    max_magnitude,
     max_residual,
     max_residuals,
     pair_field,
@@ -88,6 +89,13 @@ class AffineConnection:
         return "<AffineConnection dim=%d>" % self.dim
 
 
+def _exact_nonzero(det: TensorField, point) -> bool:
+    try:
+        return det.at(point).components[0] != 0
+    except EvalDomainError:
+        return False
+
+
 class ChartGeometry:
     """A chart metric plus lazily derived structure (inverse, connection)."""
 
@@ -115,25 +123,30 @@ class ChartGeometry:
         return got
 
     def check_invertible_at(self, point) -> None:
-        """Raise SingularMetricError when det g is negligible at the point.
+        """Raise SingularMetricError unless invertible_at admits it."""
+        if not self.invertible_at([point])[0]:
+            raise SingularMetricError("metric is singular at the point")
+
+    def invertible_at(self, points) -> list:
+        """Per point, whether det g is not negligible there.
 
         The threshold is relative: 1e-12 times the Hadamard row bound of
         the evaluated metric (or exact zero in rational mode). A
-        non-finite determinant or metric entry counts as singular.
+        non-finite determinant or metric entry counts as singular. The
+        points are one batch, exact or float as kernel.eval_table
+        decides; an exact batch is screened row by row, and a row whose
+        determinant raises EvalDomainError is singular.
         """
         self.metric_inverse()
-        d = self._cache["det"].at(point).components[0]
-        if isinstance(d, Fraction):
-            if d == 0:
-                raise SingularMetricError("metric is singular at the point")
-            return
-        g_pt = self.metric.at(point)
-        bound = 1.0
-        for i in range(self.dim):
-            bound *= max_magnitude(g_pt[i, j] for j in range(self.dim))
-        if not (math.isfinite(d) and math.isfinite(bound)) \
-                or abs(d) < 1e-12 * max(1.0, bound):
-            raise SingularMetricError("metric is singular at the point")
+        det = self._cache["det"]
+        if all(map(_is_rational_point, points)):
+            return [_exact_nonzero(det, p) for p in points]
+        d = det.at_many(points)[:, 0]
+        g = np.abs(self.metric.at_many(points)).reshape(len(d), self.dim, -1)
+        with np.errstate(all="ignore"):   # 0 * inf in the bound
+            bound = np.prod(g.max(axis=2), axis=1)
+            return (np.isfinite(d) & np.isfinite(bound)
+                    & ~(np.abs(d) < 1e-12 * np.maximum(1.0, bound))).tolist()
 
     def connection(self) -> AffineConnection:
         got = self._cache.get("connection")

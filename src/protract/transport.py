@@ -5,17 +5,16 @@ derivative terms left, so applying it to a basis of frozen constant
 sections reads off the coefficient matrices A_a(x) directly. Transport
 then solves s'(u) = -v^a(u) A_a(c(u)) s(u) with classical fixed-step
 RK4; since the right side is linear, whole frames transport as matrices,
-and each RK4 step is one propagator matrix. A loop is transported as one
-batch: the coefficients at the RK4 nodes of all its segments come from
-one evaluation, and every step propagator from stacked matrix products;
-only the product of the propagators runs step by step. The bundles of
-one holonomy_dimensions call share each batch: their coefficients are
-one compiled table, so a loop's curve is sampled once and that table
-evaluated once at its nodes, and each bundle forms its node matrices
-from its own block of columns. The bundles of one rank then run one RK4
-chain, one stacked matrix product per step for all of them. A
-coefficient table is walked once per batch, so it computes each shared
-sum and product prefix once (program.share_fold_prefixes).
+and each RK4 step is one propagator matrix. The bundles of one
+holonomy_dimensions call share one compiled coefficient table, and every
+segment of every loop and every lasso connector is a job of one RK4
+chain per rank: the jobs still stepping at step k take one stacked
+matrix product. The table is evaluated in batches of consecutive steps,
+none larger than the largest loop or connector, each bundle forms its
+node matrices from its own block of columns, and a batch's step
+propagators come from stacked matrix products at once. A coefficient
+table is walked once per batch, so it computes each shared sum and
+product prefix once (program.share_fold_prefixes).
 
 Curves are expression vectors in the single parameter x0; loops are
 tuples of curve segments chained end to end.
@@ -162,12 +161,14 @@ def _endpoints(seg: CurveSegment) -> np.ndarray:
     return seg.sample_many([float(seg.u0), float(seg.u1)])[0]
 
 
-def _check_closed(loop: tuple):
+def _check_closed(loop: tuple) -> list:
+    """The start point of a loop; NonClosedLoopError if it has a gap."""
     pts = [_endpoints(seg) for seg in loop]
     for i, (_, end) in enumerate(pts):
         nxt = pts[(i + 1) % len(pts)][0]
         if float(np.max(np.abs(end - nxt))) > 1e-12:
             raise NonClosedLoopError("loop is not closed (segment %d)" % i)
+    return pts[0][0].tolist()
 
 
 def line_segment(start, end) -> CurveSegment:
@@ -413,73 +414,105 @@ def _shared_table(bundles: Sequence[TransportBundle]):
         [e for b in bundles for e in b.coefficient_entries()]))
 
 
-def _propagators(bundles: Sequence[TransportBundle], table, jobs) -> list:
+def _rk4_nodes(seg: CurveSegment, steps: int):
+    """The step h and the 2*steps + 1 RK4 nodes of a segment: step k
+    starts at node 2k, u = u0 + k*h, then u + 0.5*h and u + h."""
+    u0 = float(seg.u0)
+    h = (float(seg.u1) - u0) / steps
+    u = u0 + np.arange(steps) * h
+    nodes = np.empty(2 * steps + 1)
+    nodes[0] = u0
+    nodes[1::2] = u + 0.5 * h
+    nodes[2::2] = u + h
+    return h, nodes
+
+
+def _propagators(bundles: Sequence[TransportBundle], table, jobs,
+                 batch_rows: int | None = None) -> list:
     """RK4 propagators, acting on coordinate vectors, of the segments of
     (segment, steps) jobs: per job, one propagator per bundle, in bundle
     order.
 
-    The curves are sampled per segment at their 2*steps + 1 RK4 nodes,
-    and the shared coefficient table is evaluated once at the nodes of
-    all jobs. Per bundle, the node matrices -v^a A_a are then formed from
-    its column block. The bundles of one rank run one RK4 chain: their
-    node matrices stack, the step propagators of each job are formed in
-    one batch, and only the product of the step propagators runs step by
-    step, one stacked matrix product per step for the whole rank.
+    The bundles of one rank run one RK4 chain for all the jobs. These go
+    longest first, so the jobs still stepping at step k are a prefix and
+    step k is one stacked matrix product for all of them. The curves are
+    sampled at all their RK4 nodes; the shared coefficient table is
+    evaluated in batches of consecutive steps of the jobs still stepping,
+    of at most batch_rows nodes (by default all of them, one batch).
     """
-    hs, xs, vs = [], [], []
-    for seg, steps in jobs:
-        u0, u1 = float(seg.u0), float(seg.u1)
-        h = (u1 - u0) / steps
-        # node 2k is the start of step k (the end of step k-1), node 2k+1
-        # its midpoint
-        nodes = [u0]
-        for k in range(steps):
-            u = u0 + k * h
-            nodes += (u + 0.5 * h, u + h)
-        pos, vel = seg.sample_many(nodes)
-        hs.append(h)
-        xs.append(pos)
-        vs.append(vel)
-    v = np.concatenate(vs)
-    N, dim = v.shape
-    flat = eval_table(table, np.concatenate(xs))
-
+    jobs = list(jobs)
+    order = sorted(range(len(jobs)), key=lambda j: -jobs[j][1])
+    steps = np.array([jobs[j][1] for j in order])
+    hs, nodes = zip(*(_rk4_nodes(*jobs[j]) for j in order))
+    x, v = (np.concatenate(s) for s in zip(*(
+        jobs[j][0].sample_many(u) for j, u in zip(order, nodes))))
+    hs, first = np.array(hs), np.cumsum(2 * steps + 1) - (2 * steps + 1)
+    del nodes
     # each bundle's column block starts where the previous one ends
     offsets = list(itertools.accumulate(
-        (dim * b.rank ** 2 for b in bundles), initial=0))
-    by_rank = {}
-    for k, bundle in enumerate(bundles):
-        by_rank.setdefault(bundle.rank, []).append(k)
-    out = [[None] * len(bundles) for _ in hs]
-    for r, group in by_rank.items():
-        eye = np.eye(r)
-        # (N, bundles, r, r): each matrix product acts on the last two
-        # axes, so every bundle's products are the ones it would get alone
-        M = np.empty((N, len(group), r, r))
-        for j, k in enumerate(group):
-            # a contiguous copy: the matrix products see the layout a
-            # table of the bundle's own entries gives
-            A = np.ascontiguousarray(
-                flat[:, offsets[k]:offsets[k + 1]]).reshape(N, dim, r * r)
-            # non-finite coefficients propagate as NaN, like the kernel's
-            # numerics
-            with np.errstate(all="ignore"):
-                M[:, j] = -(v[:, None, :] @ A).reshape(N, r, r)
-        start = 0
-        for props, h, vel in zip(out, hs, vs):
-            Mj = M[start:start + len(vel)]
-            start += len(vel)
-            k1 = Mj[0:-1:2]
-            m_mid = Mj[1::2]
+        (x.shape[1] * b.rank ** 2 for b in bundles), initial=0))
+    ranks = {b.rank: [k for k, c in enumerate(bundles) if c.rank == b.rank]
+             for b in bundles}
+    # per rank, every job's (bundles, r, r) product of the step
+    # propagators so far
+    chains = {r: np.tile(np.eye(r), (len(jobs), len(group), 1, 1))
+              for r, group in ranks.items()}
+
+    def advance(lo, hi, j0, j1):
+        """Steps lo..hi-1 of the jobs j0..j1-1, each still stepping at
+        lo; what a batch forms is freed when it returns."""
+        ends = np.minimum(steps[j0:j1], hi)
+        idx = np.concatenate([np.arange(f + 2 * lo, f + 2 * e + 1)
+                              for f, e in zip(first[j0:j1], ends)])
+        flat, vb = eval_table(table, x[idx]), v[idx]
+        N, dim = vb.shape
+        mats = []
+        for r, group in ranks.items():
+            # (N, bundles, r, r): each matrix product acts on the last two
+            # axes and reads one node's (dim, r * r) block, so every bundle
+            # gets the products a table of its own entries gives
+            M = np.empty((N, len(group), r, r))
+            for g, k in enumerate(group):
+                A = flat[:, offsets[k]:offsets[k + 1]].reshape(N, dim, r * r)
+                # non-finite coefficients propagate as NaN, as in the kernel
+                with np.errstate(all="ignore"):
+                    M[:, g] = -(vb[:, None, :] @ A).reshape(N, r, r)
+            mats.append(M)
+        del flat, A
+        # the batch's rows step by step, each step's jobs a prefix: per
+        # row the batch place of the node its step starts at, and its h
+        lens = 2 * (ends - lo) + 1
+        ks = np.arange(lo, hi)[:, None]
+        live = steps[j0:j1] > ks
+        start = (np.cumsum(lens) - lens + 2 * (ks - lo))[live]
+        h = np.broadcast_to(hs[j0:j1], live.shape)[live][:, None, None, None]
+        counts = live.sum(axis=1)
+        for (r, S), M in zip(chains.items(), mats):
+            eye = np.eye(r)
+            k1, m_mid = M[start], M[start + 1]
             k2 = m_mid @ (eye + 0.5 * h * k1)
             k3 = m_mid @ (eye + 0.5 * h * k2)
-            k4 = Mj[2::2] @ (eye + h * k3)
-            S = eye
-            for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
-                S = P @ S
-            for k, Sk in zip(group, S):
-                props[k] = Sk
-    return out
+            k4 = M[start + 2] @ (eye + h * k3)
+            P = eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            for m, row in zip(counts, np.cumsum(counts) - counts):
+                S[j0:j0 + m] = P[row:row + m] @ S[j0:j0 + m]
+
+    rows = len(x) if batch_rows is None else batch_rows
+    lo = 0
+    while lo < steps[0]:
+        # a batch holds each job's node at lo and two more per step
+        live = int(np.count_nonzero(steps > lo))
+        hi, used = lo + 1, 3 * live
+        while hi < steps[0] and used + 2 * np.sum(steps > hi) <= rows:
+            used += 2 * np.sum(steps > hi)
+            hi += 1
+        # when one step of every job is too many, slices of the jobs
+        width = live if used <= rows else rows // 3
+        for j0 in range(0, live, width):
+            advance(lo, hi, j0, min(live, j0 + width))
+        lo = hi
+    return [[chains[b.rank][i, ranks[b.rank].index(k)]
+             for k, b in enumerate(bundles)] for i in np.argsort(order)]
 
 
 def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,
@@ -504,25 +537,24 @@ def _split_steps(loop: tuple, steps: int) -> list:
     return out
 
 
-def _loop_matrices(bundles, table, loop: tuple, steps: int) -> list:
-    """Per bundle, the product of the propagators of a loop's segments,
-    all from one batch."""
+def _product(bundles, props) -> list:
+    """Per bundle, the product of the propagators props, in order."""
     mats = [np.eye(b.rank) for b in bundles]
-    jobs = zip(loop, _split_steps(loop, steps))
-    for props in _propagators(bundles, table, jobs):
-        mats = [P @ S for P, S in zip(props, mats)]
+    for ps in props:
+        mats = [P @ S for P, S in zip(ps, mats)]
     return mats
 
 
 def loop_matrix(bundle: TransportBundle, curve, steps: int,
                 check_closed: bool = False) -> np.ndarray:
     """The RK4 propagator of a curve or loop: steps RK4 steps in all,
-    split over its segments by parameter length."""
+    split over its segments by parameter length, all from one batch."""
     loop = _as_loop(curve)
     if check_closed:
         _check_closed(loop)
-    return _loop_matrices([bundle], bundle.coefficient_table(), loop,
-                          steps)[0]
+    jobs = zip(loop, _split_steps(loop, steps))
+    return _product([bundle], _propagators(
+        [bundle], bundle.coefficient_table(), jobs))[0]
 
 
 def transport(bundle: TransportBundle, curve, initial, steps: int):
@@ -578,23 +610,29 @@ def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None) -> list:
     connector. Without this the stacked fixed space would mix frames
     at unrelated points and the upper-bound property would be lost.
 
-    The bundles' coefficients are one compiled table, and each loop and
-    each connector is one batch for all of them: its curve is sampled
-    once and the table evaluated once at its RK4 nodes.
+    The bundles' coefficients are one compiled table, and every loop
+    segment and connector is a job of one _propagators call: its RK4
+    chains step all of them at once, and no coefficient batch has more
+    nodes than the largest loop or connector.
     """
     bundles = list(bundles)
     table = _shared_table(bundles)
     loop_list = [_as_loop(lp) for lp in loops]
-    base = _endpoints(loop_list[0][0])[0].tolist()
+    starts = [_check_closed(loop) for loop in loop_list]
+    parts = []   # per loop, the jobs of its segments and of its connector
+    for loop, start in zip(loop_list, starts):
+        conn = []
+        if max(abs(a - b) for a, b in zip(starts[0], start)) > 1e-12:
+            seg = line_segment(starts[0], start)
+            conn = [(seg, max(50, round(steps * seg.length)))]
+        parts += [list(zip(loop, _split_steps(loop, steps))), conn]
+    rows = max(sum(2 * s + 1 for _, s in part) for part in parts)
+    props = iter(_propagators(bundles, table, itertools.chain(*parts), rows))
     mats = [[] for _ in bundles]
-    for loop in loop_list:
-        _check_closed(loop)
-        hols = _loop_matrices(bundles, table, loop, steps)
-        start = _endpoints(loop[0])[0].tolist()
-        if max(abs(a - b) for a, b in zip(base, start)) > 1e-12:
-            seg = line_segment(base, start)
-            conn_steps = max(50, round(steps * seg.length))
-            Ts = _propagators(bundles, table, [(seg, conn_steps)])[0]
+    for segs, conn in zip(parts[::2], parts[1::2]):
+        hols = _product(bundles, itertools.islice(props, len(segs)))
+        if conn:
+            Ts = next(props)
             hols = [np.linalg.solve(T, hol @ T) for T, hol in zip(Ts, hols)]
         for got, hol in zip(mats, hols):
             got.append(hol)

@@ -28,8 +28,12 @@ levi_civita, riemann, _weyl and _cotton as they were when each built
 every component, before a mirrored entry was the same node or its Neg,
 and _second_bianchi_field as it was when it read the whole nabla R; and
 _first_bianchi_field, _second_bianchi_field, _cotton_weyl_field and
-_cotton as they were when each built every component of its field.
-antisymmetrize_reference builds each entry of a skew part anew, with
+_cotton as they were when each built every component of its field; and
+_propagators, _loop_matrices and holonomy_dimensions as they were when
+each loop and each lasso connector was one batch with chains of its
+own, with check_invertible_at and the per-point screen loop of
+_eval_points as they were before the sample points were screened in one
+batch. antisymmetrize_reference builds each entry of a skew part anew, with
 no cache.
 """
 
@@ -1304,3 +1308,190 @@ def cotton_whole_reference(conn: AffineConnection,
     dP = covariant_derivative(conn, schouten)  # [a][b][c] = nabla_a P_bc
     return pair_field(conn.dim, 0, 3, (0, 1), -1,
                       lambda a, b, c: dP[a, b, c] - dP[b, a, c])
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of _propagators, _loop_matrices and holonomy_dimensions
+# (transport.py) as they were when every loop and every lasso connector
+# was one coefficient batch of its own, each job's step propagators were
+# multiplied in a chain of its own, and the RK4 nodes came from a Python
+# loop. Only their names differ, and the helpers they call are imported.
+
+def propagators_rank_chain_reference(bundles, table, jobs) -> list:
+    """RK4 propagators, acting on coordinate vectors, of the segments of
+    (segment, steps) jobs: per job, one propagator per bundle, in bundle
+    order.
+
+    The curves are sampled per segment at their 2*steps + 1 RK4 nodes,
+    and the shared coefficient table is evaluated once at the nodes of
+    all jobs. Per bundle, the node matrices -v^a A_a are then formed from
+    its column block. The bundles of one rank run one RK4 chain: their
+    node matrices stack, the step propagators of each job are formed in
+    one batch, and only the product of the step propagators runs step by
+    step, one stacked matrix product per step for the whole rank.
+    """
+    hs, xs, vs = [], [], []
+    for seg, steps in jobs:
+        u0, u1 = float(seg.u0), float(seg.u1)
+        h = (u1 - u0) / steps
+        # node 2k is the start of step k (the end of step k-1), node 2k+1
+        # its midpoint
+        nodes = [u0]
+        for k in range(steps):
+            u = u0 + k * h
+            nodes += (u + 0.5 * h, u + h)
+        pos, vel = seg.sample_many(nodes)
+        hs.append(h)
+        xs.append(pos)
+        vs.append(vel)
+    v = np.concatenate(vs)
+    N, dim = v.shape
+    flat = eval_table(table, np.concatenate(xs))
+
+    # each bundle's column block starts where the previous one ends
+    offsets = list(itertools.accumulate(
+        (dim * b.rank ** 2 for b in bundles), initial=0))
+    by_rank = {}
+    for k, bundle in enumerate(bundles):
+        by_rank.setdefault(bundle.rank, []).append(k)
+    out = [[None] * len(bundles) for _ in hs]
+    for r, group in by_rank.items():
+        eye = np.eye(r)
+        # (N, bundles, r, r): each matrix product acts on the last two
+        # axes, so every bundle's products are the ones it would get alone
+        M = np.empty((N, len(group), r, r))
+        for j, k in enumerate(group):
+            # a contiguous copy: the matrix products see the layout a
+            # table of the bundle's own entries gives
+            A = np.ascontiguousarray(
+                flat[:, offsets[k]:offsets[k + 1]]).reshape(N, dim, r * r)
+            # non-finite coefficients propagate as NaN, like the kernel's
+            # numerics
+            with np.errstate(all="ignore"):
+                M[:, j] = -(v[:, None, :] @ A).reshape(N, r, r)
+        start = 0
+        for props, h, vel in zip(out, hs, vs):
+            Mj = M[start:start + len(vel)]
+            start += len(vel)
+            k1 = Mj[0:-1:2]
+            m_mid = Mj[1::2]
+            k2 = m_mid @ (eye + 0.5 * h * k1)
+            k3 = m_mid @ (eye + 0.5 * h * k2)
+            k4 = Mj[2::2] @ (eye + h * k3)
+            S = eye
+            for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
+                S = P @ S
+            for k, Sk in zip(group, S):
+                props[k] = Sk
+    return out
+
+
+def loop_matrices_reference(bundles, table, loop: tuple, steps: int) -> list:
+    """Per bundle, the product of the propagators of a loop's segments,
+    all from one batch."""
+    from protract.transport import _split_steps
+
+    mats = [np.eye(b.rank) for b in bundles]
+    jobs = zip(loop, _split_steps(loop, steps))
+    for props in propagators_rank_chain_reference(bundles, table, jobs):
+        mats = [P @ S for P, S in zip(props, mats)]
+    return mats
+
+
+def holonomy_dimensions_reference(bundles, loops, steps: int = 1000,
+                                  seed=None) -> list:
+    """Fixed-subspace dimension of sampled loop holonomy, one
+    HolonomyReport per bundle; the bundles share one geometry.
+
+    Transports the identity frame around each loop, stacks Hol_i - I,
+    and counts singular values below _SV_TOL; that number upper-bounds
+    the dimension of the parallel-section space.
+
+    A parallel section is fixed by holonomy based at its own point, so
+    loops starting elsewhere are lassoed: each holonomy is conjugated
+    to the first loop's start point by transport along the straight
+    connector. Without this the stacked fixed space would mix frames
+    at unrelated points and the upper-bound property would be lost.
+
+    The bundles' coefficients are one compiled table, and each loop and
+    each connector is one batch for all of them: its curve is sampled
+    once and the table evaluated once at its RK4 nodes.
+    """
+    from protract.transport import (_SV_TOL, HolonomyReport, _as_loop,
+                                    _check_closed, _endpoints, _shared_table,
+                                    line_segment)
+
+    bundles = list(bundles)
+    table = _shared_table(bundles)
+    loop_list = [_as_loop(lp) for lp in loops]
+    base = _endpoints(loop_list[0][0])[0].tolist()
+    mats = [[] for _ in bundles]
+    for loop in loop_list:
+        _check_closed(loop)
+        hols = loop_matrices_reference(bundles, table, loop, steps)
+        start = _endpoints(loop[0])[0].tolist()
+        if max(abs(a - b) for a, b in zip(base, start)) > 1e-12:
+            seg = line_segment(base, start)
+            conn_steps = max(50, round(steps * seg.length))
+            Ts = propagators_rank_chain_reference(bundles, table,
+                                                  [(seg, conn_steps)])[0]
+            hols = [np.linalg.solve(T, hol @ T) for T, hol in zip(Ts, hols)]
+        for got, hol in zip(mats, hols):
+            got.append(hol)
+    reports = []
+    for bundle, got in zip(bundles, mats):
+        stacked = np.vstack([m - np.eye(bundle.rank) for m in got])
+        # No rank can be read off a non-finite holonomy (svd would raise);
+        # NaN singular values let the caller fail the check they decide.
+        sv = np.linalg.svd(stacked, compute_uv=False) \
+            if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
+        fixed = int(np.sum(sv < _SV_TOL))
+        reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed,
+                                      seed))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of ChartGeometry.check_invertible_at (geometry.py) and of
+# the per-point screen loop of _eval_points (cli.py) as they were before
+# the sample points were screened in one batch. Only their names differ,
+# the method is a function of the geometry, and the loop calls it.
+
+def check_invertible_at_reference(self, point) -> None:
+    """Raise SingularMetricError when det g is negligible at the point.
+
+    The threshold is relative: 1e-12 times the Hadamard row bound of
+    the evaluated metric (or exact zero in rational mode). A
+    non-finite determinant or metric entry counts as singular.
+    """
+    import math
+
+    from protract.geometry import SingularMetricError
+
+    self.metric_inverse()
+    d = self._cache["det"].at(point).components[0]
+    if isinstance(d, Fraction):
+        if d == 0:
+            raise SingularMetricError("metric is singular at the point")
+        return
+    g_pt = self.metric.at(point)
+    bound = 1.0
+    for i in range(self.dim):
+        bound *= max_magnitude(g_pt[i, j] for j in range(self.dim))
+    if not (math.isfinite(d) and math.isfinite(bound)) \
+            or abs(d) < 1e-12 * max(1.0, bound):
+        raise SingularMetricError("metric is singular at the point")
+
+
+def screen_points_reference(geom, points) -> list:
+    """The points at which the metric is invertible, one at a time."""
+    from protract.expr import EvalDomainError
+
+    ok = []
+    for p in points:
+        try:
+            check_invertible_at_reference(geom, p)
+        except (GeometryError, EvalDomainError):
+            continue
+        ok.append(p)
+    return ok

@@ -8,8 +8,10 @@ errors (unknown suite, unknown bundle) raise SystemExit(2) instead.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,8 @@ from protract import kernel, transport
 from protract.cli import (SUITES, _SUITES, _eval_points, build_parser,
                           load_geometry_spec, main, sample_points)
 from protract.geometry import ChartGeometry
+
+import oracles
 
 
 def run_cli(argv, json_path=None):
@@ -566,14 +570,14 @@ class TestCurvatureCommand:
 class TestSampleScreening:
     @pytest.fixture
     def screened(self, monkeypatch):
-        """The points check_invertible_at is called on, in order."""
+        """The batches of points invertible_at screens, in order."""
         calls = []
-        real = ChartGeometry.check_invertible_at
+        real = ChartGeometry.invertible_at
 
-        def counted(self, point):
-            calls.append(tuple(point))
-            return real(self, point)
-        monkeypatch.setattr(ChartGeometry, "check_invertible_at", counted)
+        def counted(self, points):
+            calls.append([tuple(p) for p in points])
+            return real(self, points)
+        monkeypatch.setattr(ChartGeometry, "invertible_at", counted)
         return calls
 
     def test_once_per_seed_and_count(self, screened):
@@ -584,17 +588,46 @@ class TestSampleScreening:
             == first
         first.clear()   # a caller's list is its own
         assert _eval_points(spec) == sample_points(spec)
-        assert len(screened) == spec.sample_count
+        assert screened == [[tuple(p) for p in sample_points(spec)]]
         assert _eval_points(spec, seed=5, count=3) == sample_points(spec, 5, 3)
-        assert len(screened) == spec.sample_count + 3
+        assert len(screened) == 2 and len(screened[1]) == 3
 
     def test_check_all_screens_each_batch_once(self, screened):
         # the spec's points once for every suite, and the duality suite's
-        # ten seeded points once
+        # ten seeded points once: one batch each
         run_cli(["check", "--suite", "all", "--steps", "20", "--spec",
                  "sphere2"])
-        assert len(screened) == load_geometry_spec("sphere2").sample_count \
-            + 10
+        spec = load_geometry_spec("sphere2")
+        assert sorted(map(len, screened)) == [10, spec.sample_count]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_batch_keeps_the_per_point_choice(self, name):
+        # the spec's points and the duality suite's ten
+        spec = load_geometry_spec(name)
+        for pts in (sample_points(spec),
+                    sample_points(spec, spec.sample_seed, 10)):
+            assert _eval_points(spec, spec.sample_seed, len(pts)) == \
+                oracles.screen_points_reference(spec.geom, pts)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_batch_keeps_the_per_point_choice_near_singular(self, tmp_path,
+                                                            mode):
+        # det g = x0 x1^-1 vanishes on x0 = 0, which the box holds, and
+        # has a pole on x1 = 0: exact there it raises EvalDomainError,
+        # float it is not finite
+        spec = load_geometry_spec(write_spec(
+            tmp_path, metric=[["x0", "0"], ["0", "x1^-1"]],
+            box=[[-1, 1], [-0.5, 0.5]], mode=mode,
+            samples={"count": 300, "seed": 7}))
+        pts = sample_points(spec)
+        F = Fraction if mode == "rational" else float
+        pts += [[F(0), F(0.25)], [F(0.5), F(0)], [F(-0.5), F(0.25)]]
+        if mode == "float":
+            pts += [[math.nan, 0.25], [0.5, math.inf], [1e-300, 0.25]]
+        want = oracles.screen_points_reference(spec.geom, pts)
+        assert 0 < len(want) < len(pts) - 3
+        assert list(itertools.compress(
+            pts, spec.geom.invertible_at(pts))) == want
 
 
 @pytest.fixture
@@ -606,12 +639,12 @@ def inject_nan(monkeypatch):
     can hold several residual families side by side, and each family
     folds its own columns row by row, so every family's fold then
     starts (index 0) or ends (index -1) with a NaN. Screening sample
-    points through check_invertible_at stays clean, so the suites still
-    find points to evaluate their residuals at.
+    points through ChartGeometry.invertible_at (the batch of
+    _eval_points) and check_invertible_at stays clean, so the suites
+    still find points to evaluate their residuals at.
     """
     def install(index):
         real_table = kernel.eval_table
-        real_screen = ChartGeometry.check_invertible_at
         state = {"on": True}
 
         def eval_table(table, points):
@@ -620,16 +653,20 @@ def inject_nan(monkeypatch):
                 out[index] = math.nan
             return out
 
-        def screen(self, point):
-            state["on"] = False
-            try:
-                return real_screen(self, point)
-            finally:
-                state["on"] = True
+        def clean(screen):
+            def wrapped(self, points):
+                state["on"] = False
+                try:
+                    return screen(self, points)
+                finally:
+                    state["on"] = True
+            return wrapped
 
         monkeypatch.setattr(kernel, "eval_table", eval_table)
         monkeypatch.setattr(transport, "eval_table", eval_table)
-        monkeypatch.setattr(ChartGeometry, "check_invertible_at", screen)
+        for name in ("check_invertible_at", "invertible_at"):
+            monkeypatch.setattr(ChartGeometry, name,
+                                clean(getattr(ChartGeometry, name)))
     return install
 
 

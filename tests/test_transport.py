@@ -284,22 +284,22 @@ class TestTransport:
 
     def test_one_coefficient_batch_per_loop(self, sphere2, monkeypatch):
         import protract.transport as transport
-        from protract.transport import _endpoints, _split_steps
+        from protract.transport import _endpoints, _rk4_nodes, _split_steps
 
         calls = []
         inner = transport.eval_table
 
         def counted(table, points):
-            calls.append((table.n_out, len(points)))
+            calls.append((table.n_out, np.array(points)))
             return inner(table, points)
 
         monkeypatch.setattr(transport, "eval_table", counted)
 
-        def coefficient_rows(n_out):
+        def coefficient_batches(n_out):
             # curve tables have 2 * dim entries; every other evaluation
             # is of the coefficient table
             assert {m for m, _ in calls} <= {2 * 2, n_out}
-            return [k for m, k in calls if m == n_out]
+            return [pts for m, pts in calls if m == n_out]
 
         def loop_rows(loop):
             return sum(2 * s + 1 for s in _split_steps(loop, steps))
@@ -311,22 +311,25 @@ class TestTransport:
         for loop in (rect, circle):
             calls.clear()
             loop_matrix(bundle, loop, steps)
-            assert coefficient_rows(2 * 3 ** 2) == [loop_rows(loop)]
+            assert [len(p) for p in coefficient_batches(2 * 3 ** 2)] \
+                == [loop_rows(loop)]
 
-        # holonomy: one batch per loop, then one per lasso connector from
-        # the first loop's start
+        # holonomy: every segment of every loop and every lasso connector
+        # from the first loop's start is a job of one RK4 chain
         loops = seeded_loops([[-1, 1], [-1, 1]], 4, seed=12)
         base = _endpoints(loops[0][0])[0]
-        expected = []
+        jobs = []
         for loop in loops:
-            expected.append(loop_rows(loop))
+            jobs += zip(loop, _split_steps(loop, steps))
             start = _endpoints(loop[0])[0]
             if np.max(np.abs(start - base)) > 1e-12:
                 seg = line_segment(base.tolist(), start.tolist())
-                expected.append(2 * max(50, round(steps * seg.length)) + 1)
-        assert len(expected) > len(loops)
-        # three bundles share each batch: still one evaluation per loop or
-        # connector, of their one table, not three
+                jobs.append((seg, max(50, round(steps * seg.length))))
+        assert len(jobs) > sum(map(len, loops))
+        nodes = np.concatenate([seg.sample_many(_rk4_nodes(seg, s)[1])[0]
+                                for seg, s in jobs])
+        # three bundles share each batch: still one evaluation per batch,
+        # of their one table, not three
         for bundles in ([bundle], [cotractor_bundle(sphere2), bundle,
                                    s2_tractor_bundle(sphere2)]):
             calls.clear()
@@ -334,10 +337,14 @@ class TestTransport:
                 holonomy_dimension(bundle, loops, steps=steps)
             else:
                 holonomy_dimensions(bundles, loops, steps=steps)
-            rows = coefficient_rows(2 * sum(b.rank ** 2 for b in bundles))
-            assert rows == expected
+            batches = coefficient_batches(
+                2 * sum(b.rank ** 2 for b in bundles))
             # no batch is larger than one loop's nodes: the memory bound
-            assert max(rows) <= max(loop_rows(loop) for loop in loops)
+            assert max(map(len, batches)) <= max(map(loop_rows, loops))
+            assert len(batches) > 1
+            # every node of every job is evaluated
+            seen = {tuple(p) for pts in batches for p in pts.tolist()}
+            assert {tuple(p) for p in nodes.tolist()} <= seen
 
     def test_rk4_observed_order(self, sphere2):
         bundle = tangent_bundle(sphere2)
@@ -462,6 +469,139 @@ class TestHolonomy:
         assert set(js) == {"rank", "loops", "singular_values", "fixed_dim", "seed"}
         assert js["loops"] == 2 and js["seed"] == 15
         assert len(js["singular_values"]) == rep.rank
+
+
+class TestOneChain:
+    """Every loop segment and lasso connector of a holonomy_dimensions
+    call steps in one RK4 chain per rank, from bounded coefficient
+    batches: bitwise the holonomy of one batch and one chain per loop
+    and connector (oracles.holonomy_dimensions_reference)."""
+
+    @staticmethod
+    def _coefficient_rows(monkeypatch, n_out):
+        import protract.transport as transport
+
+        rows = []
+        inner = transport.eval_table
+
+        def counted(table, points):
+            if table.n_out == n_out:
+                rows.append(len(points))
+            return inner(table, points)
+
+        monkeypatch.setattr(transport, "eval_table", counted)
+        monkeypatch.setattr(oracles, "eval_table", counted)
+        return rows
+
+    @pytest.mark.parametrize("steps", [12, 60])
+    @pytest.mark.parametrize("name", ["flat2", "flat3", "sphere2", "sphere3",
+                                      "nonEinstein2", "nonEinstein3"])
+    def test_bundled_specs_match_reference(self, name, steps):
+        spec = load_geometry_spec(name)
+        bundles = [make(spec.geom) for make in (
+            cotractor_bundle, tractor_bundle, s2_tractor_bundle)]
+        loops = seeded_loops(spec.box, 5, seed=steps)
+        got = holonomy_dimensions(bundles, loops, steps=steps, seed=3)
+        want = oracles.holonomy_dimensions_reference(bundles, loops,
+                                                     steps=steps, seed=3)
+        for g, w in zip(got, want, strict=True):
+            _assert_same_report(g, w)
+
+    @pytest.mark.parametrize("name", ["sphere3", "nonEinstein3"])
+    def test_mixed_ranks_match_reference(self, name):
+        spec = load_geometry_spec(name)
+        bundles = [make(spec.geom) for make in (
+            s2_tractor_bundle, cotractor_bundle, s2_cotractor_bundle,
+            tractor_bundle)]
+        assert [b.rank for b in bundles] == [10, 4, 10, 4]
+        loops = seeded_loops(spec.box, 5, seed=4)
+        got = holonomy_dimensions(bundles, loops, steps=16)
+        want = oracles.holonomy_dimensions_reference(bundles, loops, steps=16)
+        for g, w in zip(got, want, strict=True):
+            _assert_same_report(g, w)
+
+    def test_batch_bound_binds_on_a_long_connector(self, sphere2,
+                                                   monkeypatch):
+        # small loops in opposite corners: each lasso connector has 101
+        # nodes, a loop 25, so the connector sets the batch bound
+        bundles = [tractor_bundle(sphere2), s2_tractor_bundle(sphere2)]
+        loops = [circle_loop([-0.7, -0.7], 0.05),
+                 rectangle_loop([0.6, 0.6], 0.1, 0.05),
+                 circle_loop([0.7, -0.6], 0.04)]
+        n_out = 2 * (3 ** 2 + 6 ** 2)
+        rows = self._coefficient_rows(monkeypatch, n_out)
+        want = oracles.holonomy_dimensions_reference(bundles, loops,
+                                                     steps=12)
+        parent = list(rows)
+        assert max(parent) == 101 and sorted(parent)[-3] < 101
+        rows.clear()
+        got = holonomy_dimensions(bundles, loops, steps=12)
+        for g, w in zip(got, want, strict=True):
+            _assert_same_report(g, w)
+        # the bound binds: more than one batch, none above it
+        assert len(rows) > 1 and max(rows) <= max(parent)
+        assert sum(rows) >= sum(parent)
+
+    @pytest.mark.parametrize("make", [tractor_bundle, s2_tractor_bundle])
+    def test_loop_matrix_matches_reference(self, sphere2, make):
+        bundle = make(sphere2)
+        for loop in (rectangle_loop([-0.2, 0.1], 0.5, 0.3),
+                     circle_loop([0.1, 0.2], 0.45)):
+            want, = oracles.loop_matrices_reference(
+                [bundle], bundle.coefficient_table(), loop, 60)
+            assert loop_matrix(bundle, loop, 60).tobytes() == want.tobytes()
+
+    def test_nan_row_fails_the_same_propagators(self, sphere2, monkeypatch):
+        import protract.transport as transport
+        from protract.transport import _propagators, _rk4_nodes, _shared_table
+
+        bundles = [cotractor_bundle(sphere2), tractor_bundle(sphere2),
+                   s2_tractor_bundle(sphere2)]
+        table = _shared_table(bundles)
+        loop = rectangle_loop([-0.2, 0.1], 0.5, 0.3)
+        jobs = list(zip(loop, [7, 3, 7, 3])) + [
+            (line_segment([0.0, 0.0], [0.4, 0.3]), 20)]
+        seg, steps = jobs[2]
+        bad = seg.sample_many(_rk4_nodes(seg, steps)[1])[0][5]
+        inner = transport.eval_table
+
+        def poisoned(tab, points):
+            out = inner(tab, points)
+            if tab is table:
+                out[np.all(np.asarray(points) == bad, axis=1)] = np.nan
+            return out
+
+        monkeypatch.setattr(transport, "eval_table", poisoned)
+        monkeypatch.setattr(oracles, "eval_table", poisoned)
+        want = oracles.propagators_rank_chain_reference(bundles, table, jobs)
+        # one batch; batches of several steps of every job still
+        # stepping; and single steps of two jobs at a time
+        for rows in (None, 15, 6):
+            got = _propagators(bundles, table, jobs, rows)
+            finite = [[np.isfinite(p).all() for p in props] for props in got]
+            assert finite == [[np.isfinite(p).all() for p in props]
+                              for props in want]
+            assert finite[2] == [False] * 3 and sum(map(all, finite)) == 4
+            for props, refs in zip(got, want):
+                for p, w in zip(props, refs):
+                    np.testing.assert_array_equal(p, w)
+
+    @pytest.mark.parametrize("steps", [1, 7, 200])
+    @pytest.mark.parametrize("ends", [(Fraction(1, 3), Fraction(7, 5)),
+                                      (0.1, 0.75)])
+    def test_rk4_nodes_are_the_loop_formula(self, steps, ends):
+        from protract.transport import _rk4_nodes
+
+        seg = CurveSegment([parse("x0", 1), parse("2*x0", 1)], *ends)
+        u0, u1 = float(seg.u0), float(seg.u1)
+        h = (u1 - u0) / steps
+        nodes = [u0]
+        for k in range(steps):
+            u = u0 + k * h
+            nodes += (u + 0.5 * h, u + h)
+        got_h, got = _rk4_nodes(seg, steps)
+        assert got_h == h
+        assert got.tobytes() == np.array(nodes).tobytes()
 
 
 class TestCorrespondence:
