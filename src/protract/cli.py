@@ -10,6 +10,14 @@ unknown suite, missing data for a suite, a ``--point`` that is not
 Every check compares its residual with one fixed threshold, which the
 report records.
 
+Every bundle connection is d + A_a in slot coordinates, with A_a the
+matrices TransportBundle.coefficient_entries builds, so the identities
+about connections are checked on those matrices, and so for every
+section at once: Leibniz duality of a pairing, the obstruction between
+the two S2T connections, the formal expansion of the S2T connection,
+and, as the curvature of the cotractor and tractor connections has the
+entries +-W and +-C, the holonomy suite's curvature read.
+
 Reports are deterministic for a given (spec, seed): JSON output carries
 no timing and is dumped with sorted keys, so repeated runs are
 byte-identical. Wall-clock timing goes to the human-readable stream
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .expr import ZERO, EvalDomainError, Expr, ExprError, parse
+from .expr import EvalDomainError, Expr, ExprError, add, parse
 from .geometry import (
     ChartGeometry,
     GeometryError,
@@ -42,28 +50,20 @@ from .projective import (
     einstein_deviation,
     gradient_upsilon,
 )
-from .tensor import TensorField, max_magnitude, max_residual, max_residuals
+from .tensor import TensorField, max_residual, max_residuals, zero_field
 from .tractor import (
-    CotractorSection,
-    S2CotractorSection,
     S2TractorSection,
-    Section,
-    TractorSection,
-    complete_pair,
-    cotractor_nabla,
     metric_lift,
     metrisability_obstruction,
     metrisability_prolong_nabla,
     s2_cotractor_dual_pairing,
-    s2_dual_nabla,
     s2_tractor_nabla,
     s2_tractor_nabla_expanded,
     tractor_cotractor_pairing,
-    tractor_curvature,
-    tractor_nabla,
 )
 from .transport import (
     BUNDLES,
+    TransportBundle,
     TransportError,
     circle_loop,
     cotractor_bundle,
@@ -72,6 +72,7 @@ from .transport import (
     loop_matrix,
     rectangle_loop,
     reverse_loop,
+    s2_cotractor_bundle,
     s2_tractor_bundle,
     seeded_loops,
     solution_correspondence,
@@ -273,77 +274,38 @@ def _unless_nonfinite(residual, *evidence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# seeded random test data
-
-def _rand_poly(rng: random.Random, dim: int) -> Expr:
-    names = ["1"] + ["x%d" % i for i in range(dim)]
-    terms = []
-    for _ in range(3):
-        c = rng.randint(-4, 4)
-        if c == 0:
-            continue
-        terms.append("%d/4*%s*%s" % (c, rng.choice(names), rng.choice(names)))
-    return parse("+".join(terms) if terms else "0", dim)
-
-
-def _rand_field(rng, dim, p, q, sym=None) -> TensorField:
-    comps = [_rand_poly(rng, dim) for _ in range(dim ** (p + q))]
-    complete_pair(comps, dim, sym, ZERO)
-    return TensorField(dim, p, q, comps)
-
-
-def _rand_section(rng, cls, dim) -> Section:
-    """A random section of type cls: one random field per slot, drawn in
-    SLOT_SPEC order, each rank-2 slot completed as SLOT_SYM says."""
-    return cls(*[_rand_field(rng, dim, p, q, cls.SLOT_SYM.get(name))
-                 for name, (p, q) in cls.SLOT_SPEC], validate=False)
-
-
-# ---------------------------------------------------------------------------
 # suites
+
+def _scalars(dim: int, entries) -> list:
+    """Each expression as a scalar field, for max_residuals."""
+    return [TensorField(dim, 0, 0, [e]) for e in entries]
+
+
+def _leibniz_defect(u: TransportBundle, v: TransportBundle, pairing) -> list:
+    """The entries of A_u,a^T G + G A_v,a in every direction a, G the
+    constant matrix G_ij = pairing(u basis i, v basis j). As the
+    connections are d + A, the pairing obeys the Leibniz rule for all
+    sections of u and v exactly when every entry vanishes."""
+    ru, rv = u.rank, v.rank
+    Au, Av = u.coefficient_entries(), v.coefficient_entries()
+    G = [[pairing(u.basis_section(i), v.basis_section(j))
+          for j in range(rv)] for i in range(ru)]
+    return [add(*[Au[(a * ru + k) * ru + i] * G[k][j] for k in range(ru)],
+                *[G[i][k] * Av[(a * rv + k) * rv + j] for k in range(rv)])
+            for a in range(u.dim) for i in range(ru) for j in range(rv)]
+
 
 def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
                    steps: int):
-    from .expr import diff
-
     geom = spec.geom
-    n = spec.dim
-    rng = random.Random(seed ^ 0xD0A1)
-    pts = _eval_points(spec, seed=seed, count=10)
-    # the samples are the first 200 (section pair, coordinate, point)
-    # triples in that order: 200 // m residuals at all m points, then
-    # one more at the first 200 % m points
-    full, rest = divmod(200, len(pts))
-
-    def leibniz(cls_u, cls_v, nab_u, nab_v, pairing):
-        """Leibniz-rule residuals of random section pairs, as scalar
-        fields, enough of them for the samples."""
-        resids = []
-        while len(resids) * len(pts) < 200:
-            u = _rand_section(rng, cls_u, n)
-            v = _rand_section(rng, cls_v, n)
-            fu = nab_u(geom, u)
-            fv = nab_v(geom, v)
-            pair = pairing(u, v)
-            for a in range(n):
-                resid = diff(pair, a) - pairing(fu[a], v) - pairing(u, fv[a])
-                resids.append(TensorField(n, 0, 0, [resid]))
-        return resids
-
-    for check, *bundle_pair in (
-        ("duality_tractor", TractorSection, CotractorSection,
-         tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
-        ("duality_s2", S2TractorSection, S2CotractorSection,
-         metrisability_prolong_nabla, s2_dual_nabla,
-         s2_cotractor_dual_pairing),
-    ):
-        resids = leibniz(*bundle_pair)
-        worst = max_residual(resids[:full], pts)
-        if rest:
-            worst = max_magnitude([worst, max_residual(resids[full:full + 1],
-                                                       pts[:rest])])
-        report.add(check, worst, 1e-10)
-    report.metrics["duality_samples"] = 200
+    pairs = ((tractor_bundle, cotractor_bundle, tractor_cotractor_pairing),
+             (s2_tractor_bundle, s2_cotractor_bundle,
+              s2_cotractor_dual_pairing))
+    worst = max_residuals([
+        _scalars(spec.dim, _leibniz_defect(u(geom), v(geom), pairing))
+        for u, v, pairing in pairs], _eval_points(spec))
+    report.add("duality_tractor", worst[0], 1e-10)
+    report.add("duality_s2", worst[1], 1e-10)
 
 
 def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
@@ -362,14 +324,35 @@ def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
     report.metrics["points"] = out["points"]
 
 
+def _s2_bundle(geom: ChartGeometry, nabla) -> TransportBundle:
+    """A connection on S2T sections as a bundle, for its coefficients."""
+    return TransportBundle("s2", S2TractorSection, nabla, geom)
+
+
+def _obstruction_family(geom: ChartGeometry, s: S2TractorSection) -> list:
+    """metrisability_obstruction of s.t as a direction family of S2T
+    sections with t slot zero, so that it has coefficient entries."""
+    n = geom.dim
+    vec, scal = metrisability_obstruction(geom, s.t)
+    return [S2TractorSection(zero_field(n, 2, 0),
+                             TensorField(n, 1, 0, [vec[c, a]
+                                                   for c in range(n)]),
+                             scal[a], validate=False) for a in range(n)]
+
+
 def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
                     steps: int):
     geom = spec.geom
-    n = spec.dim
-    pts = _eval_points(spec)
-    dev, obs = map(float, max_residuals(
+    direct, prolong, obstruction = (
+        _s2_bundle(geom, nabla).coefficient_entries()
+        for nabla in (s2_tractor_nabla, metrisability_prolong_nabla,
+                      _obstruction_family))
+    dev, obs, gap = map(float, max_residuals(
         [[einstein_deviation(geom)],
-         metrisability_obstruction(geom, geom.metric_inverse())], pts))
+         metrisability_obstruction(geom, geom.metric_inverse()),
+         _scalars(spec.dim, (d - p - o for d, p, o
+                             in zip(direct, prolong, obstruction)))],
+        _eval_points(spec)))
     small = 1e-8
     report.metrics["einstein_deviation_max"] = dev
     report.metrics["obstruction_max"] = obs
@@ -382,24 +365,7 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
         report.add("obstruction_detects_non_einstein",
                    _unless_nonfinite(1e-3 / obs if obs > 0 else math.inf,
                                      dev, obs), 1.0)
-
-    rng = random.Random(seed ^ 0x315)
-
-    def gaps():
-        for _ in range(10):
-            s = _rand_section(rng, S2TractorSection, n)
-            direct = s2_tractor_nabla(geom, s)
-            prolong = metrisability_prolong_nabla(geom, s)
-            ob_vec, ob_scal = metrisability_obstruction(geom, s.t)
-            for a in range(n):
-                dnu = direct[a].nu - prolong[a].nu
-                drho = direct[a].rho - prolong[a].rho
-                yield direct[a].t - prolong[a].t
-                yield TensorField(n, 1, 0,
-                                  [dnu[c] - ob_vec[c, a] for c in range(n)])
-                yield TensorField(n, 0, 0, [drho.components[0] - ob_scal[a]])
-
-    report.add("obstruction_identity", max_residual(gaps(), pts[:3]), 1e-12)
+    report.add("obstruction_identity", gap, 1e-12)
 
 
 def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
@@ -407,20 +373,18 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
     geom = spec.geom
     pts = _eval_points(spec)
     lift = metric_lift(geom)
-    report.add("metric_lift_parallel",
-               max_residual(metrisability_prolong_nabla(geom, lift), pts),
-               1e-7)
+    direct, expanded = (_s2_bundle(geom, nabla).coefficient_entries()
+                        for nabla in (s2_tractor_nabla,
+                                      s2_tractor_nabla_expanded))
+    parallel, expansion = max_residuals(
+        [metrisability_prolong_nabla(geom, lift),
+         _scalars(spec.dim, (d - e for d, e in zip(direct, expanded)))],
+        pts)
+    report.add("metric_lift_parallel", parallel, 1e-7)
     bundle = s2_tractor_bundle(geom)
     res = solution_correspondence(bundle, lift, pts[:5])
     report.add("metrisability_residual", res, 1e-7)
-
-    rng = random.Random(seed ^ 0x97)
-    s = _rand_section(rng, S2TractorSection, spec.dim)
-    direct = s2_tractor_nabla(geom, s)
-    expanded = s2_tractor_nabla_expanded(geom, s)
-    report.add("expansion_matches_direct",
-               max_residual((d - e for d, e in zip(direct, expanded)),
-                            pts[:3]), 1e-12)
+    report.add("expansion_matches_direct", expansion, 1e-12)
 
 
 def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
@@ -431,13 +395,11 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
                                        s2_tractor_bundle)]
     reps = holonomy_dimensions(bundles, loops, steps=steps, seed=seed)
-    # the cotractor and tractor curvature grids reduce from one table
-    grids = [tractor_curvature(geom, _rand_section(
-        random.Random(seed), bundle.section_cls, spec.dim))
-        for bundle in bundles[:2]]
-    curvs = max_residuals([[member for row in grid for member in row]
-                           for grid in grids], pts[:4])
-    for bundle, rep, curv in zip(bundles[:2], reps, map(float, curvs)):
+    # the entries of the cotractor and tractor curvature Omega_ab are
+    # +-W and +-C, so both read max |W|, |C|
+    pack = geom.pack()
+    curv = float(max_residual([pack.weyl, pack.cotton], pts))
+    for bundle, rep in zip(bundles[:2], reps):
         label = bundle.name
         report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
         report.metrics["%s_curvature_max" % label] = curv

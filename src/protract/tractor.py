@@ -16,8 +16,7 @@ A section type is described by its SLOT_SPEC (slot names and valences,
 in order) and SLOT_SYM (the symmetry of each rank-2 slot that has one).
 These two tables drive everything generic over section types: slot
 validation below, complete_pair filling a rank-2 slot from its
-independent entries, the transport bundles' coordinate layout, and the
-random sections of the command-line suites.
+independent entries, and the transport bundles' coordinate layout.
 
 Every tractor connection, the flat skew system included, is the one
 Leibniz rule (_leibniz). In a splitting the frame B_b, E obeys
@@ -32,8 +31,10 @@ an E entry before a frame index reads the same component as with its E
 entries moved last, negated for a type whose rank-2 slot is skew: the
 Lambda^2 T section reads beta^bc = S^bc, nu^c = S^cE = -S^Ec, and
 S^EE = 0. tractor_curvature is the same action with Omega_ab (W, and
--C in the E row) for A. A new tractor-tensor section type needs only
-its slot table and its placement row.
+-C in the E row) for A; on cotractor and tractor sections it is the
+curvature d_a A_b - d_b A_a + [A_a, A_b] of the connection matrices in
+slot coordinates. A new tractor-tensor section type needs only its slot
+table and its placement row.
 
 The metrisability connection is the normal S2T one plus K (nu^c gains
 W_ab{}^c{}_d t^bd / n, rho gains -2 C_abd t^bd / n), written once;

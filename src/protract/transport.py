@@ -335,8 +335,9 @@ class TransportBundle:
     # --- connection coefficients ---
 
     def coefficient_entries(self) -> list:
-        """The n * rank * rank entries of the coefficient matrices, in the
-        flat order of one point's coefficients_at stack."""
+        """The n * rank * rank entries of the coefficient matrices A_a, at
+        (a * rank + i) * rank + j the entry A_a[i][j]: component i of
+        nabla_a of basis section j."""
         n, r = self.dim, self.rank
         entries = [ZERO] * (n * r * r)
         for j in range(r):
@@ -353,12 +354,6 @@ class TransportBundle:
             self._A_table = share_fold_prefixes(
                 compile_table(self.coefficient_entries()))
         return self._A_table
-
-    def coefficients_at(self, points) -> np.ndarray:
-        """Connection coefficients at N points, as an (N, n, rank, rank)
-        array: one stack of n coefficient matrices per point."""
-        flat = eval_table(self.coefficient_table(), points)
-        return flat.reshape(len(flat), self.dim, self.rank, self.rank)
 
 
 def cotractor_bundle(geom: ChartGeometry) -> TransportBundle:

@@ -5,18 +5,42 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from protract.cli import (
-    _rand_field as poly_field,
-    _rand_poly as poly,
-    _rand_section as section,
-)
-from protract.expr import parse
+from protract.expr import ZERO, Expr, parse
 from protract.geometry import ChartGeometry
 from protract.tensor import TensorField
+from protract.tractor import Section, complete_pair
 
 
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def poly(rng: random.Random, dim: int) -> Expr:
+    """A sum of up to three terms k/4 * u * v, each of u and v 1 or a
+    coordinate, k drawn from -4..4 (a term with k = 0 is left out)."""
+    names = ["1"] + ["x%d" % i for i in range(dim)]
+    terms = []
+    for _ in range(3):
+        c = rng.randint(-4, 4)
+        if c == 0:
+            continue
+        terms.append("%d/4*%s*%s" % (c, rng.choice(names), rng.choice(names)))
+    return parse("+".join(terms) if terms else "0", dim)
+
+
+def poly_field(rng, dim, p, q, sym=None) -> TensorField:
+    """A (p, q) field of poly components, a rank-2 one completed as sym
+    says (see tractor.complete_pair)."""
+    comps = [poly(rng, dim) for _ in range(dim ** (p + q))]
+    complete_pair(comps, dim, sym, ZERO)
+    return TensorField(dim, p, q, comps)
+
+
+def section(rng, cls, dim) -> Section:
+    """A random section of type cls: one random field per slot, drawn in
+    SLOT_SPEC order, each rank-2 slot completed as SLOT_SYM says."""
+    return cls(*[poly_field(rng, dim, p, q, cls.SLOT_SYM.get(name))
+                 for name, (p, q) in cls.SLOT_SPEC], validate=False)
 
 
 def rational_points(rng: random.Random, dim: int, count: int,

@@ -11,7 +11,7 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Eleven sections keep verbatim copies of replaced code: the per-type code
+Twelve sections keep verbatim copies of replaced code: the per-type code
 that one slot table per section type replaced (random sections, the
 (1,1) and (2,1) trace-free projectors, the sampled source-equation
 residual), the seven hand-written connection bodies that the one
@@ -33,7 +33,9 @@ _propagators, _loop_matrices and holonomy_dimensions as they were when
 each loop and each lasso connector was one batch with chains of its
 own, with check_invertible_at and the per-point screen loop of
 _eval_points as they were before the sample points were screened in one
-batch. antisymmetrize_reference builds each entry of a skew part anew, with
+batch; and _suite_duality, _suite_einstein, _suite_prolong and the
+holonomy suite's curvature grids as they were when they checked the
+connections on seeded random sections. antisymmetrize_reference builds each entry of a skew part anew, with
 no cache.
 """
 
@@ -418,13 +420,13 @@ def postorder_apply_reference(roots, fn, memo=None) -> list:
 # trace-free projectors that one slot table per section type replaced.
 
 def rand_field_reference(rng, dim, p, q, sym=None):
-    """cli._rand_field with its own sym/skew mirror loop."""
-    from protract.cli import _rand_poly
+    """gen.poly_field with its own sym/skew mirror loop."""
+    from gen import poly
     from protract.expr import parse
     from protract.tensor import TensorField
 
     size = dim ** (p + q)
-    comps = [_rand_poly(rng, dim) for _ in range(size)]
+    comps = [poly(rng, dim) for _ in range(size)]
     if sym and p + q == 2:
         for b in range(dim):
             for c in range(b, dim):
@@ -438,38 +440,38 @@ def rand_field_reference(rng, dim, p, q, sym=None):
 
 
 def rand_tractor_reference(rng, dim):
-    from protract.cli import _rand_poly
+    from gen import poly
     from protract.tractor import TractorSection
 
     return TractorSection(rand_field_reference(rng, dim, 1, 0),
-                          _rand_poly(rng, dim), validate=False)
+                          poly(rng, dim), validate=False)
 
 
 def rand_cotractor_reference(rng, dim):
-    from protract.cli import _rand_poly
+    from gen import poly
     from protract.tractor import CotractorSection
 
-    return CotractorSection(_rand_poly(rng, dim),
+    return CotractorSection(poly(rng, dim),
                             rand_field_reference(rng, dim, 0, 1),
                             validate=False)
 
 
 def rand_s2tractor_reference(rng, dim):
-    from protract.cli import _rand_poly
+    from gen import poly
     from protract.tractor import S2TractorSection
 
     return S2TractorSection(rand_field_reference(rng, dim, 2, 0, "sym"),
                             rand_field_reference(rng, dim, 1, 0),
-                            _rand_poly(rng, dim), validate=False)
+                            poly(rng, dim), validate=False)
 
 
 def rand_s2cotractor_reference(rng, dim):
-    from protract.cli import _rand_poly
+    from gen import poly
     from protract.tractor import S2CotractorSection
 
     return S2CotractorSection(rand_field_reference(rng, dim, 0, 2, "sym"),
                               rand_field_reference(rng, dim, 0, 1),
-                              _rand_poly(rng, dim), validate=False)
+                              poly(rng, dim), validate=False)
 
 
 def skew_section_reference(rng, dim):
@@ -998,7 +1000,8 @@ def cotton_weyl_field_reference(pack, conn):
 # Verbatim copy of holonomy_dimension and _propagators (transport.py) as
 # they were when each bundle compiled, sampled and evaluated on its own:
 # every loop and lasso connector one batch per bundle, its coefficients
-# from TransportBundle.coefficients_at. loop_matrix and _segment_matrix
+# from the bundle's own coefficient table, as TransportBundle.coefficients_at
+# read them before it was deleted. loop_matrix and _segment_matrix
 # are copied with them, as the callers holonomy_dimension went through.
 
 def propagators_reference(bundle, jobs) -> list:
@@ -1029,7 +1032,8 @@ def propagators_reference(bundle, jobs) -> list:
         vs.append(vel)
     v = np.concatenate(vs)
     N, dim = v.shape
-    A = bundle.coefficients_at(np.concatenate(xs)).reshape(N, dim, r * r)
+    A = eval_table(bundle.coefficient_table(),
+                   np.concatenate(xs)).reshape(N, dim, r * r)
     # non-finite coefficients propagate as NaN, like the kernel's numerics
     with np.errstate(all="ignore"):
         M = -(v[:, None, :] @ A).reshape(N, r, r)
@@ -1495,3 +1499,165 @@ def screen_points_reference(geom, points) -> list:
             continue
         ok.append(p)
     return ok
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of _suite_duality, _suite_einstein and _suite_prolong
+# (cli.py), and of the holonomy suite's curvature grids, as they were when
+# they checked the connections on seeded random sections, before the
+# identities were checked on the coefficient matrices. Only their names
+# and imports differ, _rand_section is gen.section, and the grid code is
+# the body of a function of its own that returns the two curvatures.
+
+def suite_duality_reference(spec, report, seed: int, steps: int):
+    import random
+
+    from protract.cli import _eval_points
+    from protract.expr import diff
+    from protract.tensor import max_residual
+    from protract.tractor import (cotractor_nabla,
+                                  metrisability_prolong_nabla,
+                                  s2_cotractor_dual_pairing, s2_dual_nabla,
+                                  tractor_cotractor_pairing, tractor_nabla)
+    from gen import section as _rand_section
+
+    geom = spec.geom
+    n = spec.dim
+    rng = random.Random(seed ^ 0xD0A1)
+    pts = _eval_points(spec, seed=seed, count=10)
+    # the samples are the first 200 (section pair, coordinate, point)
+    # triples in that order: 200 // m residuals at all m points, then
+    # one more at the first 200 % m points
+    full, rest = divmod(200, len(pts))
+
+    def leibniz(cls_u, cls_v, nab_u, nab_v, pairing):
+        """Leibniz-rule residuals of random section pairs, as scalar
+        fields, enough of them for the samples."""
+        resids = []
+        while len(resids) * len(pts) < 200:
+            u = _rand_section(rng, cls_u, n)
+            v = _rand_section(rng, cls_v, n)
+            fu = nab_u(geom, u)
+            fv = nab_v(geom, v)
+            pair = pairing(u, v)
+            for a in range(n):
+                resid = diff(pair, a) - pairing(fu[a], v) - pairing(u, fv[a])
+                resids.append(TensorField(n, 0, 0, [resid]))
+        return resids
+
+    for check, *bundle_pair in (
+        ("duality_tractor", TractorSection, CotractorSection,
+         tractor_nabla, cotractor_nabla, tractor_cotractor_pairing),
+        ("duality_s2", S2TractorSection, S2CotractorSection,
+         metrisability_prolong_nabla, s2_dual_nabla,
+         s2_cotractor_dual_pairing),
+    ):
+        resids = leibniz(*bundle_pair)
+        worst = max_residual(resids[:full], pts)
+        if rest:
+            worst = max_magnitude([worst, max_residual(resids[full:full + 1],
+                                                       pts[:rest])])
+        report.add(check, worst, 1e-10)
+    report.metrics["duality_samples"] = 200
+
+
+def suite_einstein_reference(spec, report, seed: int, steps: int):
+    import math
+    import random
+
+    from protract.cli import _eval_points, _unless_nonfinite
+    from protract.projective import einstein_deviation
+    from protract.tensor import max_residual, max_residuals
+    from protract.tractor import (metrisability_obstruction,
+                                  metrisability_prolong_nabla,
+                                  s2_tractor_nabla)
+    from gen import section as _rand_section
+
+    geom = spec.geom
+    n = spec.dim
+    pts = _eval_points(spec)
+    dev, obs = map(float, max_residuals(
+        [[einstein_deviation(geom)],
+         metrisability_obstruction(geom, geom.metric_inverse())], pts))
+    small = 1e-8
+    report.metrics["einstein_deviation_max"] = dev
+    report.metrics["obstruction_max"] = obs
+    report.metrics["connections_differ"] = bool(obs >= small)
+    if dev < small:
+        report.add("obstruction_vanishes", obs, small)
+    else:
+        # iff-theorem, contrapositive side: deviation big forces a
+        # clearly nonzero obstruction
+        report.add("obstruction_detects_non_einstein",
+                   _unless_nonfinite(1e-3 / obs if obs > 0 else math.inf,
+                                     dev, obs), 1.0)
+
+    rng = random.Random(seed ^ 0x315)
+
+    def gaps():
+        for _ in range(10):
+            s = _rand_section(rng, S2TractorSection, n)
+            direct = s2_tractor_nabla(geom, s)
+            prolong = metrisability_prolong_nabla(geom, s)
+            ob_vec, ob_scal = metrisability_obstruction(geom, s.t)
+            for a in range(n):
+                dnu = direct[a].nu - prolong[a].nu
+                drho = direct[a].rho - prolong[a].rho
+                yield direct[a].t - prolong[a].t
+                yield TensorField(n, 1, 0,
+                                  [dnu[c] - ob_vec[c, a] for c in range(n)])
+                yield TensorField(n, 0, 0, [drho.components[0] - ob_scal[a]])
+
+    report.add("obstruction_identity", max_residual(gaps(), pts[:3]), 1e-12)
+
+
+def suite_prolong_reference(spec, report, seed: int, steps: int):
+    import random
+
+    from protract.cli import _eval_points
+    from protract.tensor import max_residual
+    from protract.tractor import (metric_lift, metrisability_prolong_nabla,
+                                  s2_tractor_nabla, s2_tractor_nabla_expanded)
+    from protract.transport import s2_tractor_bundle, solution_correspondence
+    from gen import section as _rand_section
+
+    geom = spec.geom
+    pts = _eval_points(spec)
+    lift = metric_lift(geom)
+    report.add("metric_lift_parallel",
+               max_residual(metrisability_prolong_nabla(geom, lift), pts),
+               1e-7)
+    bundle = s2_tractor_bundle(geom)
+    res = solution_correspondence(bundle, lift, pts[:5])
+    report.add("metrisability_residual", res, 1e-7)
+
+    rng = random.Random(seed ^ 0x97)
+    s = _rand_section(rng, S2TractorSection, spec.dim)
+    direct = s2_tractor_nabla(geom, s)
+    expanded = s2_tractor_nabla_expanded(geom, s)
+    report.add("expansion_matches_direct",
+               max_residual((d - e for d, e in zip(direct, expanded)),
+                            pts[:3]), 1e-12)
+
+
+def holonomy_curvatures_reference(spec, seed: int) -> list:
+    """The cotractor and tractor curvature maxima of the holonomy suite,
+    from the tractor_curvature grid of one seeded random section each."""
+    import random
+
+    from protract.cli import _eval_points
+    from protract.tensor import max_residuals
+    from protract.tractor import tractor_curvature
+    from protract.transport import cotractor_bundle, tractor_bundle
+    from gen import section as _rand_section
+
+    geom = spec.geom
+    pts = _eval_points(spec)
+    bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle)]
+    # the cotractor and tractor curvature grids reduce from one table
+    grids = [tractor_curvature(geom, _rand_section(
+        random.Random(seed), bundle.section_cls, spec.dim))
+        for bundle in bundles[:2]]
+    curvs = max_residuals([[member for row in grid for member in row]
+                           for grid in grids], pts[:4])
+    return list(map(float, curvs))

@@ -16,9 +16,15 @@ from fractions import Fraction
 import pytest
 
 from protract import kernel, transport
-from protract.cli import (SUITES, _SUITES, _eval_points, build_parser,
+from protract.cli import (SUITES, _SUITES, Report, _eval_points,
+                          _leibniz_defect, _scalars, build_parser,
                           load_geometry_spec, main, sample_points)
+from protract.expr import add
 from protract.geometry import ChartGeometry
+from protract.tensor import max_residuals
+from protract.tractor import (S2CotractorSection, _leibniz,
+                              _metrisability_correction,
+                              s2_cotractor_dual_pairing)
 
 import oracles
 
@@ -217,9 +223,10 @@ class TestCheckCommand:
         # their own
         assert entries.count(2 * (3 ** 2 + 3 ** 2 + 6 ** 2)) == 1
         assert 2 * 3 ** 2 not in entries and 2 * 6 ** 2 not in entries
-        # one table for both curvature grids: 2 x 2 sections of rank 3
-        # per bundle, and no grid of its own
-        assert entries.count(2 * 2 * 2 * 3) == 1
+        # one table for the curvature read: Weyl and Cotton, n^4 + n^3
+        # entries (as many as the two 2 x 2 grids of rank-3 sections it
+        # replaced), and no curvature grid of one bundle
+        assert entries.count(2 ** 4 + 2 ** 3) == 1
         assert 2 * 2 * 3 not in entries
 
     def test_missing_spec_flag_rejected(self):
@@ -593,16 +600,15 @@ class TestSampleScreening:
         assert len(screened) == 2 and len(screened[1]) == 3
 
     def test_check_all_screens_each_batch_once(self, screened):
-        # the spec's points once for every suite, and the duality suite's
-        # ten seeded points once: one batch each
+        # the spec's points, once for every suite: one batch
         run_cli(["check", "--suite", "all", "--steps", "20", "--spec",
                  "sphere2"])
         spec = load_geometry_spec("sphere2")
-        assert sorted(map(len, screened)) == [10, spec.sample_count]
+        assert sorted(map(len, screened)) == [spec.sample_count]
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_batch_keeps_the_per_point_choice(self, name):
-        # the spec's points and the duality suite's ten
+        # the spec's points and a batch of ten
         spec = load_geometry_spec(name)
         for pts in (sample_points(spec),
                     sample_points(spec, spec.sample_seed, 10)):
@@ -628,6 +634,62 @@ class TestSampleScreening:
         assert 0 < len(want) < len(pts) - 3
         assert list(itertools.compress(
             pts, spec.geom.invertible_at(pts))) == want
+
+
+class TestMatrixIdentities:
+    """The duality, obstruction, expansion and holonomy-curvature checks
+    read identities of the connection coefficient matrices. The checks
+    on seeded random sections they replaced (oracles.suite_*_reference,
+    oracles.holonomy_curvatures_reference) give the same verdicts."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_same_verdicts_as_random_sections(self, name):
+        spec = load_geometry_spec(name)
+        seed = spec.sample_seed
+        for suite in ("duality", "einstein", "prolong"):
+            new, old = Report("check", ""), Report("check", "")
+            _SUITES[suite](spec, new, seed, 0)
+            getattr(oracles, "suite_%s_reference" % suite)(spec, old, seed, 0)
+            assert [(c.name, c.threshold, c.passed) for c in new.checks] \
+                == [(c.name, c.threshold, c.passed) for c in old.checks]
+        # the curvature only picks each bundle's check; its residual and
+        # pass flag then come from the same fixed dimension as before, so
+        # the steps can be few
+        report = Report("check", "")
+        _SUITES["holonomy"](spec, report, seed, 4)
+        old = oracles.holonomy_curvatures_reference(spec, seed)
+        want = ["%s_dim_%s" % (label, "attains_rank" if curv < 1e-10
+                               else "below_rank")
+                for label, curv in zip(("cotractor", "tractor"), old)]
+        assert [c.name for c in report.checks[:2]] == want
+
+    @pytest.mark.parametrize("name,worst", [
+        ("nonEinstein2", Fraction(147456, 113569)),
+        ("nonEinstein3", Fraction(2228224, 5171907))])
+    def test_unsymmetrised_dual_correction_fails_duality_s2(self, name,
+                                                            worst):
+        def mutant_dual_nabla(geom, s):
+            # s2_dual_nabla with f(*rest, b, c) twice in place of its
+            # two index orders
+            def correction(a):
+                return [(i, o, -k / 2, lambda b, c, *rest, f=f:
+                         add(f(*rest, b, c), f(*rest, b, c)))
+                        for o, i, k, f in _metrisability_correction(geom, a)]
+            return _leibniz(geom, s, correction)
+
+        spec = load_geometry_spec(name)
+        geom = spec.geom
+        duals = (transport.s2_cotractor_bundle(geom),
+                 transport.TransportBundle("s2dual", S2CotractorSection,
+                                           mutant_dual_nabla, geom))
+        good, bad = max_residuals([
+            _scalars(spec.dim, _leibniz_defect(
+                transport.s2_tractor_bundle(geom), dual,
+                s2_cotractor_dual_pairing)) for dual in duals],
+            _eval_points(spec))
+        assert good == 0
+        # exactly nonzero, far above the duality_s2 threshold 1e-10
+        assert type(bad) is Fraction and bad == worst
 
 
 @pytest.fixture

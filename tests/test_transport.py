@@ -6,15 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from protract.cli import load_geometry_spec
-from protract.expr import diff, parse
-from protract.tensor import TensorField
+from protract.cli import BUNDLED, load_geometry_spec
+from protract.expr import add, diff, parse
+from protract.kernel import eval_table
+from protract.tensor import TensorField, max_residual
 from protract.tractor import (
     CotractorSection,
     metric_lift,
     metrisability_prolong_nabla,
+    tractor_curvature,
 )
 from protract.transport import (
+    BUNDLES,
     CurveSegment,
     HolonomyReport,
     NonClosedLoopError,
@@ -41,7 +44,8 @@ from protract.transport import (
     transported_sampler,
 )
 
-from gen import rng_for
+from gen import (invertible, random_metric, rational_points, rng_for,
+                 section)
 import oracles
 from oracles import (central_diff, richardson_order,
                      sampled_pde_residual_reference)
@@ -58,8 +62,9 @@ def _rk4_reference(bundle, seg, steps):
         u = u0 + k * h
         nodes += (u + 0.5 * h, u + h)
     xs, vs = seg.sample_many(nodes)
-    M = [-np.tensordot(v, A, axes=1)
-         for v, A in zip(vs, bundle.coefficients_at(xs))]
+    As = eval_table(bundle.coefficient_table(), xs).reshape(
+        len(xs), bundle.dim, bundle.rank, bundle.rank)
+    M = [-np.tensordot(v, A, axes=1) for v, A in zip(vs, As)]
     S = eye
     for k in range(steps):
         k1, m_mid = M[2 * k], M[2 * k + 1]
@@ -203,8 +208,8 @@ class TestBundleMachinery:
         # only the sigma slot couples (to -mu_a); products of the direction
         # matrices vanish, which is why flat loops transport trivially
         bundle = cotractor_bundle(flat2)
-        stacked = bundle.coefficients_at([[0.3, -0.4], [1.5, 2.0]])
-        assert stacked.shape == (2, 2, 3, 3)
+        stacked = eval_table(bundle.coefficient_table(),
+                             [[0.3, -0.4], [1.5, 2.0]]).reshape(2, 2, 3, 3)
         assert np.array_equal(stacked[0], stacked[1])
         A = stacked[0]
         for a in range(2):
@@ -213,6 +218,77 @@ class TestBundleMachinery:
             assert np.allclose(A[a], expected)
             for b in range(2):
                 assert np.max(np.abs(A[a] @ A[b])) == 0.0
+
+
+def _scalar_max(dim, exprs, pts):
+    return max_residual([TensorField(dim, 0, 0, [e]) for e in exprs], pts)
+
+
+def _rational_pts(geom, label):
+    return [p for p in rational_points(rng_for(label), geom.dim, 4)
+            if invertible(geom, p)]
+
+
+class TestCoefficientMatrices:
+    """The facts the suites' checks on the coefficient matrices assume."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_connection_is_d_plus_A(self, name):
+        # nabla_a s = d_a s + A_a s in slot coordinates, for every bundle:
+        # so an identity of the matrices A holds for every section
+        geom = load_geometry_spec(name).geom
+        n = geom.dim
+        rng = rng_for("d+A " + name)
+        pts = _rational_pts(geom, "d+A points " + name)
+        assert pts
+        for label, make in BUNDLES.items():
+            if label == "skew" and name != "flat3":
+                continue
+            bundle = make(geom)
+            r = bundle.rank
+            A = bundle.coefficient_entries()
+            s = section(rng, bundle.section_cls, n)
+            x = bundle.flatten_fields(s)
+            family = bundle.nabla(geom, s)
+            gaps = [got - diff(x[i], a)
+                    - add(*[A[(a * r + i) * r + j] * x[j] for j in range(r)])
+                    for a in range(n)
+                    for i, got in enumerate(bundle.flatten_fields(family[a]))]
+            assert _scalar_max(n, gaps, pts) == 0, label
+
+    @pytest.mark.parametrize("name", ["flat2", "flat3", "nonEinstein2",
+                                      "nonEinstein3", "random3"])
+    def test_curvature_of_A_is_omega(self, name):
+        # F_ab = d_a A_b - d_b A_a + [A_a, A_b] is the matrix of the
+        # tractor_curvature action on the basis sections, whose entries
+        # are +-W and +-C: the holonomy suite reads those directly
+        geom = random_metric(rng_for("F(A)"), 3) if name == "random3" \
+            else load_geometry_spec(name).geom
+        n = geom.dim
+        pts = _rational_pts(geom, "F(A) points " + name)
+        assert pts
+        for bundle in (cotractor_bundle(geom), tractor_bundle(geom)):
+            r = bundle.rank
+            A = bundle.coefficient_entries()
+
+            def at(a, i, j):
+                return A[(a * r + i) * r + j]
+            grids = [tractor_curvature(geom, bundle.basis_section(j))
+                     for j in range(r)]
+            F = [diff(at(b, i, j), a) - diff(at(a, i, j), b)
+                 + add(*[at(a, i, k) * at(b, k, j) - at(b, i, k) * at(a, k, j)
+                         for k in range(r)])
+                 for a in range(n) for b in range(n)
+                 for i in range(r) for j in range(r)]
+            omega = [bundle.flatten_fields(grids[j][a][b])[i]
+                     for a in range(n) for b in range(n)
+                     for i in range(r) for j in range(r)]
+            assert _scalar_max(n, [f - o for f, o in zip(F, omega)],
+                               pts) == 0, bundle.name
+            if name.startswith("flat"):
+                assert _scalar_max(n, F, pts) == 0, bundle.name
+            else:
+                assert _scalar_max(n, F, pts) > 0, bundle.name
 
 
 class TestTransport:
@@ -400,7 +476,8 @@ class TestHolonomy:
         monkeypatch.setattr(geometry, "riemann", counted)
         # a geometry of its own, so no earlier test decided its flatness
         bundle = skew_bundle(geometry.ChartGeometry(flat3.metric))
-        assert bundle.coefficients_at([[0.1, 0.2, 0.3]]).shape == (1, 3, 6, 6)
+        assert eval_table(bundle.coefficient_table(),
+                          [[0.1, 0.2, 0.3]]).shape == (1, 3 * 6 * 6)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name,steps", [
