@@ -303,7 +303,7 @@ def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
               s2_cotractor_dual_pairing))
     worst = max_residuals([
         _scalars(spec.dim, _leibniz_defect(u(geom), v(geom), pairing))
-        for u, v, pairing in pairs], _eval_points(spec))
+        for u, v, pairing in pairs], _eval_points(spec, seed))
     report.add("duality_tractor", worst[0], 1e-10)
     report.add("duality_s2", worst[1], 1e-10)
 
@@ -316,7 +316,7 @@ def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
         ups = gradient_upsilon(spec.phi, spec.dim)
     else:
         ups = Upsilon(TensorField(spec.dim, 0, 1, spec.upsilon))
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, seed)
     out = check_weyl_cotton_invariance(spec.geom, ups, pts)
     report.add("weyl_invariance", out["weyl"], 1e-8)
     report.add("cotton_invariance", out["cotton"], 1e-7)
@@ -352,7 +352,7 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
          metrisability_obstruction(geom, geom.metric_inverse()),
          _scalars(spec.dim, (d - p - o for d, p, o
                              in zip(direct, prolong, obstruction)))],
-        _eval_points(spec)))
+        _eval_points(spec, seed)))
     small = 1e-8
     report.metrics["einstein_deviation_max"] = dev
     report.metrics["obstruction_max"] = obs
@@ -371,7 +371,7 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
 def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
                    steps: int):
     geom = spec.geom
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, seed)
     lift = metric_lift(geom)
     direct, expanded = (_s2_bundle(geom, nabla).coefficient_entries()
                         for nabla in (s2_tractor_nabla,
@@ -390,7 +390,7 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
 def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
                     steps: int):
     geom = spec.geom
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, seed)
     loops = seeded_loops(spec.box, 5, seed)
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
                                        s2_tractor_bundle)]
@@ -422,7 +422,7 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
 
 def _suite_bianchi(spec: GeometrySpec, report: Report, seed: int,
                    steps: int):
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, seed)
     _add_bianchi_checks(spec, report, spec.geom.pack(), pts)
 
 

@@ -77,7 +77,6 @@ __all__ = [
     "const", "var", "add", "mul", "power", "neg", "sub", "divide",
     "sin", "cos", "exp",
     "parse", "diff", "diff_all", "evaluate", "to_text",
-    "max_var_index", "is_rational_closed",
     "ExprError", "ExprSyntaxError", "VariableRangeError",
     "EvalDomainError", "ExactModeError",
 ]
@@ -545,20 +544,6 @@ class _Partials:
             known += (None,) * (c + 1 - len(known))
         object.__setattr__(node, "_partials",
                            known[:c] + (deriv,) + known[c + 1:])
-
-
-def max_var_index(e: Expr) -> int:
-    """Largest coordinate index used, or -1 for a constant expression."""
-    top = -1
-    for node in _walk_unique([e]):
-        if isinstance(node, Var) and node.index > top:
-            top = node.index
-    return top
-
-
-def is_rational_closed(e: Expr) -> bool:
-    """True when the expression contains no sin/cos/exp node."""
-    return all(not isinstance(node, Call) for node in _walk_unique([e]))
 
 
 def evaluate(e: Expr, point: Sequence[Number], mode: str | None = None):

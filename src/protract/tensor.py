@@ -134,14 +134,6 @@ class PointTensor(Tensor):
                 comps.append(float(c))
         return {"valence": [self.p, self.q], "dim": self.dim, "components": comps}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PointTensor":
-        p, q = data["valence"]
-        comps = []
-        for c in data["components"]:
-            comps.append(Fraction(c) if isinstance(c, str) else c)
-        return cls(data["dim"], p, q, comps)
-
 
 def max_magnitude(values):
     """Largest absolute value: the one fold behind every check residual.

@@ -63,7 +63,6 @@ from .tensor import (
     TensorField,
     is_skew_pair,
     is_symmetric_pair,
-    max_residual,
     zero_field,
 )
 
@@ -170,9 +169,6 @@ class Section:
     def at(self, point) -> dict:
         """Each slot at one point, by name; see TensorField.at."""
         return {name: f.at(point) for name, f in self.slots()}
-
-    def max_abs_at(self, point):
-        return max_residual([self], [point])
 
     def __repr__(self):
         names = ",".join(name for name, _ in type(self).SLOT_SPEC)

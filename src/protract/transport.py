@@ -120,11 +120,6 @@ class CurveSegment:
     def length(self) -> float:
         return float(self.u1) - float(self.u0)
 
-    def sample(self, u: float):
-        """Position and velocity arrays at parameter u."""
-        pos, vel = self.sample_many([u])
-        return pos[0], vel[0]
-
     def sample_many(self, us):
         """Position and velocity arrays, (N, dim) each, at N parameters."""
         # float parameters: an int or Fraction u0/u1 would select exact

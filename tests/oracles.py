@@ -11,32 +11,38 @@ add_fold_reference and mul_fold_reference fold every constant by
 Fraction arithmetic, diff_reference differentiates with them and
 without skipping zero terms, and postorder_apply_reference is the DAG
 walk that fetches and scans a node's children again when it revisits it.
-Twelve sections keep verbatim copies of replaced code: the per-type code
-that one slot table per section type replaced (random sections, the
-(1,1) and (2,1) trace-free projectors, the sampled source-equation
-residual), the seven hand-written connection bodies that the one
-Leibniz rule over tractor.py's placement table replaced, with the
-curvature action and the metrisability obstruction it also rewrote,
+The other sections keep one verbatim snapshot per replaced concept,
+which the differential tests compare the library against: the per-type
+section code that one slot table per section type replaced (random
+sections, the (1,1) and (2,1) trace-free projectors, the sampled
+source-equation residual); the seven hand-written connection bodies that
+the one Leibniz rule over tractor.py's placement table replaced, with the
+curvature action and the metrisability obstruction it also rewrote;
 max_residual as it was when each family of fields compiled its own
-table, the flat skew system with its rho slot that the Lambda^2 T
-placement row replaced, CurveSegment.reversed as it was when it
-substituted into the curve's DAG, the Cotton-Weyl field as it was when
-it built the whole nabla W, holonomy_dimension with its per-bundle RK4
-batches as it was before bundles shared one coefficient table, and
-_propagators as it was when each bundle ran its own RK4 chain; and
+table; the flat skew system with its rho slot that the Lambda^2 T
+placement row replaced; CurveSegment.reversed as it was when it
+substituted into the curve's DAG; the Cotton-Weyl field as it was when
+it built the whole nabla W; holonomy_dimension with its per-bundle RK4
+batches as it was before bundles shared one coefficient table;
 levi_civita, riemann, _weyl and _cotton as they were when each built
-every component, before a mirrored entry was the same node or its Neg,
-and _second_bianchi_field as it was when it read the whole nabla R; and
-_first_bianchi_field, _second_bianchi_field, _cotton_weyl_field and
-_cotton as they were when each built every component of its field; and
+every component, before a mirrored entry was the same node or its Neg;
+_second_bianchi_field as it was when it read the whole nabla R;
+_first_bianchi_field as it was when it built every component;
 _propagators, _loop_matrices and holonomy_dimensions as they were when
 each loop and each lasso connector was one batch with chains of its
 own, with check_invertible_at and the per-point screen loop of
 _eval_points as they were before the sample points were screened in one
 batch; and _suite_duality, _suite_einstein, _suite_prolong and the
 holonomy suite's curvature grids as they were when they checked the
-connections on seeded random sections. antisymmetrize_reference builds each entry of a skew part anew, with
-no cache.
+connections on seeded random sections. antisymmetrize_reference builds
+each entry of a skew part anew, with no cache.
+
+A snapshot is deleted when a later one, or an independent oracle,
+checks every behaviour its tests checked at the same strength (bitwise,
+the same node, or exactly equal); its tests then compare against that
+one. Holonomy keeps two: holonomy_dimension_reference, the per-bundle
+batches, and holonomy_dimensions_reference, one batch per loop and
+connector, which the batch-bound and NaN tests need.
 """
 
 from __future__ import annotations
@@ -46,13 +52,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from protract.expr import ZERO, add, diff_all
+from protract.expr import ZERO, add
 from protract.geometry import (AffineConnection, GeometryError,
-                               _nabla_component, covariant_derivative,
-                               partial_derivative)
+                               covariant_derivative, partial_derivative)
 from protract.kernel import eval_table
 from protract.tensor import (TensorField, _is_rational_point, is_symmetric_pair,
-                             max_magnitude, pair_field)
+                             max_magnitude)
 from protract.tractor import (
     CotractorSection,
     S2CotractorSection,
@@ -1112,69 +1117,6 @@ def holonomy_dimension_reference(bundle, loops, steps=1000, seed=None,
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copy of _propagators (transport.py) as it was when every bundle
-# ran its own RK4 chain, before the bundles of one rank shared one stacked
-# chain; only its name and signature annotations differ.
-
-def propagators_per_bundle_reference(bundles, table, jobs) -> list:
-    """RK4 propagators, acting on coordinate vectors, of the segments of
-    (segment, steps) jobs: per job, one propagator per bundle.
-
-    The curves are sampled per segment at their 2*steps + 1 RK4 nodes,
-    and the shared coefficient table is evaluated once at the nodes of
-    all jobs. Per bundle, the node matrices -v^a A_a are then formed from
-    its column block, and the step propagators of each job in one batch.
-    Only the product of the step propagators runs step by step.
-    """
-    hs, xs, vs = [], [], []
-    for seg, steps in jobs:
-        u0, u1 = float(seg.u0), float(seg.u1)
-        h = (u1 - u0) / steps
-        # node 2k is the start of step k (the end of step k-1), node 2k+1
-        # its midpoint
-        nodes = [u0]
-        for k in range(steps):
-            u = u0 + k * h
-            nodes += (u + 0.5 * h, u + h)
-        pos, vel = seg.sample_many(nodes)
-        hs.append(h)
-        xs.append(pos)
-        vs.append(vel)
-    v = np.concatenate(vs)
-    N, dim = v.shape
-    flat = eval_table(table, np.concatenate(xs))
-
-    out = [[] for _ in hs]
-    lo = 0
-    for bundle in bundles:
-        r = bundle.rank
-        eye = np.eye(r)
-        hi = lo + dim * r * r
-        # a contiguous copy: the matrix products see the layout a table
-        # of the bundle's own entries gives
-        A = np.ascontiguousarray(flat[:, lo:hi]).reshape(N, dim, r * r)
-        lo = hi
-        # non-finite coefficients propagate as NaN, like the kernel's
-        # numerics
-        with np.errstate(all="ignore"):
-            M = -(v[:, None, :] @ A).reshape(N, r, r)
-        start = 0
-        for props, h, vel in zip(out, hs, vs):
-            Mj = M[start:start + len(vel)]
-            start += len(vel)
-            k1 = Mj[0:-1:2]
-            m_mid = Mj[1::2]
-            k2 = m_mid @ (eye + 0.5 * h * k1)
-            k3 = m_mid @ (eye + 0.5 * h * k2)
-            k4 = Mj[2::2] @ (eye + h * k3)
-            S = eye
-            for P in eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4):
-                S = P @ S
-            props.append(S)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Verbatim copies of levi_civita, riemann, _weyl and _cotton (geometry.py)
 # as they were when each built every component on its own: gamma^c_ba a
 # separate sum from gamma^c_ab, and the zero diagonal and mirrored half of
@@ -1254,11 +1196,9 @@ def second_bianchi_field_reference(conn: AffineConnection,
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copies of _first_bianchi_field, _second_bianchi_field,
-# _cotton_weyl_field and _cotton (geometry.py) as they were when each
-# built every component of its field: the cyclic sums at every index, the
-# Cotton-Weyl field for every (a, b) and Cotton from the whole nabla P.
-# Only their names differ, and the helpers they call are imported.
+# Verbatim copy of _first_bianchi_field (geometry.py) as it was when it
+# built every component of its field: the cyclic sum at every index. Only
+# its name differs.
 
 def first_bianchi_whole_reference(R: TensorField) -> TensorField:
     """R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a, stored as [c][a][b][d]."""
@@ -1266,52 +1206,6 @@ def first_bianchi_whole_reference(R: TensorField) -> TensorField:
     return TensorField(n, 1, 3, [R[c, a, b, d] + R[c, d, a, b] + R[c, b, d, a]
                                  for c, a, b, d in itertools.product(
                                      range(n), repeat=4)])
-
-
-def second_bianchi_whole_reference(conn: AffineConnection,
-                                   R: TensorField) -> TensorField:
-    """nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d + nabla_a R_be{}^c{}_d,
-    stored as [c][e][a][b][d].
-
-    nabla R is skew in ab like R, so it is built once per orbit of the
-    pair (tensor.pair_field): an entry with a < b is the node
-    covariant_derivative builds, its mirror that node's Neg and the
-    diagonal ZERO. Every component of the identity is still summed."""
-    n = R.dim
-    dR_part = partial_derivative(R)  # [c][e][a][b][d] = d_e R_ab^c_d
-    dR = pair_field(n, 1, 4, (2, 3), -1, lambda c, e, a, b, d: (
-        _nabla_component(conn.gamma, R, (c,), e, (a, b, d),
-                         dR_part[c, e, a, b, d])))
-    return TensorField(n, 1, 4, [dR[c, e, a, b, d] + dR[c, b, e, a, d]
-                                 + dR[c, a, b, e, d]
-                                 for c, e, a, b, d in itertools.product(
-                                     range(n), repeat=5)])
-
-
-def cotton_weyl_whole_reference(pack, conn: AffineConnection) -> TensorField:
-    """(n-2) C_abd - nabla_c W_ab{}^c{}_d, stored as [a][b][d].
-
-    The divergence differentiates by x^c only the components W^c_abd it
-    reads, and builds each nabla_c W_ab{}^c{}_d term as
-    covariant_derivative would."""
-    W = pack.weyl
-    C = pack.cotton
-    n = W.dim
-    low = n ** 3
-    # dW[c][abd] = d_c W_ab^c_d
-    dW = [diff_all(W.components[c * low:(c + 1) * low], c) for c in range(n)]
-    return TensorField(n, 0, 3, [
-        (n - 2) * C[a, b, d]
-        - add(*[_nabla_component(conn.gamma, W, (c,), c, (a, b, d),
-                                 dW[c][k]) for c in range(n)])
-        for k, (a, b, d) in enumerate(itertools.product(range(n), repeat=3))])
-
-
-def cotton_whole_reference(conn: AffineConnection,
-                           schouten: TensorField) -> TensorField:
-    dP = covariant_derivative(conn, schouten)  # [a][b][c] = nabla_a P_bc
-    return pair_field(conn.dim, 0, 3, (0, 1), -1,
-                      lambda a, b, c: dP[a, b, c] - dP[b, a, c])
 
 
 # ---------------------------------------------------------------------------

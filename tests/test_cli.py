@@ -606,6 +606,23 @@ class TestSampleScreening:
         spec = load_geometry_spec("sphere2")
         assert sorted(map(len, screened)) == [spec.sample_count]
 
+    def test_seed_flag_stands_for_the_spec_seed(self, tmp_path):
+        # every suite's points and the holonomy loops move with --seed
+        # exactly as with the spec's samples seed
+        plain = write_spec(tmp_path)
+        moved = write_spec(tmp_path, "moved.json",
+                           samples={"count": 8, "seed": 5})
+        reports = []
+        for extra, spec in (([], plain), (["--seed", "5"], plain),
+                            ([], moved)):
+            path = tmp_path / ("r%d.json" % len(reports))
+            rc, _, _, report = run_cli(
+                ["check", "--suite", "all", "--steps", "50", "--spec", spec,
+                 "--json", str(path), *extra], json_path=path)
+            reports.append((rc, report["checks"], report["metrics"]))
+        assert reports[1] == reports[2]
+        assert reports[1] != reports[0]
+
     @pytest.mark.parametrize("name", BUNDLED)
     def test_batch_keeps_the_per_point_choice(self, name):
         # the spec's points and a batch of ten

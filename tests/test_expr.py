@@ -25,8 +25,6 @@ from protract.expr import (
     diff,
     diff_all,
     evaluate,
-    is_rational_closed,
-    max_var_index,
     mul,
     parse,
     power,
@@ -188,7 +186,7 @@ class TestEvaluate:
 
     def test_exact_decimal_is_rational_closed(self):
         e = parse("0.5*x0", 1)
-        assert is_rational_closed(e)
+        assert not any(isinstance(n, Call) for n in _walk_unique([e]))
         assert evaluate(e, (Fraction(2),), mode="rational") == 1
 
     def test_mode_mismatch_rejected(self):
@@ -197,14 +195,6 @@ class TestEvaluate:
 
 
 class TestUtilities:
-    def test_max_var_index(self):
-        assert max_var_index(parse("x0 + x4^2", 5)) == 4
-        assert max_var_index(parse("3/2", 1)) == -1
-
-    def test_is_rational_closed(self):
-        assert is_rational_closed(parse("x0^2/3 - x1", 2))
-        assert not is_rational_closed(parse("sin(x0)", 1))
-
     def test_constructor_normalisation(self):
         assert isinstance(add(const(0), var(0)), Var)
         assert isinstance(mul(const(1), var(0)), Var)
@@ -766,9 +756,10 @@ class TestDerivativeStore:
             # each once in the walk
             again = [n for n, _ in deriv_calls]
             assert len({id(n) for n in again}) == len(again)
-            assert not any(is_rational_closed(n) for n in again)
-            assert {id(n) for n in again} == {
-                id(n) for n in _walk_unique(f) if not is_rational_closed(n)}
+            over_calls = {id(n) for n in _walk_unique(f)
+                          if any(isinstance(m, Call)
+                                 for m in _walk_unique([n]))}
+            assert {id(n) for n in again} == over_calls
 
     def test_dropped_family_over_exp_leaves_the_table(self):
         gc.collect()

@@ -34,12 +34,10 @@ from protract.tensor import TensorField, symmetrize, tensor_product
 from gen import invertible, poly_field, random_metric, rational_points, rng_for
 from oracles import (commutator_family, cotton_reference,
                      cotton_weyl_field_reference,
-                     cotton_weyl_whole_reference, cotton_whole_reference,
                      covariant_derivative_sequential, fd_christoffel,
                      fd_curvature_stack, first_bianchi_whole_reference,
                      levi_civita_reference, riemann_reference,
-                     second_bianchi_field_reference,
-                     second_bianchi_whole_reference, weyl_reference)
+                     second_bianchi_field_reference, weyl_reference)
 
 
 def _flat(n):
@@ -520,10 +518,10 @@ class TestIdentityOrbits:
             [_first_bianchi_field(R), _second_bianchi_field(conn, R),
              _cotton_weyl_field(pack, conn), pack.cotton, changed.cotton],
             [first_bianchi_whole_reference(R),
-             second_bianchi_whole_reference(conn, R),
-             cotton_weyl_whole_reference(pack, conn),
-             cotton_whole_reference(conn, pack.schouten),
-             cotton_whole_reference(moved, changed.schouten)], pts)
+             second_bianchi_field_reference(conn, R),
+             cotton_weyl_field_reference(pack, conn),
+             cotton_reference(conn, pack.schouten),
+             cotton_reference(moved, changed.schouten)], pts)
 
     @pytest.mark.parametrize("name",
                              [*BUNDLED, "random2", "random3", "random4"])
@@ -536,19 +534,17 @@ class TestIdentityOrbits:
         second = _second_bianchi_field(conn, R)
         _assert_skew_orbits(first, (1, 2, 3),
                             first_bianchi_whole_reference(R))
-        _assert_skew_orbits(second, (1, 2, 3),
-                            second_bianchi_whole_reference(conn, R))
         _assert_skew_orbits(_cotton_weyl_field(pack, conn), (0, 1),
-                            cotton_weyl_whole_reference(pack, conn))
+                            cotton_weyl_field_reference(pack, conn))
         if n == 2:   # no three distinct slot values: both are vacuous
             assert all(c is ZERO for f in (first, second)
                        for c in f.components)
         moved = projective_change(conn, gradient_upsilon(phi, n))
         changed = connection_pack(moved)
-        _assert_same_nodes(pack.cotton,
-                           cotton_whole_reference(conn, pack.schouten))
-        _assert_same_nodes(changed.cotton,
-                           cotton_whole_reference(moved, changed.schouten))
+        _assert_skew_orbits(pack.cotton, (0, 1),
+                            cotton_reference(conn, pack.schouten))
+        _assert_skew_orbits(changed.cotton, (0, 1),
+                            cotton_reference(moved, changed.schouten))
 
 
 class TestBianchi:

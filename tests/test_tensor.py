@@ -1,6 +1,7 @@
 """Multi-index arrays: products, contractions, projectors."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -78,9 +79,10 @@ class TestConstruction:
         assert f.at([Fraction(2), Fraction(3)]).components[0] == 6
 
     def test_json_round_trip(self):
-        t = _vec([1, -2, 3])
-        back = PointTensor.from_json(t.to_json())
-        assert back.components == t.components and (back.p, back.q) == (1, 0)
+        # whole Fractions as ints, others as "p/q" text, floats as floats
+        t = PointTensor(3, 1, 0, [Fraction(-2), Fraction(3, 4), 0.5])
+        assert json.dumps(t.to_json()) == (
+            '{"valence": [1, 0], "dim": 3, "components": [-2, "3/4", 0.5]}')
 
 
 class TestContraction:

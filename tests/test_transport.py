@@ -87,40 +87,40 @@ def _assert_same_report(got, want):
 class TestCurves:
     def test_line_segment_endpoints(self):
         seg = line_segment([0, 0], [1, 2])
-        pos0, _ = seg.sample(0.0)
-        pos1, _ = seg.sample(1.0)
-        assert np.allclose(pos0, [0, 0]) and np.allclose(pos1, [1, 2])
+        pos, _ = seg.sample_many([0.0, 1.0])
+        assert np.allclose(pos, [[0, 0], [1, 2]])
 
     def test_velocity_matches_central_difference(self):
         seg = CurveSegment([parse("x0^2", 1), parse("x0^3 - x0", 1)])
-        for u in (0.2, 0.5, 0.9):
-            _, vel = seg.sample(u)
+        us = [0.2, 0.5, 0.9]
+        for u, vel in zip(us, seg.sample_many(us)[1]):
             for i in range(2):
-                fd = central_diff(lambda p: seg.sample(p[0])[0][i], [u], 0, h=1e-6)
+                fd = central_diff(lambda p: seg.sample_many(p)[0][0, i],
+                                  [u], 0, h=1e-6)
                 assert abs(vel[i] - fd) < 1e-8
 
     def test_circle_closes(self):
         loop = circle_loop([0.2, -0.1], 0.4)
-        start, _ = loop[0].sample(loop[0].u0)
-        end, _ = loop[-1].sample(loop[-1].u1)
+        (start,), _ = loop[0].sample_many([loop[0].u0])
+        (end,), _ = loop[-1].sample_many([loop[-1].u1])
         assert np.allclose(start, end, atol=1e-12)
 
     def test_rectangle_chains_and_closes(self):
         loop = rectangle_loop([0.0, 0.0], 0.5, 0.3)
         assert len(loop) == 4
         for a, b in zip(loop, loop[1:]):
-            end, _ = a.sample(a.u1)
-            nxt, _ = b.sample(b.u0)
+            (end,), _ = a.sample_many([a.u1])
+            (nxt,), _ = b.sample_many([b.u0])
             assert np.allclose(end, nxt, atol=1e-12)
-        first, _ = loop[0].sample(loop[0].u0)
-        last, _ = loop[-1].sample(loop[-1].u1)
+        (first,), _ = loop[0].sample_many([loop[0].u0])
+        (last,), _ = loop[-1].sample_many([loop[-1].u1])
         assert np.allclose(first, last, atol=1e-12)
 
     def test_reversed_segment(self):
         seg = line_segment([0, 1], [2, 5])
         rev = seg.reversed()
-        fwd_start, fwd_v = seg.sample(0.25)
-        rev_end, rev_v = rev.sample(0.75)
+        (fwd_start,), (fwd_v,) = seg.sample_many([0.25])
+        (rev_end,), (rev_v,) = rev.sample_many([0.75])
         assert np.allclose(fwd_start, rev_end)
         assert np.allclose(fwd_v, -rev_v)
 
@@ -150,8 +150,8 @@ class TestCurves:
     def test_reverse_loop_order(self):
         loop = rectangle_loop([0.1, 0.1], 0.2, 0.2)
         rev = reverse_loop(loop)
-        a_end, _ = loop[-1].sample(loop[-1].u1)
-        r_start, _ = rev[0].sample(rev[0].u0)
+        (a_end,), _ = loop[-1].sample_many([loop[-1].u1])
+        (r_start,), _ = rev[0].sample_many([rev[0].u0])
         assert np.allclose(a_end, r_start)
 
     def test_seeded_loops_deterministic_and_closed(self):
@@ -161,21 +161,20 @@ class TestCurves:
         assert len(a) == 5
         for la, lb in zip(a, b):
             for sa, sb in zip(la, lb):
-                pa, va = sa.sample(0.3)
-                pb, vb = sb.sample(0.3)
+                pa, va = sa.sample_many([0.3])
+                pb, vb = sb.sample_many([0.3])
                 assert np.allclose(pa, pb) and np.allclose(va, vb)
         for loop in a:
-            start, _ = loop[0].sample(loop[0].u0)
-            end, _ = loop[-1].sample(loop[-1].u1)
+            (start,), _ = loop[0].sample_many([loop[0].u0])
+            (end,), _ = loop[-1].sample_many([loop[-1].u1])
             assert np.allclose(start, end, atol=1e-10)
 
     def test_seeded_loops_stay_inside_box(self):
         box = [[-1.0, 1.0], [-1.0, 1.0]]
         for loop in seeded_loops(box, 6, seed=7):
             for seg in loop:
-                for u in np.linspace(seg.u0, seg.u1, 9):
-                    pos, _ = seg.sample(float(u))
-                    assert np.all(pos >= -1.0 - 1e-9) and np.all(pos <= 1.0 + 1e-9)
+                pos, _ = seg.sample_many(np.linspace(seg.u0, seg.u1, 9))
+                assert np.all(pos >= -1.0 - 1e-9) and np.all(pos <= 1.0 + 1e-9)
 
 
 class TestBundleMachinery:
@@ -499,8 +498,8 @@ class TestHolonomy:
                                             ("nonEinstein3", 16)])
     def test_rank_chains_match_per_bundle_reference(self, name, steps):
         # interleaved ranks: each rank runs one stacked RK4 chain, and
-        # every propagator is bitwise the one its own chain gave, in
-        # bundle order
+        # every propagator is bitwise the one the reference chain of its
+        # rank gave, in bundle order
         from protract.transport import (_propagators, _shared_table,
                                         _split_steps)
 
@@ -514,7 +513,7 @@ class TestHolonomy:
                      circle_loop([0.1, 0.2, -0.1], 0.45)):
             jobs = list(zip(loop, _split_steps(loop, steps)))
             got = _propagators(bundles, table, jobs)
-            want = oracles.propagators_per_bundle_reference(bundles, table,
+            want = oracles.propagators_rank_chain_reference(bundles, table,
                                                             jobs)
             assert len(got) == len(want) == len(loop)
             for props, refs in zip(got, want):
@@ -618,15 +617,6 @@ class TestOneChain:
         # the bound binds: more than one batch, none above it
         assert len(rows) > 1 and max(rows) <= max(parent)
         assert sum(rows) >= sum(parent)
-
-    @pytest.mark.parametrize("make", [tractor_bundle, s2_tractor_bundle])
-    def test_loop_matrix_matches_reference(self, sphere2, make):
-        bundle = make(sphere2)
-        for loop in (rectangle_loop([-0.2, 0.1], 0.5, 0.3),
-                     circle_loop([0.1, 0.2], 0.45)):
-            want, = oracles.loop_matrices_reference(
-                [bundle], bundle.coefficient_table(), loop, 60)
-            assert loop_matrix(bundle, loop, 60).tobytes() == want.tobytes()
 
     def test_nan_row_fails_the_same_propagators(self, sphere2, monkeypatch):
         import protract.transport as transport
