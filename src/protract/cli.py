@@ -98,7 +98,7 @@ class GeometrySpec:
     sample_seed: int
     mode: str
     digest: str
-    # screened sample points by (seed, count); see _eval_points
+    # screened sample points by seed; see _eval_points
     screened: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -234,13 +234,11 @@ def _build_spec(data: dict, digest: str) -> GeometrySpec:
                         digest)
 
 
-def sample_points(spec: GeometrySpec, seed: int | None = None,
-                  count: int | None = None) -> list:
+def sample_points(spec: GeometrySpec, seed: int) -> list:
     """Seeded points inside the box; Fractions in rational mode."""
-    rng = random.Random(spec.sample_seed if seed is None else seed)
-    n = count if count is not None else spec.sample_count
+    rng = random.Random(seed)
     pts = []
-    for _ in range(n):
+    for _ in range(spec.sample_count):
         pt = []
         for lo, hi in spec.box:
             if spec.mode == "rational":
@@ -252,16 +250,14 @@ def sample_points(spec: GeometrySpec, seed: int | None = None,
     return pts
 
 
-def _eval_points(spec: GeometrySpec, seed=None, count=None) -> list:
+def _eval_points(spec: GeometrySpec, seed: int) -> list:
     """The sample points at which the metric is invertible, screened in
-    one batch (ChartGeometry.invertible_at) per spec, seed and count."""
-    key = (spec.sample_seed if seed is None else seed,
-           spec.sample_count if count is None else count)
-    ok = spec.screened.get(key)
+    one batch (ChartGeometry.invertible_at) per spec and seed."""
+    ok = spec.screened.get(seed)
     if ok is None:
-        pts = sample_points(spec, *key)
+        pts = sample_points(spec, seed)
         ok = list(itertools.compress(pts, spec.geom.invertible_at(pts)))
-        spec.screened[key] = ok
+        spec.screened[seed] = ok
     if not ok:
         raise SpecError("no usable sample points inside the box")
     return list(ok)
@@ -394,7 +390,7 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
     loops = seeded_loops(spec.box, 5, seed)
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
                                        s2_tractor_bundle)]
-    reps = holonomy_dimensions(bundles, loops, steps=steps, seed=seed)
+    reps = holonomy_dimensions(bundles, loops, steps=steps)
     # the entries of the cotractor and tractor curvature Omega_ab are
     # +-W and +-C, so both read max |W|, |C|
     pack = geom.pack()
@@ -462,7 +458,7 @@ def _value_json(pt_tensor) -> list:
     return [float(c) for c in pt_tensor.components]
 
 
-def cmd_curvature(spec: GeometrySpec, point, seed: int | None) -> Report:
+def cmd_curvature(spec: GeometrySpec, point, seed: int) -> Report:
     report = Report("curvature", spec.digest)
     if point is not None:
         try:
@@ -470,7 +466,7 @@ def cmd_curvature(spec: GeometrySpec, point, seed: int | None) -> Report:
         except (GeometryError, EvalDomainError) as e:
             raise SpecError("--point: %s" % e) from e
     pack = spec.geom.pack()
-    pts = _eval_points(spec, seed=seed)
+    pts = _eval_points(spec, seed)
     show = [point] if point is not None else pts[:1]
     values = {}
     for name, fieldlike in (("riemann", pack.riemann), ("ricci", pack.ricci),
@@ -484,12 +480,11 @@ def cmd_curvature(spec: GeometrySpec, point, seed: int | None) -> Report:
     return report
 
 
-def cmd_check(spec: GeometrySpec, suite: str, seed: int | None,
+def cmd_check(spec: GeometrySpec, suite: str, seed: int,
               steps: int) -> Report:
     report = Report("check", spec.digest)
     report.metrics["suite"] = suite
-    use_seed = spec.sample_seed if seed is None else seed
-    run_suite(spec, suite, report, use_seed, steps)
+    run_suite(spec, suite, report, seed, steps)
     return report
 
 
@@ -526,20 +521,19 @@ def parse_curve(text: str, box):
 
 
 def cmd_transport(spec: GeometrySpec, bundle_name: str, curve_text,
-                  steps: int, seed: int | None, loop_mode: bool) -> Report:
+                  steps: int, seed: int, loop_mode: bool) -> Report:
     import numpy as np
 
     report = Report("transport", spec.digest)
     bundle = BUNDLES[bundle_name](spec.geom)
-    use_seed = spec.sample_seed if seed is None else seed
     if curve_text is not None:
         curve, closed = parse_curve(curve_text, spec.box)
     else:
-        curve, closed = seeded_loops(spec.box, 1, use_seed)[0], True
+        curve, closed = seeded_loops(spec.box, 1, seed)[0], True
     if loop_mode and not closed:
         raise SpecError("--loop needs a closed curve")
 
-    rng = random.Random(use_seed ^ 0x7A11)
+    rng = random.Random(seed ^ 0x7A11)
     initial = [rng.uniform(-1, 1) for _ in range(bundle.rank)]
     forward = loop_matrix(bundle, curve, steps, check_closed=loop_mode)
     final = forward @ np.asarray(initial, dtype=float)
@@ -658,6 +652,7 @@ def main(argv=None) -> int:
         spec = load_geometry_spec(args.spec)
         if args.mode:
             spec.mode = args.mode
+        seed = spec.sample_seed if args.seed is None else args.seed
         if args.command == "curvature":
             point = None
             if args.point:
@@ -665,12 +660,12 @@ def main(argv=None) -> int:
                                       "--point")
                 point = [Fraction(v).limit_denominator(10**6)
                          for v in vals] if spec.mode == "rational" else vals
-            report = cmd_curvature(spec, point, args.seed)
+            report = cmd_curvature(spec, point, seed)
         elif args.command == "check":
-            report = cmd_check(spec, args.suite, args.seed, args.steps)
+            report = cmd_check(spec, args.suite, seed, args.steps)
         else:
             report = cmd_transport(spec, args.bundle, args.curve, args.steps,
-                                   args.seed, args.loop)
+                                   seed, args.loop)
     except (SpecError, ExprError, GeometryError, TransportError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -114,7 +114,13 @@ def compile_table(exprs) -> CompiledTable:
         return len(ops) - 1
 
     outputs = _postorder_apply([as_expr(e) for e in exprs], emit)
+    max_var = max((a for op, a in zip(ops, args) if op == OP_VAR), default=-1)
+    return _finish(ops, args, operands, starts, outputs, max_var)
 
+
+def _finish(ops, args, operands, starts, outputs, max_var) -> CompiledTable:
+    """The table of a finished tape, with the last reader of every
+    register and the count of shared ones."""
     n = len(ops)
     last_read = array("l", [0]) * n
     reads = [0] * n
@@ -129,7 +135,6 @@ def compile_table(exprs) -> CompiledTable:
     # costs nothing to keep
     n_slots = sum(1 for op, k in zip(ops, reads)
                   if k > 1 and op != OP_CONST and op != OP_VAR)
-    max_var = max((a for op, a in zip(ops, args) if op == OP_VAR), default=-1)
     return CompiledTable(ops, args, operands, starts, last_read, outputs,
                          n_slots, max_var)
 
@@ -223,18 +228,5 @@ def share_fold_prefixes(table: CompiledTable) -> CompiledTable:
                         new_operands.append(r)
         reg[i] = node_reg[end]
 
-    m = len(new_ops)
-    outputs = [reg[r] for r in table.outputs]
-    last_read = array("l", [0]) * m
-    reads = [0] * m
-    for i in range(m):
-        for r in new_operands[new_starts[i]:new_starts[i + 1]]:
-            last_read[r] = i
-            reads[r] += 1
-    for r in outputs:
-        last_read[r] = m
-        reads[r] += 1
-    n_slots = sum(1 for op, k in zip(new_ops, reads)
-                  if k > 1 and op != OP_CONST and op != OP_VAR)
-    return CompiledTable(new_ops, new_args, new_operands, new_starts,
-                         last_read, outputs, n_slots, table.max_var)
+    return _finish(new_ops, new_args, new_operands, new_starts,
+                   [reg[r] for r in table.outputs], table.max_var)

@@ -49,7 +49,8 @@ class Upsilon:
 
 
 def gradient_upsilon(phi: Expr, dim: int) -> Upsilon:
-    """Exact one-form d(phi); the only kind the invariance suite accepts."""
+    """Exact one-form d(phi): the invariance suite's Upsilon when a spec
+    gives phi. A spec's upsilon entries go in as given, closed or not."""
     return Upsilon(TensorField(dim, 0, 1, gradient(phi, dim)))
 
 

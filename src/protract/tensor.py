@@ -17,15 +17,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import (EvalDomainError, Call, Const, ZERO, _walk_unique, add,
-                   as_expr, const, neg, power)
+                   as_expr, neg, power)
 
 __all__ = [
     "Tensor", "TensorField", "PointTensor",
-    "contract", "tensor_product", "symmetrize", "antisymmetrize",
-    "kronecker_delta", "raise_index", "lower_index",
+    "contract", "symmetrize", "antisymmetrize",
     "trace_free_11", "trace_free_sym", "trace_free_skew",
     "sym_trace_coefficient", "skew_trace_coefficient",
-    "matrix_inverse_exprs", "fraction_matrix_inverse",
+    "matrix_inverse_exprs",
     "zero_field", "pair_field", "is_symmetric_pair", "is_skew_pair",
     "max_magnitude", "max_residual", "max_residuals",
 ]
@@ -250,24 +249,6 @@ def contract(T: Tensor, upper_slot: int, lower_slot: int) -> Tensor:
     return T._with(p, q, out)
 
 
-def tensor_product(S: Tensor, T: Tensor) -> Tensor:
-    """Outer product; S's slots come before T's within each block."""
-    if S.dim != T.dim:
-        raise ValueError("dimension mismatch")
-    if type(S) is not type(T):
-        raise ValueError("cannot mix field and point tensors")
-    n = S.dim
-    p, q = S.p + T.p, S.q + T.q
-    out = []
-    for multi in _ranges(n, p + q):
-        su = multi[:S.p]
-        tu = multi[S.p:S.p + T.p]
-        sl = multi[S.p + T.p:S.p + T.p + S.q]
-        tl = multi[S.p + T.p + S.q:]
-        out.append(S.components[S.flat(su + sl)] * T.components[T.flat(tu + tl)])
-    return S._with(p, q, out)
-
-
 def _check_slot_block(T: Tensor, slots):
     slots = tuple(slots)
     if len(slots) < 2 or len(set(slots)) != len(slots):
@@ -335,48 +316,6 @@ def symmetrize(T: Tensor, slots) -> Tensor:
 def antisymmetrize(T: Tensor, slots) -> Tensor:
     """Signed average over permutations of the given same-variance slots."""
     return _permute_projector(T, slots, signed=True)
-
-
-def kronecker_delta(n: int) -> TensorField:
-    comps = [const(1) if b == a else ZERO for b, a in _ranges(n, 2)]
-    return TensorField(n, 1, 1, comps)
-
-
-def _metric_inverse_field(g: TensorField) -> TensorField:
-    rows = [[g.components[g.flat((i, j))] for j in range(g.dim)] for i in range(g.dim)]
-    inv, _ = matrix_inverse_exprs(rows)
-    return TensorField(g.dim, 2, 0, [inv[i][j] for i, j in _ranges(g.dim, 2)])
-
-
-def lower_index(T: Tensor, slot: int, g: Tensor) -> Tensor:
-    """Contract upper slot with g_ab; the new lower slot is appended last."""
-    if g.p != 0 or g.q != 2:
-        raise ValueError("metric must be valence (0,2)")
-    return contract(tensor_product(T, _as_like(T, g)), slot, T.q)
-
-
-def raise_index(T: Tensor, slot: int, g: Tensor) -> Tensor:
-    """Contract lower slot with the exact inverse of g; new upper slot last."""
-    if g.p != 0 or g.q != 2:
-        raise ValueError("metric must be valence (0,2)")
-    if isinstance(g, TensorField):
-        ginv = _metric_inverse_field(g)
-    else:
-        rows = [[g.components[g.flat((i, j))] for j in range(g.dim)]
-                for i in range(g.dim)]
-        inv = fraction_matrix_inverse(rows)
-        ginv = PointTensor(g.dim, 2, 0, [inv[i][j] for i, j in _ranges(g.dim, 2)])
-    prod = tensor_product(T, _as_like(T, ginv))
-    # pair T's chosen lower slot with the second upper slot of ginv
-    return contract(prod, T.p, slot)
-
-
-def _as_like(T: Tensor, other: Tensor) -> Tensor:
-    if type(T) is type(other):
-        return other
-    if isinstance(T, PointTensor) and isinstance(other, TensorField):
-        raise ValueError("evaluate the metric before acting on point tensors")
-    return other
 
 
 def sym_trace_coefficient(n: int) -> Fraction:
@@ -522,26 +461,3 @@ def _plain_det(rows, cols: tuple):
         term = rows[0][c] * _plain_det(rows[1:], cols[:pos] + cols[pos + 1:])
         terms.append(term if pos % 2 == 0 else -term)
     return add(*terms)
-
-
-def fraction_matrix_inverse(rows):
-    """Gauss-Jordan inverse over Fractions; raises on a singular matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise EvalDomainError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]

@@ -561,32 +561,18 @@ def transport(bundle: TransportBundle, curve, initial, steps: int):
 
 class HolonomyReport:
     def __init__(self, rank: int, matrices: list, singular_values,
-                 fixed_dim: int, seed):
+                 fixed_dim: int):
         self.rank = rank
         self.matrices = matrices
         self.singular_values = [float(s) for s in singular_values]
         self.fixed_dim = fixed_dim
-        self.seed = seed
-
-    @property
-    def loop_count(self) -> int:
-        return len(self.matrices)
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "loops": self.loop_count,
-            "singular_values": self.singular_values,
-            "fixed_dim": self.fixed_dim,
-            "seed": self.seed,
-        }
 
 
 # Singular values of the stacked Hol - I below this count as zero.
 _SV_TOL = 1e-6
 
 
-def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None) -> list:
+def holonomy_dimensions(bundles, loops, steps: int = 1000) -> list:
     """Fixed-subspace dimension of sampled loop holonomy, one
     HolonomyReport per bundle; the bundles share one geometry.
 
@@ -634,15 +620,14 @@ def holonomy_dimensions(bundles, loops, steps: int = 1000, seed=None) -> list:
         sv = np.linalg.svd(stacked, compute_uv=False) \
             if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
         fixed = int(np.sum(sv < _SV_TOL))
-        reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed,
-                                      seed))
+        reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed))
     return reports
 
 
-def holonomy_dimension(bundle: TransportBundle, loops, steps: int = 1000,
-                       seed=None) -> HolonomyReport:
+def holonomy_dimension(bundle: TransportBundle, loops,
+                       steps: int = 1000) -> HolonomyReport:
     """holonomy_dimensions of a single bundle."""
-    return holonomy_dimensions([bundle], loops, steps, seed)[0]
+    return holonomy_dimensions([bundle], loops, steps)[0]
 
 
 # ---------------------------------------------------------------------------

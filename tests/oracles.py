@@ -1008,6 +1008,7 @@ def cotton_weyl_field_reference(pack, conn):
 # from the bundle's own coefficient table, as TransportBundle.coefficients_at
 # read them before it was deleted. loop_matrix and _segment_matrix
 # are copied with them, as the callers holonomy_dimension went through.
+# The report has no seed, as HolonomyReport no longer takes one.
 
 def propagators_reference(bundle, jobs) -> list:
     """RK4 propagators, acting on coordinate vectors, of the segments of
@@ -1078,8 +1079,7 @@ def _loop_matrix_reference(bundle, curve, steps=None, check_closed=False):
     return S
 
 
-def holonomy_dimension_reference(bundle, loops, steps=1000, seed=None,
-                                 sv_tol=1e-6):
+def holonomy_dimension_reference(bundle, loops, steps=1000, sv_tol=1e-6):
     """Fixed-subspace dimension of sampled loop holonomy.
 
     Transports the identity frame around each loop, stacks Hol_i - I,
@@ -1113,7 +1113,7 @@ def holonomy_dimension_reference(bundle, loops, steps=1000, seed=None,
     sv = np.linalg.svd(stacked, compute_uv=False) \
         if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
     fixed = int(np.sum(sv < sv_tol))
-    return HolonomyReport(bundle.rank, mats, sv.tolist(), fixed, seed)
+    return HolonomyReport(bundle.rank, mats, sv.tolist(), fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -1213,7 +1213,8 @@ def first_bianchi_whole_reference(R: TensorField) -> TensorField:
 # (transport.py) as they were when every loop and every lasso connector
 # was one coefficient batch of its own, each job's step propagators were
 # multiplied in a chain of its own, and the RK4 nodes came from a Python
-# loop. Only their names differ, and the helpers they call are imported.
+# loop. Only their names differ, the helpers they call are imported, and
+# the reports have no seed, as HolonomyReport no longer takes one.
 
 def propagators_rank_chain_reference(bundles, table, jobs) -> list:
     """RK4 propagators, acting on coordinate vectors, of the segments of
@@ -1296,8 +1297,8 @@ def loop_matrices_reference(bundles, table, loop: tuple, steps: int) -> list:
     return mats
 
 
-def holonomy_dimensions_reference(bundles, loops, steps: int = 1000,
-                                  seed=None) -> list:
+def holonomy_dimensions_reference(bundles, loops,
+                                  steps: int = 1000) -> list:
     """Fixed-subspace dimension of sampled loop holonomy, one
     HolonomyReport per bundle; the bundles share one geometry.
 
@@ -1344,8 +1345,7 @@ def holonomy_dimensions_reference(bundles, loops, steps: int = 1000,
         sv = np.linalg.svd(stacked, compute_uv=False) \
             if np.isfinite(stacked).all() else np.full(bundle.rank, np.nan)
         fixed = int(np.sum(sv < _SV_TOL))
-        reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed,
-                                      seed))
+        reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed))
     return reports
 
 
@@ -1400,11 +1400,14 @@ def screen_points_reference(geom, points) -> list:
 # (cli.py), and of the holonomy suite's curvature grids, as they were when
 # they checked the connections on seeded random sections, before the
 # identities were checked on the coefficient matrices. Only their names
-# and imports differ, _rand_section is gen.section, and the grid code is
-# the body of a function of its own that returns the two curvatures.
+# and imports differ, _rand_section is gen.section, the grid code is the
+# body of a function of its own that returns the two curvatures, and
+# _eval_points, which takes no count, reads the seed and, in the duality
+# suite, the spec with ten samples.
 
 def suite_duality_reference(spec, report, seed: int, steps: int):
     import random
+    from dataclasses import replace
 
     from protract.cli import _eval_points
     from protract.expr import diff
@@ -1418,7 +1421,7 @@ def suite_duality_reference(spec, report, seed: int, steps: int):
     geom = spec.geom
     n = spec.dim
     rng = random.Random(seed ^ 0xD0A1)
-    pts = _eval_points(spec, seed=seed, count=10)
+    pts = _eval_points(replace(spec, sample_count=10), seed)
     # the samples are the first 200 (section pair, coordinate, point)
     # triples in that order: 200 // m residuals at all m points, then
     # one more at the first 200 % m points
@@ -1469,7 +1472,7 @@ def suite_einstein_reference(spec, report, seed: int, steps: int):
 
     geom = spec.geom
     n = spec.dim
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, spec.sample_seed)
     dev, obs = map(float, max_residuals(
         [[einstein_deviation(geom)],
          metrisability_obstruction(geom, geom.metric_inverse())], pts))
@@ -1516,7 +1519,7 @@ def suite_prolong_reference(spec, report, seed: int, steps: int):
     from gen import section as _rand_section
 
     geom = spec.geom
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, spec.sample_seed)
     lift = metric_lift(geom)
     report.add("metric_lift_parallel",
                max_residual(metrisability_prolong_nabla(geom, lift), pts),
@@ -1546,7 +1549,7 @@ def holonomy_curvatures_reference(spec, seed: int) -> list:
     from gen import section as _rand_section
 
     geom = spec.geom
-    pts = _eval_points(spec)
+    pts = _eval_points(spec, spec.sample_seed)
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle)]
     # the cotractor and tractor curvature grids reduce from one table
     grids = [tractor_curvature(geom, _rand_section(

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -589,15 +590,17 @@ class TestSampleScreening:
 
     def test_once_per_seed_and_count(self, screened):
         spec = load_geometry_spec("nonEinstein3")
-        first = _eval_points(spec)
-        assert first == sample_points(spec)
-        assert _eval_points(spec, spec.sample_seed, spec.sample_count) \
-            == first
+        seed = spec.sample_seed
+        first = _eval_points(spec, seed)
+        assert first == sample_points(spec, seed)
         first.clear()   # a caller's list is its own
-        assert _eval_points(spec) == sample_points(spec)
-        assert screened == [[tuple(p) for p in sample_points(spec)]]
-        assert _eval_points(spec, seed=5, count=3) == sample_points(spec, 5, 3)
-        assert len(screened) == 2 and len(screened[1]) == 3
+        assert _eval_points(spec, seed) == sample_points(spec, seed)
+        assert screened == [[tuple(p) for p in sample_points(spec, seed)]]
+        # another seed, or a spec with another count, is a batch of its own
+        assert _eval_points(spec, 5) == sample_points(spec, 5)
+        three = replace(spec, sample_count=3)
+        assert _eval_points(three, 5) == sample_points(three, 5)
+        assert list(map(len, screened)) == [spec.sample_count] * 2 + [3]
 
     def test_check_all_screens_each_batch_once(self, screened):
         # the spec's points, once for every suite: one batch
@@ -625,12 +628,12 @@ class TestSampleScreening:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_batch_keeps_the_per_point_choice(self, name):
-        # the spec's points and a batch of ten
+        # the spec's points, and those of the spec with ten samples
         spec = load_geometry_spec(name)
-        for pts in (sample_points(spec),
-                    sample_points(spec, spec.sample_seed, 10)):
-            assert _eval_points(spec, spec.sample_seed, len(pts)) == \
-                oracles.screen_points_reference(spec.geom, pts)
+        seed = spec.sample_seed
+        for sized in (spec, replace(spec, sample_count=10)):
+            assert _eval_points(sized, seed) == oracles.screen_points_reference(
+                spec.geom, sample_points(sized, seed))
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_batch_keeps_the_per_point_choice_near_singular(self, tmp_path,
@@ -642,7 +645,7 @@ class TestSampleScreening:
             tmp_path, metric=[["x0", "0"], ["0", "x1^-1"]],
             box=[[-1, 1], [-0.5, 0.5]], mode=mode,
             samples={"count": 300, "seed": 7}))
-        pts = sample_points(spec)
+        pts = sample_points(spec, spec.sample_seed)
         F = Fraction if mode == "rational" else float
         pts += [[F(0), F(0.25)], [F(0.5), F(0)], [F(-0.5), F(0.25)]]
         if mode == "float":
@@ -703,7 +706,7 @@ class TestMatrixIdentities:
             _scalars(spec.dim, _leibniz_defect(
                 transport.s2_tractor_bundle(geom), dual,
                 s2_cotractor_dual_pairing)) for dual in duals],
-            _eval_points(spec))
+            _eval_points(spec, spec.sample_seed))
         assert good == 0
         # exactly nonzero, far above the duality_s2 threshold 1e-10
         assert type(bad) is Fraction and bad == worst

@@ -19,7 +19,7 @@ from protract.projective import (
     gradient_upsilon,
     projective_change,
 )
-from protract.tensor import TensorField, contract, raise_index, tensor_product
+from protract.tensor import TensorField, contract
 
 from gen import invertible, poly, poly_field, random_metric, rational_points, rng_for
 
@@ -99,7 +99,8 @@ class TestProjectiveChange:
         ups = Upsilon(poly_field(rng, n, 0, 1))
         omega = poly_field(rng, n, 0, 1)
         nu = poly_field(rng, n, 1, 0)
-        s = contract(tensor_product(nu, omega), 0, 0)
+        s = contract(TensorField(n, 1, 1, [x * y for x in nu.components
+                                           for y in omega.components]), 0, 0)
         d1 = covariant_derivative(conn, s)
         d2 = covariant_derivative(projective_change(conn, ups), s)
         pt = [Fraction(1, 4), Fraction(1, 6), Fraction(-1, 3)]
