@@ -1,12 +1,14 @@
 """Batched evaluation of compiled tables, exact or float.
 
 eval_table runs a table's register tape with one walker for both
-arithmetic modes: every instruction reads its operand registers and
-writes its own register, through the arithmetic the mode passes in. A
-register is dropped at its last reader, so only the values still to be
-read stay alive; the entries are copied out at the end. The arithmetic
-follows the batch, by the rule expr.evaluate uses: when every coordinate
-is an int or a Fraction the batch is exact, otherwise it is float.
+arithmetic modes (a shared table's float batches run a program lowered
+from it instead, see below): every instruction reads its operand
+registers and writes its own register, through the arithmetic the mode
+passes in. A register is dropped at its last reader, so only the values
+still to be read stay alive; the entries are copied out at the end. The
+arithmetic follows the batch, by the rule expr.evaluate uses: when every
+coordinate is an int or a Fraction the batch is exact, otherwise it is
+float.
 
 An exact batch is walked once per row. Its registers are plain
 (numerator, denominator) int pairs in lowest terms with a positive
@@ -40,6 +42,22 @@ value a scalar IEEE evaluation of the same tape gives at that point:
 
 Nothing raises on bad float numerics: nonfinite values propagate and
 callers inspect finiteness where they care.
+
+The walk pays Python overhead per instruction: it slices the operands,
+loops over a fold, allocates a fresh array for every result and drops
+registers. So a table that program.share_fold_prefixes made, which is
+walked many times (transport's coefficient tables, once per RK4
+batch), also carries a float program, lowered once from its tape when
+the table is made, and eval_table runs that program for a float batch
+instead. Each step is one numpy call that writes a row of N floats in
+place: a sum or product of k operands is k - 1 binary steps into one
+row, and a row is reused once its register is past its last reader.
+Lowering costs about one walk, so it repays only a tape that is walked
+again: every other table, and every exact batch, is walked. The
+program's floats are bitwise the walk's, down to the NaN an operation
+keeps of two: a register that reads no coordinate is the walk's own
+float64 scalar, and every step runs the walk's numpy loop on the same
+kinds of operand.
 """
 
 from __future__ import annotations
@@ -51,7 +69,8 @@ from math import gcd
 import numpy as np
 
 from .expr import EvalDomainError, ExactModeError
-from .program import OP_VAR, _CALL_OPS, CompiledTable
+from .program import (OP_ADD, OP_MUL, OP_POW, OP_VAR, _CALL_OPS,
+                      CompiledTable)
 
 __all__ = ["BACKEND", "eval_table"]
 
@@ -86,6 +105,9 @@ def eval_table(table: CompiledTable, points) -> np.ndarray:
                       for n, d in _walk(table, pairs.__getitem__, _PAIRS)]
         return out
     cols = np.ascontiguousarray(pts.T, dtype=np.float64)
+    if table.program is not None:
+        with np.errstate(all="ignore"):
+            return _run(table.program, cols)
     out = np.empty((pts.shape[0], table.n_out))
     with np.errstate(all="ignore"):
         values = _walk(table, cols.__getitem__, _FLOAT)
@@ -170,6 +192,191 @@ def _exp1(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+# ---------------------------------------------------------------------------
+# float programs: a shared table as in-place steps over rows of N floats
+
+_RECIP, _COPY = 9, 10   # step codes past the tape's: 1/x (nan at 0), x
+
+
+class _Program:
+    """A table lowered to in-place steps over float rows, run by _run.
+
+    Rows 0 to n_out - 1 are the columns of the (N, n_out) result, one per
+    entry. Then come the coordinate columns 0 to n_coords - 1, the
+    float64 scalars consts, and n_work rows of N floats that each
+    register borrows when it is written and gives back after its last
+    reader. Step (op, a, b, d) writes op of rows a and b into row d; a
+    one-operand step reads row a only.
+    """
+
+    __slots__ = ("n_out", "n_coords", "consts", "n_work", "steps")
+
+    def __init__(self, n_out, n_coords, consts, n_work, steps):
+        self.n_out = n_out
+        self.n_coords = n_coords
+        self.consts = consts
+        self.n_work = n_work
+        self.steps = steps
+
+
+def _lower(table: CompiledTable) -> _Program:
+    """The program that gives every entry of the table bitwise as the
+    float walk does.
+
+    Bitwise down to the NaN that an operation keeps of two, which
+    depends on the numpy loop it runs: so every operation runs the
+    walk's loop, on the same kinds of operand. The walk holds a register
+    that reads no coordinate as a float64 scalar; the lowering computes
+    it once, by the walk's own steps, and so the scalars that a sum or
+    product folds first. Every other register is a row, written in
+    place where the walk writes in place: a sum or product folds into
+    its row left to right, one binary step per operand. POW is the
+    walk's binary powering: for a negative exponent a RECIP step first
+    inverts the base, each product is a MUL step into a row of its own
+    (the first factor, 1.0 times the base, is the base itself), and the
+    last step writes the power's row, or a COPY does for x**1. Each entry
+    is a COPY of its register into its column, which is exact; a step
+    that wrote the strided column would run another numpy loop.
+    """
+    ops, args = table.ops, table.args
+    operands, starts = table.operands, table.starts
+    n, n_out, n_coords = len(ops), table.n_out, table.max_var + 1
+    scalar = [None] * n
+    row = [-1] * n
+    last = [-1] * n      # the last instruction that reads each register
+    # the scalars a sum or product that reads a coordinate folds first:
+    # the row of their fold, and their count
+    prefix = {}
+    consts = []
+    with np.errstate(all="ignore"):
+        for i, op in enumerate(ops):
+            xs = operands[starts[i]:starts[i + 1]]
+            for r in xs:
+                last[r] = i
+            if op == OP_VAR:
+                row[i] = n_out + args[i]
+            elif all(scalar[r] is not None for r in xs):
+                scalar[i] = _FLOAT[op](scalar, xs, args[i])
+                row[i] = n_out + n_coords + len(consts)
+                consts.append(scalar[i])
+            elif op == OP_ADD or op == OP_MUL:
+                j = 0
+                while scalar[xs[j]] is not None:
+                    j += 1
+                if j > 1:
+                    prefix[i] = (n_out + n_coords + len(consts), j)
+                    consts.append(_FLOAT[op](scalar, xs[:j], 0))
+    work = n_out + n_coords + len(consts)
+    columns = {}
+    for k, r in enumerate(table.outputs):
+        columns.setdefault(r, []).append(k)
+    free, steps = [], []
+    n_rows = work
+
+    def take():
+        nonlocal n_rows
+        if free:
+            return free.pop()
+        n_rows += 1
+        return n_rows - 1
+
+    for i in range(n):
+        regs = operands[starts[i]:starts[i + 1]]
+        if row[i] < 0:
+            op = ops[i]
+            xs = [row[r] for r in regs]
+            # a row that no operand shares
+            d = row[i] = take()
+            if op == OP_ADD or op == OP_MUL:
+                acc, j = prefix.get(i, (xs[0], 1))
+                for x in xs[j:]:
+                    steps.append((op, acc, x, d))
+                    acc = d
+            elif op == OP_POW:
+                free.extend(_lower_pow(steps, take, xs[0], args[i], d))
+            else:
+                steps.append((op, xs[0], xs[0], d))
+        steps.extend((_COPY, row[i], row[i], k) for k in columns.get(i, ()))
+        for r in set(regs):
+            if last[r] == i and row[r] >= work:
+                free.append(row[r])
+        if last[i] < 0 and row[i] >= work:   # an entry that no step reads
+            free.append(row[i])
+    return _Program(n_out, n_coords, consts, n_rows - work, steps)
+
+
+def _lower_pow(steps, take, base: int, e: int, d: int) -> list:
+    """Append the steps of row base to the power e (not 0) into row d;
+    return the rows they borrowed."""
+    temps = []
+
+    def step(op, a, b):
+        temps.append(take())
+        steps.append((op, a, b, temps[-1]))
+        return temps[-1]
+
+    if e < 0:
+        base, e = step(_RECIP, base, base), -e
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else step(OP_MUL, result, base)
+        e >>= 1
+        if e:
+            base = step(OP_MUL, base, base)
+    if temps and steps[-1][3] == result:
+        steps[-1] = steps[-1][:3] + (d,)   # the last product is the power
+    else:
+        steps.append((_COPY, result, result, d))
+    return temps
+
+
+def _run(prog: _Program, cols: np.ndarray) -> np.ndarray:
+    """Run a program over the coordinate columns; the (N, n_out) entries.
+
+    Every row is an array of N floats of its own: arrays that small come
+    from the allocator's free lists, where one (rows, N) buffer would be
+    mapped afresh, and fault in its pages, on every run."""
+    n = cols.shape[1]
+    out = np.empty((n, prog.n_out))
+    rows = [*out.T, *cols[:prog.n_coords], *prog.consts]
+    rows += [np.empty(n) for _ in range(prog.n_work)]
+    for op, a, b, d in prog.steps:
+        _STEPS[op](rows[a], rows[b], rows[d])
+    return out
+
+
+def _neg_into(x, _, out):
+    np.negative(x, out)
+
+
+def _sin_into(x, _, out):
+    np.sin(x, out)
+
+
+def _cos_into(x, _, out):
+    np.cos(x, out)
+
+
+def _exp_into(x, _, out):
+    out[:] = _exp(x)
+
+
+def _recip_into(x, _, out):
+    np.divide(1.0, x, out)
+    out[x == 0.0] = np.nan
+
+
+def _copy_into(x, _, out):
+    np.copyto(out, x)
+
+
+# indexed by step code: the tape's ADD, MUL, NEG, SIN, COS and EXP,
+# then RECIP and COPY
+_STEPS = (None, None, np.add, np.multiply, None, _neg_into, _sin_into,
+          _cos_into, _exp_into, _recip_into, _copy_into)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ fold's first operand may then be the register of a shared prefix, an ADD
 or MUL instruction that is no node of the DAG. The values are unchanged,
 because the walker folds strictly left to right. It pays where a table
 is walked many times: transport's coefficient tables, once per RK4
-batch.
+batch. For the same reason the table it makes carries a float program
+(kernel.eval_table runs it for a float batch), lowered once when the
+table is made; a table from compile_table carries none.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _CALL_OPS = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP}
 
 class CompiledTable:
     __slots__ = ("ops", "args", "operands", "starts", "last_read", "outputs",
-                 "n_slots", "max_var")
+                 "n_slots", "max_var", "program")
 
     def __init__(self, ops, args, operands, starts, last_read, outputs,
                  n_slots, max_var):
@@ -71,6 +73,7 @@ class CompiledTable:
         self.outputs = outputs      # the register of each entry
         self.n_slots = n_slots      # non-leaf registers read twice or more
         self.max_var = max_var
+        self.program = None         # kernel's float program, when shared
 
     @property
     def n_out(self):
@@ -228,5 +231,8 @@ def share_fold_prefixes(table: CompiledTable) -> CompiledTable:
                         new_operands.append(r)
         reg[i] = node_reg[end]
 
-    return _finish(new_ops, new_args, new_operands, new_starts,
-                   [reg[r] for r in table.outputs], table.max_var)
+    shared = _finish(new_ops, new_args, new_operands, new_starts,
+                     [reg[r] for r in table.outputs], table.max_var)
+    from .kernel import _lower   # kernel imports this module
+    shared.program = _lower(shared)
+    return shared

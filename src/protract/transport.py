@@ -487,22 +487,33 @@ def _propagators(bundles: Sequence[TransportBundle], table, jobs,
             for m, row in zip(counts, np.cumsum(counts) - counts):
                 S[j0:j0 + m] = P[row:row + m] @ S[j0:j0 + m]
 
-    rows = len(x) if batch_rows is None else batch_rows
-    lo = 0
-    while lo < steps[0]:
-        # a batch holds each job's node at lo and two more per step
-        live = int(np.count_nonzero(steps > lo))
-        hi, used = lo + 1, 3 * live
-        while hi < steps[0] and used + 2 * np.sum(steps > hi) <= rows:
-            used += 2 * np.sum(steps > hi)
-            hi += 1
-        # when one step of every job is too many, slices of the jobs
-        width = live if used <= rows else rows // 3
-        for j0 in range(0, live, width):
-            advance(lo, hi, j0, min(live, j0 + width))
-        lo = hi
+    for batch in _batches(steps, len(x) if batch_rows is None else batch_rows):
+        advance(*batch)
     return [[chains[b.rank][i, ranks[b.rank].index(k)]
              for k, b in enumerate(bundles)] for i in np.argsort(order)]
+
+
+def _batches(steps: np.ndarray, rows: int):
+    """The (lo, hi, j0, j1) batches of _propagators: steps lo..hi-1 of
+    the jobs j0..j1-1, for jobs of steps RK4 steps, longest first, in
+    batches of at most rows nodes where one step of every job fits.
+
+    A batch holds each job's node at lo and two more per step, so it
+    grows while live[lo] + cum[hi] - cum[lo] <= rows, with live[k] the
+    jobs still stepping at step k and cum[k] twice their sum below k.
+    When one step of every job is too many, it takes slices of the
+    jobs, of rows // 3 jobs each."""
+    live = np.searchsorted(-steps, -np.arange(steps[0]))
+    cum = np.concatenate(([0], np.cumsum(2 * live)))
+    lo = 0
+    while lo < steps[0]:
+        n = int(live[lo])
+        hi = max(lo + 1, int(np.searchsorted(cum, rows - n + cum[lo],
+                                             side="right")) - 1)
+        width = n if n + cum[hi] - cum[lo] <= rows else rows // 3
+        for j0 in range(0, n, width):
+            yield lo, hi, j0, min(n, j0 + width)
+        lo = hi
 
 
 def _segment_matrix(bundle: TransportBundle, seg: CurveSegment,

@@ -30,12 +30,14 @@ _second_bianchi_field as it was when it read the whole nabla R;
 _first_bianchi_field as it was when it built every component;
 _propagators, _loop_matrices and holonomy_dimensions as they were when
 each loop and each lasso connector was one batch with chains of its
-own, with check_invertible_at and the per-point screen loop of
-_eval_points as they were before the sample points were screened in one
-batch; and _suite_duality, _suite_einstein, _suite_prolong and the
-holonomy suite's curvature grids as they were when they checked the
-connections on seeded random sections. antisymmetrize_reference builds
-each entry of a skew part anew, with no cache.
+own; the batch plan of _propagators as it was when it counted the
+jobs still stepping at every step anew; check_invertible_at and the
+per-point screen loop of _eval_points as they were before the sample
+points were screened in one batch; and _suite_duality, _suite_einstein,
+_suite_prolong and the holonomy suite's curvature grids as they were
+when they checked the connections on seeded random sections.
+antisymmetrize_reference builds each entry of a skew part anew, with no
+cache.
 
 A snapshot is deleted when a later one, or an independent oracle,
 checks every behaviour its tests checked at the same strength (bitwise,
@@ -1347,6 +1349,32 @@ def holonomy_dimensions_reference(bundles, loops,
         fixed = int(np.sum(sv < _SV_TOL))
         reports.append(HolonomyReport(bundle.rank, got, sv.tolist(), fixed))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of the batch-planning loop of _propagators (transport.py) as
+# it was when it counted the jobs still stepping anew at every step. Only
+# its body is a function of its own, whose advance records each batch,
+# (lo, hi, j0, j1), instead of running it.
+
+def propagator_batches_reference(steps, rows) -> list:
+    batches = []
+    advance = lambda *batch: batches.append(batch)
+
+    lo = 0
+    while lo < steps[0]:
+        # a batch holds each job's node at lo and two more per step
+        live = int(np.count_nonzero(steps > lo))
+        hi, used = lo + 1, 3 * live
+        while hi < steps[0] and used + 2 * np.sum(steps > hi) <= rows:
+            used += 2 * np.sum(steps > hi)
+            hi += 1
+        # when one step of every job is too many, slices of the jobs
+        width = live if used <= rows else rows // 3
+        for j0 in range(0, live, width):
+            advance(lo, hi, j0, min(live, j0 + width))
+        lo = hi
+    return batches
 
 
 # ---------------------------------------------------------------------------

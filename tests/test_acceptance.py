@@ -17,7 +17,6 @@ import numpy as np
 
 from protract.expr import diff, evaluate, parse
 from protract.geometry import (
-    ChartGeometry,
     cotton_weyl_relation,
     verify_bianchi,
 )
@@ -38,7 +37,6 @@ from protract.tractor import (
     S2TractorSection,
     TractorSection,
     cotractor_nabla,
-    metric_lift,
     metrisability_obstruction,
     metrisability_prolong_nabla,
     s2_cotractor_dual_pairing,

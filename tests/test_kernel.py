@@ -1,6 +1,7 @@
 """Compiled evaluation tables, the fold-prefix pass and the batched
 kernel, exact and float."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import pytest
 
 from protract.cli import load_geometry_spec
 from protract.expr import (EvalDomainError, ExactModeError, Pow, _walk_unique,
-                           add, const, diff, evaluate, mul, neg, parse, sin,
-                           var)
+                           add, const, cos, diff, evaluate, exp, mul, neg,
+                           parse, sin, var)
 from protract.geometry import GeometryError, verify_bianchi
+from protract.tensor import TensorField, max_residuals
 from protract import kernel, program
 from protract.kernel import eval_table
 from protract.program import (OP_ADD, OP_CONST, OP_MUL, OP_VAR, compile_table,
@@ -422,9 +424,23 @@ def _prefix_family(rng, dim, smooth):
     return exprs
 
 
+def _assert_program_is_the_walk(shared, points):
+    """The shared table's float program gives bitwise the entries that
+    the walk of the same table gives."""
+    assert shared.program is not None
+    walked = copy.copy(shared)
+    walked.program = None
+    got, want = eval_table(shared, points), eval_table(walked, points)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+_SPECIALS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e300)
+
+
 def test_shared_fold_prefixes_on_random_dags():
     rng = rng_for("fold-prefixes")
-    specials = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e300)
     for trial in range(30):
         dim = rng.randint(1, 3)
         smooth = trial % 2 == 0
@@ -432,9 +448,10 @@ def test_shared_fold_prefixes_on_random_dags():
         shared = share_fold_prefixes(table)
         _assert_shares_fold_prefixes(table, shared)
         points = float_points(rng, dim, 5)
-        points += [[rng.choice(specials) for _ in range(dim)]
+        points += [[rng.choice(_SPECIALS) for _ in range(dim)]
                    for _ in range(5)]
         _assert_same_values(table, shared, points)
+        _assert_program_is_the_walk(shared, points)
         # rational rows: equal Fractions, or the same error (0^-k raises
         # EvalDomainError, sin, cos or exp ExactModeError)
         _assert_same_values(table, shared, rational_points(rng, dim, 3))
@@ -480,8 +497,13 @@ def test_shared_fold_prefixes_on_bundle_coefficients(name):
         shared = share_fold_prefixes(table)
         _assert_shares_fold_prefixes(table, shared)
         _assert_same_values(table, shared, points)
+        _assert_program_is_the_walk(shared, points)
         _assert_same_values(table, shared, rational_points(rng, spec.dim, 1))
     assert len(built) == (6 if name == "flat3" else 5)
+    # and the one table of all of them that holonomy walks
+    bundles = [make(spec.geom) for make in (cotractor_bundle, tractor_bundle,
+                                            s2_tractor_bundle)]
+    _assert_program_is_the_walk(_shared_table(bundles), points)
 
 
 def test_bianchi_table_reads_nabla_r_once_per_orbit(monkeypatch):
@@ -521,3 +543,92 @@ def test_holonomy_tape_folds_each_prefix_once():
     again = share_fold_prefixes(plain)
     assert (again.ops, list(again.operands), list(again.starts)) == (
         plain.ops, list(plain.operands), list(plain.starts))
+
+
+# ---------------------------------------------------------------------------
+# the float program of a shared table: bitwise the walk, exact batches
+# walked, and no program on any other table
+
+def _scalar_lead_family(rng, dim):
+    """Sums and products that fold registers reading no coordinate, such
+    as sin, cos and exp of constants, 0 to a negative power (nan) and its
+    Neg (-nan), before, between and after coordinate terms; with powers
+    of a coordinate, x**1 and x**-1 among them."""
+    x = [var(k) for k in range(dim)]
+    scalars = [sin(const(Fraction(rng.randint(-9, 9), 7))),
+               cos(const(10 ** 400)), exp(const(1000)),
+               exp(const(Fraction(-1, 3))), Pow(const(0), -3),
+               neg(Pow(const(0), -1)), Pow(sin(const(2)), -2)]
+    arrays = x + [poly(rng, dim), Pow(x[0], -1), Pow(x[-1], 1),
+                  Pow(add(x[0], const(1)), 5), Pow(x[0], -4),
+                  exp(x[-1]), neg(x[0])]
+    exprs = []
+    for _ in range(14):
+        items = rng.sample(scalars, rng.randint(0, 3)) + [rng.choice(arrays)]
+        items += rng.sample(scalars + arrays, rng.randint(0, 3))
+        exprs.append(rng.choice((add, mul))(*items))
+    return exprs + scalars[:2]
+
+
+def test_program_is_the_walk_on_scalar_leads():
+    rng = rng_for("float-program")
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        shared = share_fold_prefixes(compile_table(
+            _scalar_lead_family(rng, dim)))
+        points = float_points(rng, dim, 4)
+        points += [[rng.choice(_SPECIALS) for _ in range(dim)]
+                   for _ in range(8)]
+        _assert_program_is_the_walk(shared, points)
+        _assert_program_is_the_walk(shared, points[-1:])
+        _assert_program_is_the_walk(shared, np.empty((0, dim)))
+
+
+def test_exact_batches_walk_a_shared_table(monkeypatch):
+    # equal Fractions or the same error as the table's own walk, and the
+    # program never runs on them
+    rng = rng_for("float-program-exact")
+    runs = []
+    inner = kernel._run
+
+    def running(prog, cols):
+        runs.append(prog)
+        return inner(prog, cols)
+
+    monkeypatch.setattr(kernel, "_run", running)
+    for _ in range(10):
+        dim = rng.randint(1, 3)
+        table = compile_table(_prefix_family(rng, dim, smooth=False))
+        shared = share_fold_prefixes(table)
+        for points in (rational_points(rng, dim, 3), [[0] * dim]):
+            _assert_same_values(table, shared, points)
+        assert runs == []
+        eval_table(shared, float_points(rng, dim, 2))
+        assert runs == [shared.program]
+        runs.clear()
+
+
+def test_only_shared_tables_carry_a_program(monkeypatch):
+    lowered, built = [], []
+    inner_lower, inner_compile = kernel._lower, program.compile_table
+
+    def lowering(table):
+        lowered.append(table)
+        return inner_lower(table)
+
+    def compiling(exprs):
+        built.append(inner_compile(exprs))
+        return built[-1]
+
+    monkeypatch.setattr(kernel, "_lower", lowering)
+    monkeypatch.setattr(program, "compile_table", compiling)
+    rng = rng_for("float-program-tables")
+    fields = [TensorField(2, 0, 1, [poly(rng, 2), sin(var(0))])
+              for _ in range(3)]
+    max_residuals([fields[:2], fields[2:]], float_points(rng, 2, 3))
+    table = compile_table(_prefix_family(rng, 2, smooth=True))
+    assert built and lowered == []
+    assert all(t.program is None for t in built + [table])
+    shared = share_fold_prefixes(table)
+    assert lowered == [shared] and shared.program is not None
+

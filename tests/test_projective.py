@@ -2,12 +2,10 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from protract.expr import evaluate, parse
 from protract.geometry import (
-    ChartGeometry,
     connection_pack,
     covariant_derivative,
     torsion,

@@ -221,7 +221,7 @@ class TestPairField:
 
 
 class TestMetricActions:
-    def test_fraction_matrix_inverse_matches_oracle(self):
+    def test_matrix_inverse_exprs_on_constants_matches_oracle(self):
         rng = rng_for("frac-inv")
         for _ in range(20):
             n = rng.randint(2, 4)

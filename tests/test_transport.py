@@ -13,16 +13,13 @@ from protract.tensor import TensorField, max_residual
 from protract.tractor import (
     CotractorSection,
     metric_lift,
-    metrisability_prolong_nabla,
     tractor_curvature,
 )
 from protract.transport import (
     BUNDLES,
     CurveSegment,
-    HolonomyReport,
     NonClosedLoopError,
     NotParallelError,
-    TangentSection,
     TransportError,
     circle_loop,
     cotractor_bundle,
@@ -643,6 +640,28 @@ class TestOneChain:
             for props, refs in zip(got, want):
                 for p, w in zip(props, refs):
                     np.testing.assert_array_equal(p, w)
+
+    def test_batches_are_the_step_by_step_plan(self):
+        # the (lo, hi, j0, j1) batches of random step lists, longest job
+        # first, under bounds from below one step of every job (slices
+        # of rows // 3 jobs) to all the nodes (one batch)
+        from protract.transport import _batches
+
+        rng = rng_for("propagator-batches")
+        sliced = 0
+        for trial in range(300):
+            jobs = rng.randint(1, 12)
+            steps = np.array(sorted((rng.randint(1, 40) for _ in range(jobs)),
+                                    reverse=True))
+            nodes = int(np.sum(2 * steps + 1))
+            rows = rng.choice([rng.randint(3, 3 * jobs + 2),
+                               rng.randint(3 * jobs, nodes), nodes,
+                               nodes + rng.randint(1, 50)])
+            want = oracles.propagator_batches_reference(steps, rows)
+            assert list(_batches(steps, rows)) == want
+            sliced += any(j1 - j0 < jobs and lo == 0
+                          for lo, hi, j0, j1 in want)
+        assert sliced > 30
 
     @pytest.mark.parametrize("steps", [1, 7, 200])
     @pytest.mark.parametrize("ends", [(Fraction(1, 3), Fraction(7, 5)),
