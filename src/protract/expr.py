@@ -10,10 +10,12 @@ checked by evaluation, not by normal forms.
 Nodes are interned (hash-consed): constructing a node equal in kind,
 payload and children to a live one returns that node, so structurally
 equal expressions are the same object, == is identity and hashing is
-O(1). The table is a plain dict from a node's key to a
-weakref.KeyedRef of the node, and one shared callback removes the entry
-when its node dies, so a hit costs one C-level dict lookup. A key has
-one of two forms:
+O(1). The table is a plain dict from a node's key to a weak reference
+to the node that also holds the key: a slotted weakref.ref subclass
+that weakref.ref's C constructor builds, with the key set after it. One
+shared callback reads the key and removes the entry when its node dies.
+So a hit costs one C-level dict lookup, and a miss builds its reference
+with no Python-level constructor. A key has one of two forms:
 
     (class, *fields)                      Add, Mul, Neg
     (class, fields, field types)          Const, Var, Pow, Call
@@ -107,15 +109,26 @@ class ExactModeError(ExprError):
 
 
 # (class, *fields) for Add, Mul and Neg, (class, fields, field types)
-# for the other nodes -> weakref.KeyedRef to the live node; an entry
+# for the other nodes -> _Ref to the live node, holding its key; an entry
 # leaves with its node, through the one shared callback _forget
 _INTERNED = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that holds the node's key,
+    for _forget. It defines no __new__ or __init__, so weakref.ref's C
+    constructor builds it, and Expr.__new__ sets the key after."""
+
+    __slots__ = ("key",)
 
 
 def _forget(ref):
     # a node built after this ref's node died may hold the key already
     if _INTERNED.get(ref.key) is ref:
         del _INTERNED[ref.key]
+
+
+_set_field = object.__setattr__   # past the immutable __setattr__
 
 
 class Expr:
@@ -144,10 +157,14 @@ class Expr:
                 raise TypeError("%s takes %d fields"
                                 % (cls.__name__, len(cls.__slots__)))
             node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_partials", ())
-            _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+            if len(fields) == 1:
+                _set_field(node, cls.__slots__[0], fields[0])
+            else:
+                for name, value in zip(cls.__slots__, fields):
+                    _set_field(node, name, value)
+            _set_field(node, "_partials", ())
+            ref = _INTERNED[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -249,12 +266,20 @@ class Mul(Expr):
         return total
 
     def _deriv(self, derivs, coord):
-        # a factor with derivative ZERO gives a ZERO term, which add drops
+        # a factor with derivative ZERO gives a ZERO term, which add drops.
+        # The factors are folded (at most one constant, first, and no
+        # product), so a derivative that is neither a constant nor a
+        # product leaves them folded: its term is the node mul would
+        # return, built directly
         fs = self.factors
         terms = []
         for i, d in enumerate(derivs):
-            if d is not ZERO:
+            if d is ZERO:
+                continue
+            if isinstance(d, (Const, Mul)):
                 terms.append(mul(*fs[:i], d, *fs[i + 1:]))
+            else:
+                terms.append(Mul(fs[:i] + (d,) + fs[i + 1:]))
         return add(*terms)
 
 
@@ -479,9 +504,11 @@ def _walk_unique(roots: Sequence[Expr]):
 def _postorder_apply(roots: Sequence[Expr], fn, memo=None) -> list:
     """fn(node, child_results) over the union DAG of roots, one result
     per root, no recursion. memo maps a node to its result, which is
-    never None: the walk stops at every node memo.get finds and stores
-    each result it computes with memo[node] = result. The default is a
-    fresh dict, so nothing outlives the call."""
+    never None and compares unequal to it: the walk stops at every node
+    memo.get finds and stores each result it computes with memo[node] =
+    result. The default is a fresh dict, so nothing outlives the call.
+    A node's children are looked up once, and once more after its
+    pending ones are computed, if it had any."""
     if memo is None:
         memo = {}
     get = memo.get
@@ -492,16 +519,17 @@ def _postorder_apply(roots: Sequence[Expr], fn, memo=None) -> list:
             # a node whose pending children are done: everything pushed
             # above it has been popped, and popped only once computed
             node, children = node
+            vals = [get(c) for c in children]
         elif get(node) is not None:
             continue
         else:
             children = node.children()
-            pending = [c for c in children if get(c) is None]
-            if pending:
+            vals = [get(c) for c in children]
+            if None in vals:
                 work.append((node, children))
-                work.extend(pending)
+                work.extend([c for c, v in zip(children, vals) if v is None])
                 continue
-        memo[node] = fn(node, [get(c) for c in children])
+        memo[node] = fn(node, vals)
     return [get(r) for r in roots]
 
 
@@ -534,16 +562,24 @@ class _Partials:
 
     def __setitem__(self, node, deriv):
         # the children are done first, so each has its store or its None
-        if isinstance(node, Call) or any(
-                c._partials is None for c in node.children()):
-            object.__setattr__(node, "_partials", None)
+        unkept = isinstance(node, Call)
+        if not unkept:
+            for child in node.children():
+                if child._partials is None:
+                    unkept = True
+                    break
+        if unkept:
+            _set_field(node, "_partials", None)
             self.unkept[node] = deriv
             return
         known, c = node._partials, self.coord
-        if len(known) <= c:
-            known += (None,) * (c + 1 - len(known))
-        object.__setattr__(node, "_partials",
-                           known[:c] + (deriv,) + known[c + 1:])
+        if len(known) == c:
+            known += (deriv,)
+        elif len(known) < c:
+            known += (None,) * (c - len(known)) + (deriv,)
+        else:
+            known = known[:c] + (deriv,) + known[c + 1:]
+        _set_field(node, "_partials", known)
 
 
 def evaluate(e: Expr, point: Sequence[Number], mode: str | None = None):

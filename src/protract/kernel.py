@@ -208,17 +208,23 @@ class _Program:
     float64 scalars consts, and n_work rows of N floats that each
     register borrows when it is written and gives back after its last
     reader. Step (op, a, b, d) writes op of rows a and b into row d; a
-    one-operand step reads row a only.
+    one-operand step reads row a only. The entries that read no
+    coordinate are no step: the columns const_cols take the float64
+    scalars const_vals in one assignment per run.
     """
 
-    __slots__ = ("n_out", "n_coords", "consts", "n_work", "steps")
+    __slots__ = ("n_out", "n_coords", "consts", "n_work", "steps",
+                 "const_cols", "const_vals")
 
-    def __init__(self, n_out, n_coords, consts, n_work, steps):
+    def __init__(self, n_out, n_coords, consts, n_work, steps, const_cols,
+                 const_vals):
         self.n_out = n_out
         self.n_coords = n_coords
         self.consts = consts
         self.n_work = n_work
         self.steps = steps
+        self.const_cols = const_cols
+        self.const_vals = const_vals
 
 
 def _lower(table: CompiledTable) -> _Program:
@@ -237,8 +243,10 @@ def _lower(table: CompiledTable) -> _Program:
     inverts the base, each product is a MUL step into a row of its own
     (the first factor, 1.0 times the base, is the base itself), and the
     last step writes the power's row, or a COPY does for x**1. Each entry
-    is a COPY of its register into its column, which is exact; a step
-    that wrote the strided column would run another numpy loop.
+    that reads a coordinate is a COPY of its register into its column,
+    which is exact; a step that wrote the strided column would run
+    another numpy loop. The entries that read none are the walk's
+    scalars, the same in every run, so they are copied in together.
     """
     ops, args = table.ops, table.args
     operands, starts = table.operands, table.starts
@@ -273,6 +281,7 @@ def _lower(table: CompiledTable) -> _Program:
     for k, r in enumerate(table.outputs):
         columns.setdefault(r, []).append(k)
     free, steps = [], []
+    const_cols, const_vals = [], []
     n_rows = work
 
     def take():
@@ -298,13 +307,20 @@ def _lower(table: CompiledTable) -> _Program:
                 free.extend(_lower_pow(steps, take, xs[0], args[i], d))
             else:
                 steps.append((op, xs[0], xs[0], d))
-        steps.extend((_COPY, row[i], row[i], k) for k in columns.get(i, ()))
+        ks = columns.get(i, ())
+        if scalar[i] is not None:
+            const_cols += ks
+            const_vals += [scalar[i]] * len(ks)
+        else:
+            steps.extend((_COPY, row[i], row[i], k) for k in ks)
         for r in set(regs):
             if last[r] == i and row[r] >= work:
                 free.append(row[r])
         if last[i] < 0 and row[i] >= work:   # an entry that no step reads
             free.append(row[i])
-    return _Program(n_out, n_coords, consts, n_rows - work, steps)
+    return _Program(n_out, n_coords, consts, n_rows - work, steps,
+                    np.array(const_cols, dtype=np.intp),
+                    np.array(const_vals, dtype=np.float64))
 
 
 def _lower_pow(steps, take, base: int, e: int, d: int) -> list:
@@ -343,6 +359,7 @@ def _run(prog: _Program, cols: np.ndarray) -> np.ndarray:
     out = np.empty((n, prog.n_out))
     rows = [*out.T, *cols[:prog.n_coords], *prog.consts]
     rows += [np.empty(n) for _ in range(prog.n_work)]
+    out[:, prog.const_cols] = prog.const_vals
     for op, a, b, d in prog.steps:
         _STEPS[op](rows[a], rows[b], rows[d])
     return out

@@ -83,19 +83,20 @@ class CompiledTable:
         return len(self.ops)
 
 
+# the nodes whose instruction is their type alone: most of a tape
+_TYPE_OPS = {Add: (OP_ADD, 0), Mul: (OP_MUL, 0), Neg: (OP_NEG, 0)}
+
+
 def _op_arg(node):
+    got = _TYPE_OPS.get(type(node))
+    if got is not None:
+        return got
     if isinstance(node, Const):
         return OP_CONST, node.value
     if isinstance(node, Var):
         return OP_VAR, node.index
-    if isinstance(node, Add):
-        return OP_ADD, 0
-    if isinstance(node, Mul):
-        return OP_MUL, 0
     if isinstance(node, Pow):
         return OP_POW, node.exponent
-    if isinstance(node, Neg):
-        return OP_NEG, 0
     if isinstance(node, Call):
         return _CALL_OPS[node.name], 0
     raise TypeError("cannot compile %r" % node)

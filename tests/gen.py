@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from protract.expr import ZERO, Expr, parse
+from protract.expr import (ZERO, Const, Expr, add, const, cos, exp, mul, neg,
+                           parse, power, sin, var)
 from protract.geometry import ChartGeometry
 from protract.tensor import TensorField
 from protract.tractor import Section, complete_pair
@@ -26,6 +27,48 @@ def poly(rng: random.Random, dim: int) -> Expr:
             continue
         terms.append("%d/4*%s*%s" % (c, rng.choice(names), rng.choice(names)))
     return parse("+".join(terms) if terms else "0", dim)
+
+
+def expr_dag(rng: random.Random, dim: int, size: int,
+             smooth: bool = False) -> list:
+    """A family of up to four roots over a DAG of size random nodes, each
+    built over earlier ones, the later ones drawn more often: sums and
+    products of two to four nodes, integer powers from -3 to 3,
+    negations, products of a node with factors that are constants only
+    (a constant, a constant's power, a product of constants) and, when
+    smooth, sin, cos and exp. The pool starts from the coordinates and
+    three nonzero constants."""
+    pool = [var(k) for k in range(dim)]
+    pool += [const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                            rng.randint(1, 4))) for _ in range(3)]
+    kinds = ["add", "mul", "pow", "neg", "consts"]
+    if smooth:
+        kinds += ["sin", "cos", "exp"]
+
+    def pick():
+        return pool[int(len(pool) * rng.random() ** 0.5)]
+
+    for _ in range(size):
+        kind = rng.choice(kinds)
+        if kind == "add" or kind == "mul":
+            node = (add if kind == "add" else mul)(
+                *[pick() for _ in range(rng.randint(2, 4))])
+        elif kind == "pow":
+            base, k = pick(), rng.choice((-3, -2, -1, 2, 3))
+            # a sum of constants can cancel to zero
+            if isinstance(base, Const) and base.value == 0:
+                k = abs(k)
+            node = power(base, k)
+        elif kind == "neg":
+            node = neg(pick())
+        elif kind == "consts":
+            c = const(Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+            node = mul(c, power(const(rng.randint(2, 3)), rng.randint(-2, 2)),
+                       pick(), mul(c, const(Fraction(1, 3))))
+        else:
+            node = {"sin": sin, "cos": cos, "exp": exp}[kind](pick())
+        pool.append(node)
+    return pool[-rng.randint(1, 4):]
 
 
 def poly_field(rng, dim, p, q, sym=None) -> TensorField:

@@ -35,7 +35,10 @@ jobs still stepping at every step anew; check_invertible_at and the
 per-point screen loop of _eval_points as they were before the sample
 points were screened in one batch; and _suite_duality, _suite_einstein,
 _suite_prolong and the holonomy suite's curvature grids as they were
-when they checked the connections on seeded random sections.
+when they checked the connections on seeded random sections; and
+Mul._deriv, _Partials.__setitem__ and program._op_arg as they were
+before a product-rule term was built directly, the derivative store
+appended the next coordinate and _op_arg dispatched by type.
 antisymmetrize_reference builds each entry of a skew part anew, with no
 cache.
 
@@ -54,10 +57,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from protract.expr import ZERO, add
+from protract.expr import (ZERO, Add, Call, Const, Mul, Neg, Pow, Var, add,
+                           mul)
 from protract.geometry import (AffineConnection, GeometryError,
                                covariant_derivative, partial_derivative)
 from protract.kernel import eval_table
+from protract.program import (OP_ADD, OP_CONST, OP_MUL, OP_NEG, OP_POW,
+                              OP_VAR, _CALL_OPS)
 from protract.tensor import (TensorField, _is_rational_point, is_symmetric_pair,
                              max_magnitude)
 from protract.tractor import (
@@ -420,6 +426,55 @@ def postorder_apply_reference(roots, fn, memo=None) -> list:
         work.pop()
         results[nid] = fn(node, [results[id(c)] for c in node.children()])
     return [results[id(r)] for r in roots]
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of Mul._deriv and _Partials.__setitem__ (expr.py) and of
+# program._op_arg, as they were before the product rule built a term's
+# node directly, the derivative store appended the next coordinate, and
+# _op_arg dispatched sums, products and negations by type. The two
+# methods are functions of self here; a test sets them on their classes.
+
+def mul_deriv_reference(self, derivs, coord):
+    # a factor with derivative ZERO gives a ZERO term, which add drops
+    fs = self.factors
+    terms = []
+    for i, d in enumerate(derivs):
+        if d is not ZERO:
+            terms.append(mul(*fs[:i], d, *fs[i + 1:]))
+    return add(*terms)
+
+
+def partials_setitem_reference(self, node, deriv):
+    # the children are done first, so each has its store or its None
+    if isinstance(node, Call) or any(
+            c._partials is None for c in node.children()):
+        object.__setattr__(node, "_partials", None)
+        self.unkept[node] = deriv
+        return
+    known, c = node._partials, self.coord
+    if len(known) <= c:
+        known += (None,) * (c + 1 - len(known))
+    object.__setattr__(node, "_partials",
+                       known[:c] + (deriv,) + known[c + 1:])
+
+
+def op_arg_reference(node):
+    if isinstance(node, Const):
+        return OP_CONST, node.value
+    if isinstance(node, Var):
+        return OP_VAR, node.index
+    if isinstance(node, Add):
+        return OP_ADD, 0
+    if isinstance(node, Mul):
+        return OP_MUL, 0
+    if isinstance(node, Pow):
+        return OP_POW, node.exponent
+    if isinstance(node, Neg):
+        return OP_NEG, 0
+    if isinstance(node, Call):
+        return _CALL_OPS[node.name], 0
+    raise TypeError("cannot compile %r" % node)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Parser, differentiation, and evaluation of coordinate expressions."""
 
+import contextlib
 import gc
 import weakref
 from fractions import Fraction
@@ -34,7 +35,7 @@ from protract.expr import (
 from protract.expr import (ONE, ZERO, _INTERNED, _forget, _postorder_apply,
                            _print_node, _walk_unique, neg)
 
-from gen import rng_for
+from gen import expr_dag, rng_for
 
 
 class TestParse:
@@ -486,6 +487,14 @@ class TestInterning:
         assert inner() is None
         assert len(_INTERNED) <= before
 
+    def test_every_entry_is_a_weak_reference_holding_its_key(self):
+        e = parse("x0^2*exp(x1/3) - 5/2*sin(x0 + x1)", 2)
+        table = _INTERNED.copy()
+        assert len(table) > 10 and all(
+            isinstance(ref, weakref.ref) and ref.key is key
+            for key, ref in table.items())
+        assert _INTERNED[(Add, e.terms)]() is e
+
     def test_late_callback_leaves_a_newer_entry(self):
         key = (Var, (7919,), (int,))
         old = Var(7919)
@@ -768,3 +777,122 @@ class TestDerivativeStore:
         gc.collect()
         assert all(r() is None for r in refs)
         assert len(_INTERNED) <= before
+
+
+def _forget_every_derivative():
+    """Every live node back to knowing no derivative, as when it was
+    built, so the next walk differentiates from scratch."""
+    for ref in list(_INTERNED.values()):
+        node = ref()
+        if node is not None:
+            object.__setattr__(node, "_partials", ())
+
+
+@pytest.fixture
+def snapshot_rules(monkeypatch):
+    """A context under which diff_all and compile_table run the snapshots
+    of the product rule, the derivative store and _op_arg in oracles."""
+    import protract.program as program_mod
+    from oracles import (mul_deriv_reference, op_arg_reference,
+                         partials_setitem_reference)
+    from protract.expr import _Partials
+
+    @contextlib.contextmanager
+    def rules():
+        with monkeypatch.context() as m:
+            m.setattr(Mul, "_deriv", mul_deriv_reference)
+            m.setattr(_Partials, "__setitem__", partials_setitem_reference)
+            m.setattr(program_mod, "_op_arg", op_arg_reference)
+            yield
+    return rules
+
+
+class TestSnapshotRules:
+    """diff_all and compile_table against the verbatim snapshots in
+    oracles of the product rule, the derivative store and _op_arg they
+    replaced: the same derivative nodes, the same stores and the same
+    tapes, each from nodes that know no derivative."""
+
+    def test_random_dags_differentiate_as_the_snapshot(self, snapshot_rules):
+        rng = rng_for("snapshot-rules")
+        families, orders = [], []
+        for k in range(120):
+            dim = rng.randint(1, 3)
+            families.append(expr_dag(rng, dim, rng.randint(5, 30),
+                                     smooth=k % 2 == 1))
+            # a coordinate no member reads among them
+            orders.append(rng.sample(range(dim + 1), dim + 1))
+
+        def run():
+            _forget_every_derivative()
+            derivs = []
+            for family, coords in zip(families, orders):
+                first = [diff_all(family, a) for a in coords]
+                derivs += first
+                derivs += [diff_all(d, a) for d, a in zip(first, coords[::-1])]
+            nodes = list(_walk_unique([e for f in families + derivs
+                                       for e in f]))
+            return derivs, nodes, [n._partials for n in nodes]
+
+        got, nodes, stores = run()
+        with snapshot_rules():
+            want, want_nodes, want_stores = run()
+        assert [list(map(id, d)) for d in got] == \
+            [list(map(id, d)) for d in want]
+        assert list(map(id, nodes)) == list(map(id, want_nodes))
+        # nodes compare by identity, so equal stores hold the same nodes
+        assert stores == want_stores
+        # the draws reach negative powers, sin, cos and exp, products
+        # with a constant factor, and stores that were kept and not
+        assert any(isinstance(n, Pow) and n.exponent < 0 for n in nodes)
+        assert any(isinstance(n, Call) for n in nodes)
+        assert any(isinstance(n, Mul) and isinstance(n.factors[0], Const)
+                   for n in nodes)
+        assert None in stores and any(s and len(s) > 1 for s in stores)
+
+    def test_tapes_are_the_snapshot_tapes(self, snapshot_rules,
+                                          monkeypatch):
+        import protract.program as program_mod
+        from gen import random_metric
+        from protract.cli import BUNDLED, load_geometry_spec
+        from protract.geometry import GeometryError, verify_bianchi
+        from protract.transport import BUNDLES
+
+        compile_table = program_mod.compile_table
+        point = [[Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]]
+
+        def tapes():
+            _forget_every_derivative()
+            built = []
+
+            def recording(exprs):
+                built.append(compile_table(exprs))
+                return built[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(program_mod, "compile_table", recording)
+                for geom in (load_geometry_spec("sphere3").geom,
+                             random_metric(rng_for("snapshot-bianchi"), 3)):
+                    res = verify_bianchi(geom.pack(), geom.connection(),
+                                         point)
+                    assert res["first"] == res["second"] == 0
+                    assert len(built[-1]) > 2000
+            for name in BUNDLED:
+                geom = load_geometry_spec(name).geom
+                for make in BUNDLES.values():
+                    try:
+                        entries = make(geom).coefficient_entries()
+                    except GeometryError:   # skew needs a flat chart
+                        continue
+                    built.append(compile_table(entries))
+            return [(t.ops, [(type(a), a) for a in t.args],
+                     list(t.operands), list(t.starts), t.outputs)
+                    for t in built]
+
+        got = tapes()
+        with snapshot_rules():
+            want = tapes()
+        # per geometry the metric's symmetry check and the Bianchi
+        # table, then every bundle on every spec (skew on flat3 only)
+        assert len(got) == 2 * 2 + 5 * len(BUNDLED) + 1
+        assert got == want

@@ -538,6 +538,22 @@ def test_holonomy_tape_folds_each_prefix_once():
     assert _binary_fold_ops(table) == 1929
     assert _binary_fold_ops(shared) == 1117
     _assert_shares_fold_prefixes(table, shared)
+
+
+def test_holonomy_program_writes_constant_entries_at_once():
+    # the sphere2 holonomy program: 1,313 steps while each of its 44
+    # entries that read no coordinate was a COPY step of its own, 1,269
+    # with their columns one assignment per run
+    geom = load_geometry_spec("sphere2").geom
+    shared = _shared_table([make(geom) for make in (
+        cotractor_bundle, tractor_bundle, s2_tractor_bundle)])
+    prog = shared.program
+    assert len(prog.steps) == 1269 and len(prog.const_cols) == 44
+    # every column is written once, by a step or by the assignment
+    written = [d for _, _, _, d in prog.steps if d < prog.n_out]
+    assert sorted(written + prog.const_cols.tolist()) == \
+        list(range(prog.n_out))
+    _assert_program_is_the_walk(shared, float_points(rng_for("consts"), 2, 3))
     # a table with no shared prefix is its own result
     plain = compile_table([parse("x0 * x1 + 2", 2), parse("x0 - x1", 2)])
     again = share_fold_prefixes(plain)
