@@ -8,7 +8,11 @@ unknown suite, missing data for a suite, a ``--point`` that is not
 ``dim`` finite floats, a bad curve.
 
 Every check compares its residual with one fixed threshold, which the
-report records.
+report records. A check run screens its sample points once, and one
+max_residuals call reduces the residual families of all its suites, so
+--suite all compiles and walks the curvature stack once. Only the
+prolong suite's solution_correspondence and the holonomy suite's
+transport table are evaluated apart.
 
 Every bundle connection is d + A_a in slot coordinates, with A_a the
 matrices TransportBundle.coefficient_entries builds, so the identities
@@ -27,6 +31,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -42,15 +47,15 @@ from .expr import EvalDomainError, Expr, ExprError, add, parse
 from .geometry import (
     ChartGeometry,
     GeometryError,
+    bianchi_families,
     verify_bianchi,
 )
 from .projective import (
-    Upsilon,
-    check_weyl_cotton_invariance,
     einstein_deviation,
     gradient_upsilon,
+    invariance_fields,
 )
-from .tensor import TensorField, max_residual, max_residuals, zero_field
+from .tensor import TensorField, max_residuals, zero_field
 from .tractor import (
     S2TractorSection,
     metric_lift,
@@ -98,9 +103,6 @@ class GeometrySpec:
     sample_seed: int
     mode: str
     digest: str
-    # screened sample points by seed; see _eval_points
-    screened: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
 
 @dataclass
@@ -252,15 +254,12 @@ def sample_points(spec: GeometrySpec, seed: int) -> list:
 
 def _eval_points(spec: GeometrySpec, seed: int) -> list:
     """The sample points at which the metric is invertible, screened in
-    one batch (ChartGeometry.invertible_at) per spec and seed."""
-    ok = spec.screened.get(seed)
-    if ok is None:
-        pts = sample_points(spec, seed)
-        ok = list(itertools.compress(pts, spec.geom.invertible_at(pts)))
-        spec.screened[seed] = ok
+    one batch (ChartGeometry.invertible_at)."""
+    pts = sample_points(spec, seed)
+    ok = list(itertools.compress(pts, spec.geom.invertible_at(pts)))
     if not ok:
         raise SpecError("no usable sample points inside the box")
-    return list(ok)
+    return ok
 
 
 def _unless_nonfinite(residual, *evidence) -> float:
@@ -291,33 +290,32 @@ def _leibniz_defect(u: TransportBundle, v: TransportBundle, pairing) -> list:
             for a in range(u.dim) for i in range(ru) for j in range(rv)]
 
 
-def _suite_duality(spec: GeometrySpec, report: Report, seed: int,
+def _suite_duality(spec: GeometrySpec, report: Report, pts, seed: int,
                    steps: int):
     geom = spec.geom
     pairs = ((tractor_bundle, cotractor_bundle, tractor_cotractor_pairing),
              (s2_tractor_bundle, s2_cotractor_bundle,
               s2_cotractor_dual_pairing))
-    worst = max_residuals([
+    worst = yield [
         _scalars(spec.dim, _leibniz_defect(u(geom), v(geom), pairing))
-        for u, v, pairing in pairs], _eval_points(spec, seed))
+        for u, v, pairing in pairs]
     report.add("duality_tractor", worst[0], 1e-10)
     report.add("duality_s2", worst[1], 1e-10)
 
 
-def _suite_invariance(spec: GeometrySpec, report: Report, seed: int,
+def _suite_invariance(spec: GeometrySpec, report: Report, pts, seed: int,
                       steps: int):
     if spec.phi is None and spec.upsilon is None:
         raise SpecError("invariance suite needs phi or upsilon in the spec")
     if spec.phi is not None:
         ups = gradient_upsilon(spec.phi, spec.dim)
     else:
-        ups = Upsilon(TensorField(spec.dim, 0, 1, spec.upsilon))
-    pts = _eval_points(spec, seed)
-    out = check_weyl_cotton_invariance(spec.geom, ups, pts)
-    report.add("weyl_invariance", out["weyl"], 1e-8)
-    report.add("cotton_invariance", out["cotton"], 1e-7)
-    report.metrics["cotton_weyl_shift_identity"] = float(out["cotton_pair"])
-    report.metrics["points"] = out["points"]
+        ups = TensorField(spec.dim, 0, 1, spec.upsilon)
+    weyl, cotton, cotton_pair = yield invariance_fields(spec.geom, ups)
+    report.add("weyl_invariance", weyl, 1e-8)
+    report.add("cotton_invariance", cotton, 1e-7)
+    report.metrics["cotton_weyl_shift_identity"] = float(cotton_pair)
+    report.metrics["points"] = len(pts)
 
 
 def _s2_bundle(geom: ChartGeometry, nabla) -> TransportBundle:
@@ -336,19 +334,18 @@ def _obstruction_family(geom: ChartGeometry, s: S2TractorSection) -> list:
                              scal[a], validate=False) for a in range(n)]
 
 
-def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
+def _suite_einstein(spec: GeometrySpec, report: Report, pts, seed: int,
                     steps: int):
     geom = spec.geom
     direct, prolong, obstruction = (
         _s2_bundle(geom, nabla).coefficient_entries()
         for nabla in (s2_tractor_nabla, metrisability_prolong_nabla,
                       _obstruction_family))
-    dev, obs, gap = map(float, max_residuals(
-        [[einstein_deviation(geom)],
-         metrisability_obstruction(geom, geom.metric_inverse()),
-         _scalars(spec.dim, (d - p - o for d, p, o
-                             in zip(direct, prolong, obstruction)))],
-        _eval_points(spec, seed)))
+    dev, obs, gap = map(float, (yield [
+        [einstein_deviation(geom)],
+        metrisability_obstruction(geom, geom.metric_inverse()),
+        _scalars(spec.dim, (d - p - o for d, p, o
+                            in zip(direct, prolong, obstruction)))]))
     small = 1e-8
     report.metrics["einstein_deviation_max"] = dev
     report.metrics["obstruction_max"] = obs
@@ -364,18 +361,16 @@ def _suite_einstein(spec: GeometrySpec, report: Report, seed: int,
     report.add("obstruction_identity", gap, 1e-12)
 
 
-def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
+def _suite_prolong(spec: GeometrySpec, report: Report, pts, seed: int,
                    steps: int):
     geom = spec.geom
-    pts = _eval_points(spec, seed)
     lift = metric_lift(geom)
     direct, expanded = (_s2_bundle(geom, nabla).coefficient_entries()
                         for nabla in (s2_tractor_nabla,
                                       s2_tractor_nabla_expanded))
-    parallel, expansion = max_residuals(
-        [metrisability_prolong_nabla(geom, lift),
-         _scalars(spec.dim, (d - e for d, e in zip(direct, expanded)))],
-        pts)
+    parallel, expansion = yield [
+        metrisability_prolong_nabla(geom, lift),
+        _scalars(spec.dim, (d - e for d, e in zip(direct, expanded)))]
     report.add("metric_lift_parallel", parallel, 1e-7)
     bundle = s2_tractor_bundle(geom)
     res = solution_correspondence(bundle, lift, pts[:5])
@@ -383,18 +378,17 @@ def _suite_prolong(spec: GeometrySpec, report: Report, seed: int,
     report.add("expansion_matches_direct", expansion, 1e-12)
 
 
-def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
+def _suite_holonomy(spec: GeometrySpec, report: Report, pts, seed: int,
                     steps: int):
     geom = spec.geom
-    pts = _eval_points(spec, seed)
+    # the entries of the cotractor and tractor curvature Omega_ab are
+    # +-W and +-C, so both read max |W|, |C|
+    pack = geom.pack()
+    curv = float((yield [[pack.weyl, pack.cotton]])[0])
     loops = seeded_loops(spec.box, 5, seed)
     bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
                                        s2_tractor_bundle)]
     reps = holonomy_dimensions(bundles, loops, steps=steps)
-    # the entries of the cotractor and tractor curvature Omega_ab are
-    # +-W and +-C, so both read max |W|, |C|
-    pack = geom.pack()
-    curv = float(max_residual([pack.weyl, pack.cotton], pts))
     for bundle, rep in zip(bundles[:2], reps):
         label = bundle.name
         report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
@@ -416,21 +410,25 @@ def _suite_holonomy(spec: GeometrySpec, report: Report, seed: int,
                                  *mrep.singular_values), 0.5)
 
 
-def _suite_bianchi(spec: GeometrySpec, report: Report, seed: int,
+def _suite_bianchi(spec: GeometrySpec, report: Report, pts, seed: int,
                    steps: int):
-    pts = _eval_points(spec, seed)
-    _add_bianchi_checks(spec, report, spec.geom.pack(), pts)
+    geom = spec.geom
+    _add_bianchi_checks(spec, report, *(yield bianchi_families(
+        geom.pack(), geom.connection())))
 
 
-def _add_bianchi_checks(spec: GeometrySpec, report: Report, pack, pts):
-    out = verify_bianchi(pack, spec.geom.connection(), pts)
-    report.add("bianchi_first", out["first"],
+def _add_bianchi_checks(spec: GeometrySpec, report: Report, first, second,
+                        cotton_weyl):
+    report.add("bianchi_first", first,
                1e-30 if spec.mode == "rational" else 1e-10)
-    report.add("bianchi_second", out["second"], 1e-7)
-    report.add("cotton_weyl_relation", out["cotton_weyl"], 1e-7)
+    report.add("bianchi_second", second, 1e-7)
+    report.add("cotton_weyl_relation", cotton_weyl, 1e-7)
 
 
-# Every suite by name, in the order "all" runs them.
+# Every suite by name, in the order "all" runs them. A suite is a
+# generator (spec, report, pts, seed, steps): it yields its residual
+# families once, is sent their maxima over pts, in the same order, and
+# then adds its checks and metrics to the report.
 _SUITES = {
     "bianchi": _suite_bianchi,
     "duality": _suite_duality,
@@ -444,11 +442,19 @@ SUITES = (*_SUITES, "all")
 
 def run_suite(spec: GeometrySpec, suite: str, report: Report, seed: int,
               steps: int):
+    """Run one suite, or every suite in table order for "all", from one
+    screen of the sample points and one max_residuals call."""
     if suite not in SUITES:
         raise SpecError("unknown suite %r (choose from %s)"
                         % (suite, ", ".join(SUITES)))
-    for name in (_SUITES if suite == "all" else (suite,)):
-        _SUITES[name](spec, report, seed, steps)
+    pts = _eval_points(spec, seed)
+    runs = [_SUITES[name](spec, report, pts, seed, steps)
+            for name in (_SUITES if suite == "all" else (suite,))]
+    families = [next(run) for run in runs]
+    worst = iter(max_residuals([f for fams in families for f in fams], pts))
+    for run, fams in zip(runs, families):
+        with contextlib.suppress(StopIteration):
+            run.send([next(worst) for _ in fams])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +482,9 @@ def cmd_curvature(spec: GeometrySpec, point, seed: int) -> Report:
         values[name] = _value_json(fieldlike.at(show[0]))
     report.metrics["values_at"] = [float(c) for c in show[0]]
     report.metrics["values"] = values
-    _add_bianchi_checks(spec, report, pack, pts)
+    out = verify_bianchi(pack, spec.geom.connection(), pts)
+    _add_bianchi_checks(spec, report, out["first"], out["second"],
+                        out["cotton_weyl"])
     return report
 
 

@@ -41,8 +41,8 @@ __all__ = [
     "GeometryError", "SingularMetricError",
     "ChartGeometry", "AffineConnection", "CurvaturePack",
     "levi_civita", "partial_derivative", "covariant_derivative", "riemann",
-    "derive_pack", "connection_pack", "verify_bianchi", "torsion",
-    "cotton_weyl_relation",
+    "derive_pack", "connection_pack", "bianchi_families", "verify_bianchi",
+    "torsion", "cotton_weyl_relation",
 ]
 
 
@@ -101,10 +101,10 @@ class ChartGeometry:
 
     __slots__ = ("dim", "metric", "_cache")
 
-    def __init__(self, metric: TensorField, validate: bool = True):
+    def __init__(self, metric: TensorField):
         if (metric.p, metric.q) != (0, 2):
             raise GeometryError("metric must have valence (0,2)")
-        if validate and not is_symmetric_pair(metric, 0, 1, count=5):
+        if not is_symmetric_pair(metric, 0, 1, count=5):
             raise GeometryError("metric is not symmetric")
         self.dim = metric.dim
         self.metric = metric
@@ -390,8 +390,9 @@ def _cotton_weyl_field(pack: CurvaturePack,
                                  dW[c][c, a, b, d]) for c in range(n)])))
 
 
-def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
-    """Max-abs residuals of the curvature identities over points.
+def bianchi_families(pack: CurvaturePack, conn: AffineConnection) -> list:
+    """The residual families of the curvature identities, for
+    max_residuals:
 
     first:       R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a
     second:      nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d
@@ -399,18 +400,23 @@ def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
     cotton_weyl: (n-2) C_abd - nabla_c W_ab{}^c{}_d (see
                  cotton_weyl_relation)
 
-    The three fields share Gamma, R and most of their products, so they
-    are reduced from one compiled table. A cyclic sum of a tensor skew
-    in ab is totally skew in its three slots, so each Bianchi field is
-    built at increasing triples only (a < b < d, e < a < b) and the
-    Cotton-Weyl field at a < b; every other entry is one of those or its
-    Neg, or ZERO at a repeated index, and every component is reduced.
+    A cyclic sum of a tensor skew in ab is totally skew in its three
+    slots, so each Bianchi field is built at increasing triples only
+    (a < b < d, e < a < b) and the Cotton-Weyl field at a < b; every
+    other entry is one of those or its Neg, or ZERO at a repeated index.
     """
     R = pack.riemann
+    return [[_first_bianchi_field(R)], [_second_bianchi_field(conn, R)],
+            [_cotton_weyl_field(pack, conn)]]
+
+
+def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
+    """Max-abs residuals of the bianchi_families over points, keyed
+    first, second and cotton_weyl: every component of the three fields,
+    which share Gamma, R and most of their products, from one table."""
     pts = list(points)
-    first, second, cotton_weyl = max_residuals(
-        [[_first_bianchi_field(R)], [_second_bianchi_field(conn, R)],
-         [_cotton_weyl_field(pack, conn)]], pts)
+    first, second, cotton_weyl = max_residuals(bianchi_families(pack, conn),
+                                               pts)
     return {"first": first, "second": second, "cotton_weyl": cotton_weyl,
             "points": len(pts)}
 

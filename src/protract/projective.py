@@ -25,39 +25,22 @@ from .geometry import (
 from .tensor import TensorField, max_residuals
 
 __all__ = [
-    "Upsilon", "gradient_upsilon", "projective_change",
+    "gradient_upsilon", "projective_change", "invariance_fields",
     "check_weyl_cotton_invariance", "einstein_deviation",
 ]
 
 
-class Upsilon:
-    """One-form driving a projective change."""
-
-    __slots__ = ("dim", "field")
-
-    def __init__(self, field: TensorField):
-        if (field.p, field.q) != (0, 1):
-            raise GeometryError("expected a one-form, valence (0,1)")
-        self.dim = field.dim
-        self.field = field
-
-    def __getitem__(self, a: int):
-        return self.field[a]
-
-    def __repr__(self):
-        return "<Upsilon dim=%d>" % self.dim
-
-
-def gradient_upsilon(phi: Expr, dim: int) -> Upsilon:
+def gradient_upsilon(phi: Expr, dim: int) -> TensorField:
     """Exact one-form d(phi): the invariance suite's Upsilon when a spec
     gives phi. A spec's upsilon entries go in as given, closed or not."""
-    return Upsilon(TensorField(dim, 0, 1, gradient(phi, dim)))
+    return TensorField(dim, 0, 1, gradient(phi, dim))
 
 
-def projective_change(conn: AffineConnection, ups: Upsilon) -> AffineConnection:
+def projective_change(conn: AffineConnection,
+                      ups: TensorField) -> AffineConnection:
     """gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a; torsion-free stays exact."""
-    if conn.dim != ups.dim:
-        raise GeometryError("dimension mismatch")
+    if (ups.p, ups.q, ups.dim) != (0, 1, conn.dim):
+        raise GeometryError("expected a one-form of dimension %d" % conn.dim)
     n = conn.dim
     gamma = conn.gamma
     comps = []
@@ -73,7 +56,7 @@ def projective_change(conn: AffineConnection, ups: Upsilon) -> AffineConnection:
     return AffineConnection(TensorField(n, 1, 2, comps), validate=False)
 
 
-def check_weyl_cotton_invariance(geom: ChartGeometry, ups: Upsilon,
+def check_weyl_cotton_invariance(geom: ChartGeometry, ups: TensorField,
                                  points) -> dict:
     """Max-abs difference of Weyl and Cotton across a projective change.
 
@@ -94,15 +77,16 @@ def check_weyl_cotton_invariance(geom: ChartGeometry, ups: Upsilon,
     symmetrization is a no-op up to rounding.
     """
     pts = list(points)
-    weyl, cotton, cotton_pair = max_residuals(
-        [[field] for field in _invariance_fields(geom, ups)], pts)
+    weyl, cotton, cotton_pair = max_residuals(invariance_fields(geom, ups),
+                                              pts)
     return {"weyl": weyl, "cotton": cotton, "cotton_pair": cotton_pair,
             "points": len(pts)}
 
 
-def _invariance_fields(geom: ChartGeometry, ups: Upsilon) -> tuple:
-    """(W_bar - W, C_bar - C, C_bar - C - Y.W) for the projective change
-    of the Levi-Civita connection by ups."""
+def invariance_fields(geom: ChartGeometry, ups: TensorField) -> list:
+    """The residual families [W_bar - W], [C_bar - C] and
+    [C_bar - C - Y.W] of the projective change of the Levi-Civita
+    connection by the one-form ups, for max_residuals."""
     pack = geom.pack()
     barred_conn = projective_change(geom.connection(), ups)
     barred = connection_pack(barred_conn)
@@ -114,7 +98,7 @@ def _invariance_fields(geom: ChartGeometry, ups: Upsilon) -> tuple:
     shifted = [dcotton[a, b, c] - add(*[ups[d] * pack.weyl[d, a, b, c]
                                         for d in range(n)])
                for a in range(n) for b in range(n) for c in range(n)]
-    return dweyl, dcotton, TensorField(n, 0, 3, shifted)
+    return [[dweyl], [dcotton], [TensorField(n, 0, 3, shifted)]]
 
 
 def einstein_deviation(geom: ChartGeometry) -> TensorField:

@@ -58,7 +58,6 @@ from .geometry import (
     GeometryError,
     covariant_derivative,
 )
-from .projective import Upsilon
 from .tensor import (
     TensorField,
     is_skew_pair,
@@ -410,10 +409,12 @@ def proj_prolong_nabla(geom: ChartGeometry, s: TractorSection):
     return [flip(f) for f in tractor_nabla(geom, flip(s))]
 
 
-def splitting_transform(s: CotractorSection, ups: Upsilon) -> CotractorSection:
-    """Re-express a cotractor section in the splitting moved by ups."""
-    if s.dim != ups.dim:
-        raise GeometryError("dimension mismatch")
+def splitting_transform(s: CotractorSection,
+                        ups: TensorField) -> CotractorSection:
+    """Re-express a cotractor section in the splitting moved by the
+    one-form ups."""
+    if (ups.p, ups.q, ups.dim) != (0, 1, s.dim):
+        raise GeometryError("expected a one-form of dimension %d" % s.dim)
     sigma = s.sigma.components[0]
     mu = [s.mu[a] + ups[a] * sigma for a in range(s.dim)]
     return CotractorSection(s.sigma, TensorField(s.dim, 0, 1, mu),

@@ -157,11 +157,12 @@ def _endpoints(seg: CurveSegment) -> np.ndarray:
 
 
 def _check_closed(loop: tuple) -> list:
-    """The start point of a loop; NonClosedLoopError if it has a gap."""
+    """The start point of a loop; NonClosedLoopError if it has a gap,
+    a gap that is not finite among them."""
     pts = [_endpoints(seg) for seg in loop]
     for i, (_, end) in enumerate(pts):
         nxt = pts[(i + 1) % len(pts)][0]
-        if float(np.max(np.abs(end - nxt))) > 1e-12:
+        if not float(np.max(np.abs(end - nxt))) <= 1e-12:
             raise NonClosedLoopError("loop is not closed (segment %d)" % i)
     return pts[0][0].tolist()
 

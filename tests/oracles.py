@@ -35,10 +35,13 @@ jobs still stepping at every step anew; check_invertible_at and the
 per-point screen loop of _eval_points as they were before the sample
 points were screened in one batch; and _suite_duality, _suite_einstein,
 _suite_prolong and the holonomy suite's curvature grids as they were
-when they checked the connections on seeded random sections; and
+when they checked the connections on seeded random sections;
 Mul._deriv, _Partials.__setitem__ and program._op_arg as they were
 before a product-rule term was built directly, the derivative store
-appended the next coordinate and _op_arg dispatched by type.
+appended the next coordinate and _op_arg dispatched by type; and
+run_suite, _eval_points with its per-seed cache and the six suites as
+they were when each suite reduced its own residual families, before a
+check run reduced all of them in one max_residuals call.
 antisymmetrize_reference builds each entry of a skew part anew, with no
 cache.
 
@@ -1641,3 +1644,203 @@ def holonomy_curvatures_reference(spec, seed: int) -> list:
     curvs = max_residuals([[member for row in grid for member in row]
                            for grid in grids], pts[:4])
     return list(map(float, curvs))
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies of run_suite, _eval_points with its per-seed cache, the
+# six suites and _add_bianchi_checks (cli.py) as they were when every
+# suite screened its own points and reduced its own families, with its
+# own max_residuals, max_residual, verify_bianchi or
+# check_weyl_cotton_invariance call. Only their names, annotations and
+# imports differ, the suites are looked up in PER_SUITE_REFERENCE, the
+# cache of screened points is the spec's attribute "screened", set on
+# first use, and the invariance suite passes a spec's upsilon field as it
+# is, as the Upsilon wrapper it went into is gone.
+
+def eval_points_reference(spec, seed: int) -> list:
+    """The sample points at which the metric is invertible, screened in
+    one batch (ChartGeometry.invertible_at) per spec and seed."""
+    from protract.cli import SpecError, sample_points
+
+    screened = vars(spec).setdefault("screened", {})
+    ok = screened.get(seed)
+    if ok is None:
+        pts = sample_points(spec, seed)
+        ok = list(itertools.compress(pts, spec.geom.invertible_at(pts)))
+        screened[seed] = ok
+    if not ok:
+        raise SpecError("no usable sample points inside the box")
+    return list(ok)
+
+
+def _suite_duality_own_table(spec, report, seed: int, steps: int):
+    from protract.cli import _leibniz_defect, _scalars
+    from protract.tensor import max_residuals
+    from protract.tractor import (s2_cotractor_dual_pairing,
+                                  tractor_cotractor_pairing)
+    from protract.transport import (cotractor_bundle, s2_cotractor_bundle,
+                                    s2_tractor_bundle, tractor_bundle)
+
+    geom = spec.geom
+    pairs = ((tractor_bundle, cotractor_bundle, tractor_cotractor_pairing),
+             (s2_tractor_bundle, s2_cotractor_bundle,
+              s2_cotractor_dual_pairing))
+    worst = max_residuals([
+        _scalars(spec.dim, _leibniz_defect(u(geom), v(geom), pairing))
+        for u, v, pairing in pairs], eval_points_reference(spec, seed))
+    report.add("duality_tractor", worst[0], 1e-10)
+    report.add("duality_s2", worst[1], 1e-10)
+
+
+def _suite_invariance_own_table(spec, report, seed: int, steps: int):
+    from protract.cli import SpecError
+    from protract.projective import (check_weyl_cotton_invariance,
+                                     gradient_upsilon)
+
+    if spec.phi is None and spec.upsilon is None:
+        raise SpecError("invariance suite needs phi or upsilon in the spec")
+    if spec.phi is not None:
+        ups = gradient_upsilon(spec.phi, spec.dim)
+    else:
+        ups = TensorField(spec.dim, 0, 1, spec.upsilon)
+    pts = eval_points_reference(spec, seed)
+    out = check_weyl_cotton_invariance(spec.geom, ups, pts)
+    report.add("weyl_invariance", out["weyl"], 1e-8)
+    report.add("cotton_invariance", out["cotton"], 1e-7)
+    report.metrics["cotton_weyl_shift_identity"] = float(out["cotton_pair"])
+    report.metrics["points"] = out["points"]
+
+
+def _suite_einstein_own_table(spec, report, seed: int, steps: int):
+    import math
+
+    from protract.cli import (_obstruction_family, _s2_bundle, _scalars,
+                              _unless_nonfinite)
+    from protract.projective import einstein_deviation
+    from protract.tensor import max_residuals
+    from protract.tractor import (metrisability_obstruction,
+                                  metrisability_prolong_nabla,
+                                  s2_tractor_nabla)
+
+    geom = spec.geom
+    direct, prolong, obstruction = (
+        _s2_bundle(geom, nabla).coefficient_entries()
+        for nabla in (s2_tractor_nabla, metrisability_prolong_nabla,
+                      _obstruction_family))
+    dev, obs, gap = map(float, max_residuals(
+        [[einstein_deviation(geom)],
+         metrisability_obstruction(geom, geom.metric_inverse()),
+         _scalars(spec.dim, (d - p - o for d, p, o
+                             in zip(direct, prolong, obstruction)))],
+        eval_points_reference(spec, seed)))
+    small = 1e-8
+    report.metrics["einstein_deviation_max"] = dev
+    report.metrics["obstruction_max"] = obs
+    report.metrics["connections_differ"] = bool(obs >= small)
+    if dev < small:
+        report.add("obstruction_vanishes", obs, small)
+    else:
+        # iff-theorem, contrapositive side: deviation big forces a
+        # clearly nonzero obstruction
+        report.add("obstruction_detects_non_einstein",
+                   _unless_nonfinite(1e-3 / obs if obs > 0 else math.inf,
+                                     dev, obs), 1.0)
+    report.add("obstruction_identity", gap, 1e-12)
+
+
+def _suite_prolong_own_table(spec, report, seed: int, steps: int):
+    from protract.cli import _s2_bundle, _scalars
+    from protract.tensor import max_residuals
+    from protract.tractor import (metric_lift, metrisability_prolong_nabla,
+                                  s2_tractor_nabla, s2_tractor_nabla_expanded)
+    from protract.transport import s2_tractor_bundle, solution_correspondence
+
+    geom = spec.geom
+    pts = eval_points_reference(spec, seed)
+    lift = metric_lift(geom)
+    direct, expanded = (_s2_bundle(geom, nabla).coefficient_entries()
+                        for nabla in (s2_tractor_nabla,
+                                      s2_tractor_nabla_expanded))
+    parallel, expansion = max_residuals(
+        [metrisability_prolong_nabla(geom, lift),
+         _scalars(spec.dim, (d - e for d, e in zip(direct, expanded)))],
+        pts)
+    report.add("metric_lift_parallel", parallel, 1e-7)
+    bundle = s2_tractor_bundle(geom)
+    res = solution_correspondence(bundle, lift, pts[:5])
+    report.add("metrisability_residual", res, 1e-7)
+    report.add("expansion_matches_direct", expansion, 1e-12)
+
+
+def _suite_holonomy_own_table(spec, report, seed: int, steps: int):
+    from protract.cli import _unless_nonfinite
+    from protract.tensor import max_residual
+    from protract.transport import (cotractor_bundle, holonomy_dimensions,
+                                    s2_tractor_bundle, seeded_loops,
+                                    tractor_bundle)
+
+    geom = spec.geom
+    pts = eval_points_reference(spec, seed)
+    loops = seeded_loops(spec.box, 5, seed)
+    bundles = [make(geom) for make in (cotractor_bundle, tractor_bundle,
+                                       s2_tractor_bundle)]
+    reps = holonomy_dimensions(bundles, loops, steps=steps)
+    # the entries of the cotractor and tractor curvature Omega_ab are
+    # +-W and +-C, so both read max |W|, |C|
+    pack = geom.pack()
+    curv = float(max_residual([pack.weyl, pack.cotton], pts))
+    for bundle, rep in zip(bundles[:2], reps):
+        label = bundle.name
+        report.metrics["%s_fixed_dim" % label] = rep.fixed_dim
+        report.metrics["%s_curvature_max" % label] = curv
+        if curv < 1e-10:
+            name = "%s_dim_attains_rank"
+            resid = abs(rep.fixed_dim - bundle.rank)
+        else:
+            name = "%s_dim_below_rank"
+            resid = 0.0 if rep.fixed_dim < bundle.rank else 1.0
+        report.add(name % label,
+                   _unless_nonfinite(resid, curv, *rep.singular_values), 0.5)
+    mb, mrep = bundles[2], reps[2]
+    report.metrics["%s_fixed_dim" % mb.name] = mrep.fixed_dim
+    report.metrics["%s_rank" % mb.name] = mb.rank
+    report.metrics["holonomy_singular_values"] = mrep.singular_values
+    report.add("%s_dim_within_rank" % mb.name,
+               _unless_nonfinite(0.0 if mrep.fixed_dim <= mb.rank else 1.0,
+                                 *mrep.singular_values), 0.5)
+
+
+def _suite_bianchi_own_table(spec, report, seed: int, steps: int):
+    pts = eval_points_reference(spec, seed)
+    _add_bianchi_checks_reference(spec, report, spec.geom.pack(), pts)
+
+
+def _add_bianchi_checks_reference(spec, report, pack, pts):
+    from protract.geometry import verify_bianchi
+
+    out = verify_bianchi(pack, spec.geom.connection(), pts)
+    report.add("bianchi_first", out["first"],
+               1e-30 if spec.mode == "rational" else 1e-10)
+    report.add("bianchi_second", out["second"], 1e-7)
+    report.add("cotton_weyl_relation", out["cotton_weyl"], 1e-7)
+
+
+# Every suite by name, in the order "all" runs them.
+PER_SUITE_REFERENCE = {
+    "bianchi": _suite_bianchi_own_table,
+    "duality": _suite_duality_own_table,
+    "invariance": _suite_invariance_own_table,
+    "einstein": _suite_einstein_own_table,
+    "prolong": _suite_prolong_own_table,
+    "holonomy": _suite_holonomy_own_table,
+}
+
+
+def run_suite_reference(spec, suite: str, report, seed: int, steps: int):
+    from protract.cli import SUITES, SpecError
+
+    if suite not in SUITES:
+        raise SpecError("unknown suite %r (choose from %s)"
+                        % (suite, ", ".join(SUITES)))
+    for name in (PER_SUITE_REFERENCE if suite == "all" else (suite,)):
+        PER_SUITE_REFERENCE[name](spec, report, seed, steps)

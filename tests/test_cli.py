@@ -7,19 +7,22 @@ errors (unknown suite, unknown bundle) raise SystemExit(2) instead.
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
 import math
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from protract import kernel, transport
-from protract.cli import (SUITES, _SUITES, Report, _eval_points,
-                          _leibniz_defect, _scalars, build_parser,
-                          load_geometry_spec, main, sample_points)
+from protract.cli import (SUITES, _SUITES, GeometrySpec, Report,
+                          _eval_points, _leibniz_defect, _scalars,
+                          build_parser, load_geometry_spec, main, run_suite,
+                          sample_points)
 from protract.expr import add
 from protract.geometry import ChartGeometry
 from protract.tensor import max_residuals
@@ -28,6 +31,7 @@ from protract.tractor import (S2CotractorSection, _leibniz,
                               s2_cotractor_dual_pairing)
 
 import oracles
+from gen import poly, random_metric, rng_for
 
 
 def run_cli(argv, json_path=None):
@@ -589,18 +593,18 @@ class TestSampleScreening:
         return calls
 
     def test_once_per_seed_and_count(self, screened):
+        # every check run screens its own points in one batch: the same
+        # spec and seed again, another seed, a spec with another count
         spec = load_geometry_spec("nonEinstein3")
-        seed = spec.sample_seed
-        first = _eval_points(spec, seed)
-        assert first == sample_points(spec, seed)
-        first.clear()   # a caller's list is its own
-        assert _eval_points(spec, seed) == sample_points(spec, seed)
-        assert screened == [[tuple(p) for p in sample_points(spec, seed)]]
-        # another seed, or a spec with another count, is a batch of its own
-        assert _eval_points(spec, 5) == sample_points(spec, 5)
         three = replace(spec, sample_count=3)
-        assert _eval_points(three, 5) == sample_points(three, 5)
-        assert list(map(len, screened)) == [spec.sample_count] * 2 + [3]
+        runs = ((spec, spec.sample_seed, "bianchi"),
+                (spec, spec.sample_seed, "einstein"), (spec, 5, "duality"),
+                (three, 5, "invariance"))
+        for sized, seed, suite in runs:
+            screened.clear()
+            run_suite(sized, suite, Report("check", ""), seed, 0)
+            assert screened == [[tuple(p) for p in sample_points(sized,
+                                                                 seed)]]
 
     def test_check_all_screens_each_batch_once(self, screened):
         # the spec's points, once for every suite: one batch
@@ -668,7 +672,7 @@ class TestMatrixIdentities:
         seed = spec.sample_seed
         for suite in ("duality", "einstein", "prolong"):
             new, old = Report("check", ""), Report("check", "")
-            _SUITES[suite](spec, new, seed, 0)
+            run_suite(spec, suite, new, seed, 0)
             getattr(oracles, "suite_%s_reference" % suite)(spec, old, seed, 0)
             assert [(c.name, c.threshold, c.passed) for c in new.checks] \
                 == [(c.name, c.threshold, c.passed) for c in old.checks]
@@ -676,7 +680,7 @@ class TestMatrixIdentities:
         # pass flag then come from the same fixed dimension as before, so
         # the steps can be few
         report = Report("check", "")
-        _SUITES["holonomy"](spec, report, seed, 4)
+        run_suite(spec, "holonomy", report, seed, 4)
         old = oracles.holonomy_curvatures_reference(spec, seed)
         want = ["%s_dim_%s" % (label, "attains_rank" if curv < 1e-10
                                else "below_rank")
@@ -712,6 +716,135 @@ class TestMatrixIdentities:
         assert type(bad) is Fraction and bad == worst
 
 
+def _bits(value):
+    """value with every float as its 64 bits, so that == is bitwise."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return value
+
+
+@functools.cache
+def _spec(name: str) -> GeometrySpec:
+    """A bundled spec, or "random3": a rational random polynomial
+    3-metric with a random phi. Loaded once, so that the tests of
+    TestOneReduction share its geometry and what it caches."""
+    if name != "random3":
+        return load_geometry_spec(name)
+    rng = rng_for("one-reduction")
+    return GeometrySpec(3, random_metric(rng, 3), poly(rng, 3), None,
+                        [[-1.0, 1.0]] * 3, 3, 0, "rational", "random3")
+
+
+# The results of TestOneReduction's once fixture, by step and argument.
+_ONCE: dict = {}
+
+
+class TestOneReduction:
+    """A check run screens its points once and reduces the families of
+    all its suites in one max_residuals call. Its reports equal, floats
+    bitwise, those of the per-suite reduction it replaced
+    (oracles.run_suite_reference) suite by suite, and "all" is the
+    in-order merge of the six single-suite reports."""
+
+    @pytest.fixture
+    def once(self, monkeypatch):
+        """The pure steps that both reductions share, each run once per
+        argument: compiling a table (its expressions are interned nodes)
+        and evaluating it, the coefficient entries of a bundle and its
+        Leibniz defects (by section type, connection and geometry), and
+        the holonomy transport (by bundles, loop curves and steps). Both
+        reductions and every seed ask for them again; what differs is
+        which tables they compile and how they fold them."""
+        from protract import cli, program
+
+        def bundle_key(b):
+            return b.section_cls, b.nabla, b.geom
+
+        def loop_key(lp):
+            return tuple(seg.components for seg in transport._as_loop(lp))
+
+        def memo(owner, name, key):
+            real, done = getattr(owner, name), _ONCE.setdefault(name, {})
+
+            def wrapped(*args, **kwargs):
+                k = key(*args, **kwargs)
+                if k not in done:
+                    done[k] = real(*args, **kwargs)
+                return done[k]
+            monkeypatch.setattr(owner, name, wrapped)
+            return wrapped
+
+        memo(program, "compile_table", lambda exprs: tuple(exprs))
+        memo(kernel, "eval_table", lambda table, points: (
+            table, tuple(map(tuple, points))))
+        memo(transport.TransportBundle, "coefficient_entries", bundle_key)
+        memo(cli, "_leibniz_defect", lambda u, v, pairing: (
+            bundle_key(u), bundle_key(v), pairing))
+        hol = memo(transport, "holonomy_dimensions",
+                   lambda bundles, loops, steps: (
+                       tuple(map(bundle_key, bundles)),
+                       tuple(map(loop_key, loops)), steps))
+        monkeypatch.setattr(cli, "holonomy_dimensions", hol)
+
+    @pytest.mark.parametrize("name", BUNDLED + ("random3",))
+    def test_same_reports_as_per_suite_reduction(self, name, once):
+        spec = _spec(name)
+        for seed in (0, 3):
+            merged = Report("check", spec.digest)
+            for suite in _SUITES:
+                new, old = (Report("check", spec.digest) for _ in range(2))
+                run_suite(spec, suite, new, seed, 50)
+                oracles.run_suite_reference(spec, suite, old, seed, 50)
+                assert _bits(new.to_json()) == _bits(old.to_json()), suite
+                merged.checks += new.checks
+                merged.metrics.update(new.metrics)
+            report = Report("check", spec.digest)
+            run_suite(spec, "all", report, seed, 50)
+            assert _bits(report.to_json()) == _bits(merged.to_json())
+
+    def test_check_all_makes_one_residual_table(self, monkeypatch, once):
+        from protract import cli, geometry, program, projective
+
+        # the entry counts of the tables compiled inside a max_residuals
+        # call of cli, or of verify_bianchi or check_weyl_cotton_invariance
+        tables, inside = [], []
+        real_compile = program.compile_table
+
+        def counted(reduce):
+            def wrapped(families, points):
+                inside.append(True)
+                try:
+                    return reduce(families, points)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        def compile_table(exprs):
+            table = real_compile(exprs)
+            if inside:
+                tables.append(table.n_out)
+            return table
+
+        for module in (cli, geometry, projective):
+            monkeypatch.setattr(module, "max_residuals",
+                                counted(module.max_residuals))
+        monkeypatch.setattr(program, "compile_table", compile_table)
+        spec = _spec("sphere3")
+        single = []
+        for suite in _SUITES:
+            tables.clear()
+            run_suite(spec, suite, Report("check", ""), 0, 50)
+            assert len(tables) == 1, suite
+            single += tables
+        tables.clear()
+        cli.cmd_check(spec, "all", 0, 50)
+        assert tables == [sum(single)]
+
+
 @pytest.fixture
 def inject_nan(monkeypatch):
     """inject_nan(index): NaN into one point of every table evaluation.
@@ -723,7 +856,9 @@ def inject_nan(monkeypatch):
     starts (index 0) or ends (index -1) with a NaN. Screening sample
     points through ChartGeometry.invertible_at (the batch of
     _eval_points) and check_invertible_at stays clean, so the suites
-    still find points to evaluate their residuals at.
+    still find points to evaluate their residuals at, and so does the
+    closure check of a loop (transport._check_closed, which rejects a
+    gap that is not finite), so the holonomy suite still transports.
     """
     def install(index):
         real_table = kernel.eval_table
@@ -736,10 +871,10 @@ def inject_nan(monkeypatch):
             return out
 
         def clean(screen):
-            def wrapped(self, points):
+            def wrapped(*args):
                 state["on"] = False
                 try:
-                    return screen(self, points)
+                    return screen(*args)
                 finally:
                     state["on"] = True
             return wrapped
@@ -749,6 +884,8 @@ def inject_nan(monkeypatch):
         for name in ("check_invertible_at", "invertible_at"):
             monkeypatch.setattr(ChartGeometry, name,
                                 clean(getattr(ChartGeometry, name)))
+        monkeypatch.setattr(transport, "_check_closed",
+                            clean(transport._check_closed))
     return install
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from protract.expr import evaluate, parse
 from protract.geometry import (
+    GeometryError,
     connection_pack,
     covariant_derivative,
     torsion,
 )
 from protract.projective import (
-    Upsilon,
     check_weyl_cotton_invariance,
     einstein_deviation,
     gradient_upsilon,
@@ -23,7 +23,7 @@ from gen import invertible, poly, poly_field, random_metric, rational_points, rn
 
 
 def _zero_upsilon(n):
-    return Upsilon(TensorField(n, 0, 1, [parse("0", n) for _ in range(n)]))
+    return TensorField(n, 0, 1, [parse("0", n) for _ in range(n)])
 
 
 class TestProjectiveChange:
@@ -38,7 +38,7 @@ class TestProjectiveChange:
         ups = gradient_upsilon(parse("x0*x1", 2), 2)
         changed = projective_change(flat2.connection(), ups)
         p = (Fraction(2), Fraction(3))
-        upv = [evaluate(e, p) for e in ups.field.components]
+        upv = [evaluate(e, p) for e in ups.components]
         n = 2
         got = changed.gamma.at(p)
         for c in range(n):
@@ -53,16 +53,16 @@ class TestProjectiveChange:
         u1 = poly_field(rng, n, 0, 1)
         u2 = poly_field(rng, n, 0, 1)
         conn = non_einstein2.connection()
-        step = projective_change(projective_change(conn, Upsilon(u1)), Upsilon(u2))
+        step = projective_change(projective_change(conn, u1), u2)
         summed = TensorField(n, 0, 1, [u1.components[i] + u2.components[i]
                                        for i in range(n)])
-        once = projective_change(conn, Upsilon(summed))
+        once = projective_change(conn, summed)
         pt = [Fraction(1, 2), Fraction(-1, 3)]
         assert step.gamma.at(pt).components == once.gamma.at(pt).components
 
     def test_torsion_preserved(self, non_einstein3):
         rng = rng_for("ups-torsion")
-        ups = Upsilon(poly_field(rng, 3, 0, 1))
+        ups = poly_field(rng, 3, 0, 1)
         changed = projective_change(non_einstein3.connection(), ups)
         t = torsion(changed)
         pt = [Fraction(1), Fraction(2), Fraction(-1)]
@@ -73,14 +73,14 @@ class TestProjectiveChange:
         rng = rng_for("one-form-law")
         n = 2
         conn = non_einstein2.connection()
-        ups = Upsilon(poly_field(rng, n, 0, 1))
+        ups = poly_field(rng, n, 0, 1)
         omega = poly_field(rng, n, 0, 1)
         barred = covariant_derivative(projective_change(conn, ups), omega)
         plain = covariant_derivative(conn, omega)
         for pt in rational_points(rng, n, 10):
             bv = barred.at(pt)
             pv = plain.at(pt)
-            uv = ups.field.at(pt)
+            uv = ups.at(pt)
             ov = omega.at(pt)
             for a in range(n):
                 for b in range(n):
@@ -94,7 +94,7 @@ class TestProjectiveChange:
         rng = rng_for("scalar-diff")
         n = 3
         conn = non_einstein3.connection()
-        ups = Upsilon(poly_field(rng, n, 0, 1))
+        ups = poly_field(rng, n, 0, 1)
         omega = poly_field(rng, n, 0, 1)
         nu = poly_field(rng, n, 1, 0)
         s = contract(TensorField(n, 1, 1, [x * y for x in nu.components
@@ -109,12 +109,16 @@ class TestGradientUpsilon:
     def test_components_are_partials(self):
         ups = gradient_upsilon(parse("x0^2 + x1/3", 2), 2)
         p = (Fraction(5), Fraction(0))
-        assert evaluate(ups.field.components[0], p) == 10
-        assert evaluate(ups.field.components[1], p) == Fraction(1, 3)
+        assert evaluate(ups.components[0], p) == 10
+        assert evaluate(ups.components[1], p) == Fraction(1, 3)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Upsilon(TensorField(2, 1, 0, [parse("0", 2), parse("0", 2)]))
+    def test_dimension_mismatch_rejected(self, flat2):
+        # a vector is no one-form, nor is a one-form of another dimension
+        conn = flat2.connection()
+        for ups in (TensorField(2, 1, 0, [parse("0", 2), parse("0", 2)]),
+                    _zero_upsilon(3)):
+            with pytest.raises(GeometryError):
+                projective_change(conn, ups)
 
 
 class TestWeylCottonInvariance:
@@ -150,7 +154,7 @@ class TestWeylCottonInvariance:
             c0 = pack.cotton.at(pt)
             c1 = barred.cotton.at(pt)
             w = pack.weyl.at(pt)
-            u = ups.field.at(pt)
+            u = ups.at(pt)
             for a in range(n):
                 for b in range(n):
                     for c in range(n):

@@ -29,6 +29,7 @@ UNREFERENCED_ALLOWED = {
                           "solution",
     "holonomy_dimension": "perfbench/tracer.py wraps it",
     "cotton_weyl_relation": "perfbench/tracer.py wraps it",
+    "check_weyl_cotton_invariance": "acceptance criterion 05",
 }
 
 

@@ -13,8 +13,8 @@ from protract.expr import ONE, ZERO, const, evaluate, neg, parse, power, var
 from protract.geometry import (_cotton_weyl_field, _first_bianchi_field,
                                _second_bianchi_field, partial_derivative,
                                verify_bianchi)
-from protract.projective import (_invariance_fields, einstein_deviation,
-                                 gradient_upsilon)
+from protract.projective import (einstein_deviation, gradient_upsilon,
+                                 invariance_fields)
 from protract.tensor import (
     PointTensor,
     TensorField,
@@ -499,8 +499,8 @@ class TestMaxResiduals:
         bianchi = [[_first_bianchi_field(pack.riemann)],
                    [_second_bianchi_field(conn, pack.riemann)],
                    [_cotton_weyl_field(pack, conn)]]
-        invariance = [[f] for f in _invariance_fields(
-            geom, gradient_upsilon(spec.phi, spec.dim))]
+        invariance = invariance_fields(
+            geom, gradient_upsilon(spec.phi, spec.dim))
         einstein = [[einstein_deviation(geom)],
                     metrisability_obstruction(geom, geom.metric_inverse())]
         for pts in (exact, floats):

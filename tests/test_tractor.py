@@ -6,8 +6,8 @@ import pytest
 
 from protract.cli import load_geometry_spec
 from protract.expr import ZERO, const, diff, evaluate, parse
-from protract.geometry import covariant_derivative
-from protract.projective import Upsilon, gradient_upsilon
+from protract.geometry import GeometryError, covariant_derivative
+from protract.projective import gradient_upsilon
 from protract.tensor import TensorField, max_residual, trace_free_skew
 from protract.tractor import (
     CotractorSection,
@@ -287,7 +287,7 @@ class TestSplitting:
         s = section(rng, CotractorSection, n)
         u = poly_field(rng, n, 0, 1)
         neg = TensorField(n, 0, 1, [ZERO - c for c in u.components])
-        back = splitting_transform(splitting_transform(s, Upsilon(u)), Upsilon(neg))
+        back = splitting_transform(splitting_transform(s, u), neg)
         pt = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]
         assert max_residual([back - s], [pt]) == 0
 
@@ -296,6 +296,12 @@ class TestSplitting:
         s = section(rng, CotractorSection, 2)
         out = splitting_transform(s, gradient_upsilon(poly(rng, 2), 2))
         assert out.sigma.components == s.sigma.components
+
+    def test_only_a_one_form_of_its_dimension_moves_it(self):
+        s = CotractorSection(parse("1", 2), _zero_field(2, 0, 1))
+        for ups in (_zero_field(2, 1, 0), _zero_field(3, 0, 1)):
+            with pytest.raises(GeometryError):
+                splitting_transform(s, ups)
 
 
 class TestTractorCurvature:

@@ -320,6 +320,14 @@ class TestTransport:
         with pytest.raises(NonClosedLoopError):
             loop_matrix(bundle, open_curve, steps=50, check_closed=True)
 
+    def test_non_finite_gap_rejected_for_loop_matrix(self, flat2):
+        # it starts at (NaN, 0) and ends at (1, 1): the x0 gap is NaN, the
+        # x1 gap 1, so the largest gap is NaN and the loop is not closed
+        bundle = cotractor_bundle(flat2)
+        curve = CurveSegment([parse("1/x0", 1), parse("x0", 1)])
+        with pytest.raises(NonClosedLoopError):
+            loop_matrix(bundle, curve, steps=50, check_closed=True)
+
     def test_reverse_transport_inverts(self, sphere2):
         bundle = tractor_bundle(sphere2)
         loop = circle_loop([0.1, 0.2], 0.45)
