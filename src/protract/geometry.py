@@ -42,7 +42,7 @@ __all__ = [
     "ChartGeometry", "AffineConnection", "CurvaturePack",
     "levi_civita", "partial_derivative", "covariant_derivative", "riemann",
     "derive_pack", "connection_pack", "bianchi_families", "verify_bianchi",
-    "torsion", "cotton_weyl_relation",
+    "torsion",
 ]
 
 
@@ -397,8 +397,9 @@ def bianchi_families(pack: CurvaturePack, conn: AffineConnection) -> list:
     first:       R_ab{}^c{}_d + R_da{}^c{}_b + R_bd{}^c{}_a
     second:      nabla_e R_ab{}^c{}_d + nabla_b R_ea{}^c{}_d
                  + nabla_a R_be{}^c{}_d
-    cotton_weyl: (n-2) C_abd - nabla_c W_ab{}^c{}_d (see
-                 cotton_weyl_relation)
+    cotton_weyl: (n-2) C_abd - nabla_c W_ab{}^c{}_d, the Cotton index
+                 order matching the Weyl pair ab and the Schouten index
+                 d last; in dimension 2 both sides vanish identically
 
     A cyclic sum of a tensor skew in ab is totally skew in its three
     slots, so each Bianchi field is built at increasing triples only
@@ -419,14 +420,3 @@ def verify_bianchi(pack: CurvaturePack, conn: AffineConnection, points) -> dict:
                                                pts)
     return {"first": first, "second": second, "cotton_weyl": cotton_weyl,
             "points": len(pts)}
-
-
-def cotton_weyl_relation(pack: CurvaturePack, conn: AffineConnection,
-                         points) -> float:
-    """Max-abs of (n-2) C_abd - nabla_c W_ab{}^c{}_d over points.
-
-    The Cotton index order matches the Weyl pair (a,b); the remaining
-    Schouten index d sits last. In dimension 2 both sides vanish
-    identically and the residual is 0.
-    """
-    return max_residual([_cotton_weyl_field(pack, conn)], list(points))

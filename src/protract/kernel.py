@@ -52,9 +52,12 @@ the table is made, and eval_table runs that program for a float batch
 instead. Each step is one numpy call that writes a row of N floats in
 place: a sum or product of k operands is k - 1 binary steps into one
 row, and a row is reused once its register is past its last reader.
-Lowering costs about one walk, so it repays only a tape that is walked
-again: every other table, and every exact batch, is walked. The
-program's floats are bitwise the walk's, down to the NaN an operation
+Lowering costs about 1.1 walks, and the program then runs in about 0.7
+of one (the 18 one-shot float tables of sphere3 `check --suite all`:
+walk 27 ms, lowering 30 ms, programs 20 ms, on 2 vCPUs with Python 3.11
+and numpy 2.4), so it repays only on a tape walked four times or more:
+every other table, and every exact batch, is walked. The program's
+floats are bitwise the walk's, down to the NaN an operation
 keeps of two: a register that reads no coordinate is the walk's own
 float64 scalar, and every step runs the walk's numpy loop on the same
 kinds of operand.

@@ -1,4 +1,4 @@
-"""Parallel transport, loop holonomy, and PDE-solution correspondence.
+"""Parallel transport, loop holonomy, and the source equations.
 
 A bundle connection acting on sections with constant coefficients has no
 derivative terms left, so applying it to a basis of frozen constant
@@ -39,7 +39,6 @@ from .tensor import (
     PointTensor,
     TensorField,
     max_magnitude,
-    max_residual,
     trace_free_11,
     trace_free_skew,
     trace_free_sym,
@@ -60,14 +59,14 @@ from .tractor import (
 )
 
 __all__ = [
-    "TransportError", "NotParallelError", "NonClosedLoopError",
+    "TransportError", "NonClosedLoopError",
     "CurveSegment", "line_segment", "circle_loop", "rectangle_loop",
     "seeded_loops", "reverse_loop", "TangentSection", "TransportBundle",
     "cotractor_bundle", "tractor_bundle", "s2_tractor_bundle",
     "s2_cotractor_bundle", "skew_bundle", "tangent_bundle", "BUNDLES",
     "transport", "holonomy_dimension", "holonomy_dimensions",
     "HolonomyReport",
-    "solution_correspondence", "transported_sampler", "sampled_pde_residual",
+    "pde_residual_field", "transported_sampler", "sampled_pde_residual",
 ]
 
 
@@ -82,10 +81,6 @@ def _coef(x) -> Expr:
     if isinstance(x, float):
         return const(Fraction(x))
     return as_expr(x)
-
-
-class NotParallelError(TransportError):
-    pass
 
 
 class NonClosedLoopError(TransportError):
@@ -313,13 +308,6 @@ class TransportBundle:
         fields = [f for _, f in section.slots()]
         for si, flat in self.layout:
             out.append(fields[si].components[flat])
-        return out
-
-    def flatten_point(self, point_section: dict) -> np.ndarray:
-        names = [name for name, _ in self.section_cls.SLOT_SPEC]
-        out = np.empty(self.rank)
-        for idx, (si, flat) in enumerate(self.layout):
-            out[idx] = float(point_section[names[si]].components[flat])
         return out
 
     def unflatten_point(self, vec) -> dict:
@@ -560,15 +548,10 @@ def loop_matrix(bundle: TransportBundle, curve, steps: int,
 
 
 def transport(bundle: TransportBundle, curve, initial, steps: int):
-    """Transport an initial section value along a curve in steps RK4 steps.
-
-    initial: dict of PointTensors keyed by slot name (returned form), or
-    a flat coordinate vector (a flat vector is returned then).
-    """
-    S = loop_matrix(bundle, curve, steps)
-    if isinstance(initial, dict):
-        return bundle.unflatten_point(S @ bundle.flatten_point(initial))
-    return S @ np.asarray(initial, dtype=float)
+    """Transport an initial coordinate vector along a curve in steps RK4
+    steps."""
+    return loop_matrix(bundle, curve, steps) @ np.asarray(initial,
+                                                           dtype=float)
 
 
 class HolonomyReport:
@@ -655,41 +638,23 @@ _TRACE_FREE = {
 }
 
 
-def _pde_residual_field(bundle: TransportBundle, section: Section):
-    """Symbolic residual field of the source equation for the bundle."""
-    geom = bundle.geom
+def pde_residual_field(geom: ChartGeometry, section: Section):
+    """Symbolic residual field of the source equation that the section's
+    type prolongs."""
     conn = geom.connection()
-    cls = bundle.section_cls
+    cls = type(section)
     if cls is CotractorSection:
         d1 = covariant_derivative(conn, section.sigma)
         d2 = covariant_derivative(conn, d1)           # [a][b]
         P = geom.pack().schouten
-        n = bundle.dim
+        n = geom.dim
         sigma = section.sigma.components[0]
         comps = [d2[a, b] + P[a, b] * sigma
                  for a in range(n) for b in range(n)]
         return TensorField(n, 0, 2, comps)
     if cls not in _TRACE_FREE:
-        raise TransportError("no source equation for bundle %r" % bundle.name)
+        raise TransportError("no source equation for %s" % cls.__name__)
     return _TRACE_FREE[cls](covariant_derivative(conn, section.slots()[0][1]))
-
-
-def solution_correspondence(bundle: TransportBundle, section: Section,
-                            points) -> float:
-    """Max-abs residual of the source PDE for a parallel section.
-
-    Raises NotParallelError when the connection applied to the section
-    exceeds 1e-7 at any sample point, and returns NaN when that
-    parallel residual is NaN.
-    """
-    pts = list(points)
-    parallel = max_residual(bundle.nabla(bundle.geom, section), pts)
-    if parallel > 1e-7:
-        raise NotParallelError(
-            "section is not parallel: residual %.3e" % parallel)
-    if parallel != parallel:
-        return parallel   # NaN: not shown parallel, so no residual passes
-    return max_residual([_pde_residual_field(bundle, section)], pts)
 
 
 def transported_sampler(bundle: TransportBundle, base_point, initial_vec,

@@ -41,7 +41,10 @@ before a product-rule term was built directly, the derivative store
 appended the next coordinate and _op_arg dispatched by type; and
 run_suite, _eval_points with its per-seed cache and the six suites as
 they were when each suite reduced its own residual families, before a
-check run reduced all of them in one max_residuals call.
+check run reduced all of them in one max_residuals call; and
+solution_correspondence, with its NotParallelError, as it was when the
+prolong suite checked the source equation at the first five points with
+tables of its own.
 antisymmetrize_reference builds each entry of a skew part anew, with no
 cache.
 
@@ -77,6 +80,7 @@ from protract.tractor import (
     TractorSection,
     _scalar,
 )
+from protract.transport import TransportError
 
 
 def central_diff(f, x, i: int, h: float = 1e-5):
@@ -1482,6 +1486,38 @@ def screen_points_reference(geom, points) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Verbatim copy of transport.solution_correspondence and NotParallelError
+# as they were when the prolong suite checked its source equation at the
+# first five points with tables of its own, before that residual joined
+# the run's one max_residuals call. Only the function's name and imports
+# differ, and _pde_residual_field(bundle, section) is its public form
+# pde_residual_field(bundle.geom, section).
+
+class NotParallelError(TransportError):
+    pass
+
+
+def solution_correspondence_reference(bundle, section, points) -> float:
+    """Max-abs residual of the source PDE for a parallel section.
+
+    Raises NotParallelError when the connection applied to the section
+    exceeds 1e-7 at any sample point, and returns NaN when that
+    parallel residual is NaN.
+    """
+    from protract.tensor import max_residual
+    from protract.transport import pde_residual_field
+
+    pts = list(points)
+    parallel = max_residual(bundle.nabla(bundle.geom, section), pts)
+    if parallel > 1e-7:
+        raise NotParallelError(
+            "section is not parallel: residual %.3e" % parallel)
+    if parallel != parallel:
+        return parallel   # NaN: not shown parallel, so no residual passes
+    return max_residual([pde_residual_field(bundle.geom, section)], pts)
+
+
+# ---------------------------------------------------------------------------
 # Verbatim copies of _suite_duality, _suite_einstein and _suite_prolong
 # (cli.py), and of the holonomy suite's curvature grids, as they were when
 # they checked the connections on seeded random sections, before the
@@ -1601,7 +1637,7 @@ def suite_prolong_reference(spec, report, seed: int, steps: int):
     from protract.tensor import max_residual
     from protract.tractor import (metric_lift, metrisability_prolong_nabla,
                                   s2_tractor_nabla, s2_tractor_nabla_expanded)
-    from protract.transport import s2_tractor_bundle, solution_correspondence
+    from protract.transport import s2_tractor_bundle
     from gen import section as _rand_section
 
     geom = spec.geom
@@ -1611,7 +1647,7 @@ def suite_prolong_reference(spec, report, seed: int, steps: int):
                max_residual(metrisability_prolong_nabla(geom, lift), pts),
                1e-7)
     bundle = s2_tractor_bundle(geom)
-    res = solution_correspondence(bundle, lift, pts[:5])
+    res = solution_correspondence_reference(bundle, lift, pts[:5])
     report.add("metrisability_residual", res, 1e-7)
 
     rng = random.Random(seed ^ 0x97)
@@ -1753,7 +1789,7 @@ def _suite_prolong_own_table(spec, report, seed: int, steps: int):
     from protract.tensor import max_residuals
     from protract.tractor import (metric_lift, metrisability_prolong_nabla,
                                   s2_tractor_nabla, s2_tractor_nabla_expanded)
-    from protract.transport import s2_tractor_bundle, solution_correspondence
+    from protract.transport import s2_tractor_bundle
 
     geom = spec.geom
     pts = eval_points_reference(spec, seed)
@@ -1767,7 +1803,7 @@ def _suite_prolong_own_table(spec, report, seed: int, steps: int):
         pts)
     report.add("metric_lift_parallel", parallel, 1e-7)
     bundle = s2_tractor_bundle(geom)
-    res = solution_correspondence(bundle, lift, pts[:5])
+    res = solution_correspondence_reference(bundle, lift, pts[:5])
     report.add("metrisability_residual", res, 1e-7)
     report.add("expansion_matches_direct", expansion, 1e-12)
 

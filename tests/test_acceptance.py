@@ -17,7 +17,6 @@ import numpy as np
 
 from protract.expr import diff, evaluate, parse
 from protract.geometry import (
-    cotton_weyl_relation,
     verify_bianchi,
 )
 from protract.projective import check_weyl_cotton_invariance, gradient_upsilon
@@ -170,14 +169,12 @@ def test_criterion_03_bianchi_and_cotton_weyl(sphere3, non_einstein3):
         assert res["first"] == 0, "first identity residual %r" % res["first"]
         assert res["second"] == 0, "second identity residual %r" % res["second"]
     fpts = float_points(rng, 3, 6)
-    second = verify_bianchi(sphere3.pack(), sphere3.connection(),
-                            fpts)["second"]
+    res = verify_bianchi(sphere3.pack(), sphere3.connection(), fpts)
+    second, cw_float = res["second"], res["cotton_weyl"]
     assert second < 1e-7, "second identity float residual %.3e" % second
-    cw_exact = cotton_weyl_relation(
+    cw_exact = verify_bianchi(
         non_einstein3.pack(), non_einstein3.connection(),
-        rational_points(rng, 3, 4))
-    cw_float = cotton_weyl_relation(sphere3.pack(), sphere3.connection(),
-                                    fpts)
+        rational_points(rng, 3, 4))["cotton_weyl"]
     assert cw_exact < 1e-7 and cw_float < 1e-7
     _line(3, True, "cycle identities exact on polynomial charts, "
                    "divergence relation residual %.1e" % max(cw_exact,

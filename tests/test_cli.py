@@ -25,10 +25,11 @@ from protract.cli import (SUITES, _SUITES, GeometrySpec, Report,
                           sample_points)
 from protract.expr import add
 from protract.geometry import ChartGeometry
-from protract.tensor import max_residuals
-from protract.tractor import (S2CotractorSection, _leibniz,
-                              _metrisability_correction,
+from protract.tensor import TensorField, max_residual, max_residuals
+from protract.tractor import (S2CotractorSection, S2TractorSection, _leibniz,
+                              _metrisability_correction, metric_lift,
                               s2_cotractor_dual_pairing)
+from protract.transport import pde_residual_field
 
 import oracles
 from gen import poly, random_metric, rng_for
@@ -206,6 +207,55 @@ class TestCheckCommand:
         # for the first and second Bianchi and Cotton-Weyl residuals
         assert entries == [9, 1, 3 ** 4 + 3 ** 5 + 3 ** 3]
 
+    def test_prolong_suite_compiles_one_residual_tape(self, monkeypatch):
+        from protract import program, transport
+
+        real = program.compile_table
+        entries = []
+
+        def counted(exprs):
+            table = real(exprs)
+            entries.append(table.n_out)
+            return table
+
+        monkeypatch.setattr(program, "compile_table", counted)
+        monkeypatch.setattr(transport, "compile_table", counted)
+        rc, out, _, _ = run_cli(["check", "--spec", "sphere3",
+                                  "--suite", "prolong"])
+        assert rc == 0, out
+        # the metric probe and the determinant screen, as for bianchi;
+        # the symmetry probe of nabla t that trace_free_sym runs; then
+        # one tape for the connection on the lift (n sections of n^2 + n
+        # + 1 slots), the expansion gap (n * 10 * 10 matrix entries) and
+        # the source equation on the lift's t slot (n^3)
+        assert entries == [9, 1, 3 ** 3,
+                           3 * (3 ** 2 + 3 + 1) + 3 * 10 ** 2 + 3 ** 3]
+
+    def test_lift_not_shown_parallel_fails_with_exit_1(self, tmp_path,
+                                                        monkeypatch):
+        # rho off by one: the t slot still solves the equation, but the
+        # section is not parallel, so no metrisability residual passes
+        from protract import cli
+
+        real = cli.metric_lift
+
+        def shifted(geom):
+            s = real(geom)
+            rho = TensorField(geom.dim, 0, 0, [s.rho.components[0] + 1])
+            return S2TractorSection(s.t, s.nu, rho)
+
+        monkeypatch.setattr(cli, "metric_lift", shifted)
+        path = tmp_path / "r.json"
+        rc, out, err, report = run_cli(
+            ["check", "--spec", "sphere2", "--suite", "prolong",
+             "--json", str(path)], json_path=path)
+        assert rc == 1, out
+        assert err == ""
+        parallel, residual, expansion = report["checks"]
+        assert parallel["residual"] > 1e-7 and not parallel["pass"]
+        assert math.isnan(residual["residual"]) and not residual["pass"]
+        assert expansion["pass"]
+
     def test_holonomy_suite_compiles_one_coefficient_tape(self, monkeypatch):
         from protract import program, transport
 
@@ -298,6 +348,27 @@ class TestSpecLoading:
         rc, _, err, _ = run_cli(command + ["--spec", spec])
         assert rc == 2
         assert "no usable sample points" in err
+
+    def test_exact_residual_beyond_float_range_fails(self, tmp_path):
+        # nonEinstein3 with phi = 10^400 x0: Upsilon = (10^400, 0, 0)
+        # makes the exact Cotton change too large for a float, so the
+        # residual saturates to inf and the check fails with its report
+        # written, as a NaN residual does
+        spec = write_spec(tmp_path, dim=3, coords=["x0", "x1", "x2"],
+                          metric=[["1", "0", "0"], ["0", "1+x0^2", "0"],
+                                  ["0", "0", "1"]],
+                          phi="10^400*x0", box=[[-1, 1]] * 3,
+                          samples={"count": 2, "seed": 105})
+        path = tmp_path / "r.json"
+        rc, out, err, report = run_cli(
+            ["check", "--spec", spec, "--suite", "invariance",
+             "--json", str(path)], json_path=path)
+        assert rc == 1, out
+        assert err == ""
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["cotton_invariance"]["residual"] == math.inf
+        assert not by_name["cotton_invariance"]["pass"]
+        assert report["status"] == "fail"
 
     def test_bad_metric_entry_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, metric=[["1", "0"], ["0", "x7 + 1"]])
@@ -578,6 +649,18 @@ class TestCurvatureCommand:
         assert rc == 0
         assert all(v == 0.0 for v in report["metrics"]["values"]["riemann"])
 
+    def test_value_beyond_float_range_reads_inf(self, tmp_path):
+        # exact Ricci_11 is about -10^400 at the first sample point
+        spec = write_spec(tmp_path, phi=None,
+                          metric=[["1", "0"], ["0", "1 + 10^400*x0^4"]],
+                          samples={"count": 2, "seed": 3})
+        path = tmp_path / "r.json"
+        rc, out, err, report = run_cli(
+            ["curvature", "--spec", spec, "--json", str(path)],
+            json_path=path)
+        assert rc == 0 and err == "", out
+        assert report["metrics"]["values"]["ricci"][3] == -math.inf
+
 
 class TestSampleScreening:
     @pytest.fixture
@@ -747,8 +830,9 @@ class TestOneReduction:
     """A check run screens its points once and reduces the families of
     all its suites in one max_residuals call. Its reports equal, floats
     bitwise, those of the per-suite reduction it replaced
-    (oracles.run_suite_reference) suite by suite, and "all" is the
-    in-order merge of the six single-suite reports."""
+    (oracles.run_suite_reference) suite by suite, but for
+    metrisability_residual, and "all" is the in-order merge of the six
+    single-suite reports."""
 
     @pytest.fixture
     def once(self, monkeypatch):
@@ -792,14 +876,30 @@ class TestOneReduction:
 
     @pytest.mark.parametrize("name", BUNDLED + ("random3",))
     def test_same_reports_as_per_suite_reduction(self, name, once):
+        # metrisability_residual is the one exception: the source
+        # equation now joins the run's table and is reduced over every
+        # screened point, where the per-suite reduction read the first
+        # five with tables of its own
         spec = _spec(name)
+        solution = pde_residual_field(spec.geom, metric_lift(spec.geom))
         for seed in (0, 3):
             merged = Report("check", spec.digest)
             for suite in _SUITES:
                 new, old = (Report("check", spec.digest) for _ in range(2))
                 run_suite(spec, suite, new, seed, 50)
                 oracles.run_suite_reference(spec, suite, old, seed, 50)
-                assert _bits(new.to_json()) == _bits(old.to_json()), suite
+                got, want = new.to_json(), old.to_json()
+                if suite == "prolong":
+                    got_res, want_res = (r["checks"].pop(1) for r in
+                                         (got, want))
+                    assert got_res["name"] == "metrisability_residual"
+                    assert _bits(got_res["residual"]) == _bits(float(
+                        max_residual([solution], _eval_points(spec, seed))))
+                    assert got_res["residual"] >= want_res["residual"]
+                    for r in (got_res, want_res):
+                        del r["residual"]
+                    assert got_res == want_res
+                assert _bits(got) == _bits(want), suite
                 merged.checks += new.checks
                 merged.metrics.update(new.metrics)
             report = Report("check", spec.digest)

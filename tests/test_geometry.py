@@ -17,7 +17,6 @@ from protract.geometry import (
     _ricci,
     _second_bianchi_field,
     connection_pack,
-    cotton_weyl_relation,
     covariant_derivative,
     derive_pack,
     levi_civita,
@@ -566,21 +565,24 @@ class TestCottonWeylRelation:
         rng = rng_for("cw-ne3")
         pts = [p for p in rational_points(rng, 3, 6)
                if invertible(non_einstein3, p)]
-        res = cotton_weyl_relation(non_einstein3.pack(), non_einstein3.connection(), pts)
+        res = verify_bianchi(non_einstein3.pack(), non_einstein3.connection(),
+                             pts)["cotton_weyl"]
         assert res == 0
 
     def test_random_metric_n4(self):
         rng = rng_for("cw-n4")
         geom = random_metric(rng, 4)
         pts = [p for p in rational_points(rng, 4, 3) if invertible(geom, p)]
-        res = cotton_weyl_relation(geom.pack(), geom.connection(), pts)
+        res = verify_bianchi(geom.pack(), geom.connection(),
+                             pts)["cotton_weyl"]
         assert res < 1e-7
 
     def test_two_dimensions_identically_zero(self, non_einstein2):
         rng = rng_for("cw-n2")
         pts = [p for p in rational_points(rng, 2, 6)
                if invertible(non_einstein2, p)]
-        res = cotton_weyl_relation(non_einstein2.pack(), non_einstein2.connection(), pts)
+        res = verify_bianchi(non_einstein2.pack(), non_einstein2.connection(),
+                             pts)["cotton_weyl"]
         assert res == 0
 
 
@@ -615,7 +617,7 @@ class TestDerivativeWork:
         conn = geom.connection()
         res = verify_bianchi(pack, conn, [pt])
         assert res["first"] == 0 and res["second"] == 0
-        assert cotton_weyl_relation(pack, conn, [pt]) == 0
+        assert res["cotton_weyl"] == 0
         pairs = {(id(n), a) for n, a in deriv_calls}
         assert len(deriv_calls) == len(pairs) > 1000
 

@@ -4,12 +4,14 @@ protract/__init__.py is no reader: a name that stays without one is in
 UNREFERENCED_ALLOWED with its reason."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import protract
 
 SRC = Path(protract.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # qualified name -> why it stays without a reader in src/protract
 UNREFERENCED_ALLOWED = {
@@ -28,7 +30,6 @@ UNREFERENCED_ALLOWED = {
     "skew_induced_parts": "a paper construct: the nu slot of a skew "
                           "solution",
     "holonomy_dimension": "perfbench/tracer.py wraps it",
-    "cotton_weyl_relation": "perfbench/tracer.py wraps it",
     "check_weyl_cotton_invariance": "acceptance criterion 05",
 }
 
@@ -82,3 +83,13 @@ def unreferenced_functions(src: Path) -> set:
 
 def test_every_function_has_a_reader_in_the_package():
     assert unreferenced_functions(SRC) == set(UNREFERENCED_ALLOWED)
+
+
+def test_tracer_reasons_name_what_the_tracer_reads():
+    # a name the tracer wraps or counts through occurs in its text
+    text = TRACER.read_text()
+    cited = [name for name, why in UNREFERENCED_ALLOWED.items()
+             if "perfbench/tracer.py" in why]
+    assert cited
+    assert [name for name in cited if not re.search(
+        r"\b%s\b" % re.escape(name.rsplit(".", 1)[-1]), text)] == []

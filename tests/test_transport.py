@@ -9,6 +9,7 @@ import pytest
 from protract.cli import BUNDLED, load_geometry_spec
 from protract.expr import add, diff, parse
 from protract.kernel import eval_table
+from protract.program import compile_table
 from protract.tensor import TensorField, max_residual
 from protract.tractor import (
     CotractorSection,
@@ -19,7 +20,6 @@ from protract.transport import (
     BUNDLES,
     CurveSegment,
     NonClosedLoopError,
-    NotParallelError,
     TransportError,
     circle_loop,
     cotractor_bundle,
@@ -27,6 +27,7 @@ from protract.transport import (
     holonomy_dimensions,
     line_segment,
     loop_matrix,
+    pde_residual_field,
     rectangle_loop,
     reverse_loop,
     s2_cotractor_bundle,
@@ -34,7 +35,6 @@ from protract.transport import (
     sampled_pde_residual,
     seeded_loops,
     skew_bundle,
-    solution_correspondence,
     tangent_bundle,
     tractor_bundle,
     transport,
@@ -78,6 +78,13 @@ def _assert_same_report(got, want):
     assert len(got.matrices) == len(want.matrices)
     for g, w in zip(got.matrices, want.matrices):
         assert g.tobytes() == w.tobytes()
+
+
+def _flat_values(fields, point) -> np.ndarray:
+    """The slot fields of a section, as bundle.flatten_fields lists them,
+    as floats at one point."""
+    return np.asarray(eval_table(compile_table(fields), [point])[0],
+                      dtype=float)
 
 
 class TestCurves:
@@ -186,18 +193,21 @@ class TestBundleMachinery:
         for j in range(bundle.rank):
             vec = np.zeros(bundle.rank)
             vec[j] = 1.0
-            sec = bundle.basis_section(j)
-            point = [Fraction(0), Fraction(0)]
-            flat_vec = bundle.flatten_point(sec.at(point))
-            assert np.allclose(flat_vec, vec)
+            fields = bundle.flatten_fields(bundle.basis_section(j))
+            assert np.array_equal(_flat_values(fields, [0, 0]), vec)
 
     def test_unflatten_inverts_flatten(self, flat3):
+        # unflatten_point(vec) is the value of the constant section with
+        # coordinates vec, whose slot fields flatten back to vec
         bundle = s2_tractor_bundle(flat3)
         rng = rng_for("flatten")
-        vec = np.array([rng.uniform(-2, 2) for _ in range(bundle.rank)])
-        pt_tensors = bundle.unflatten_point(vec)
-        back = bundle.flatten_point(pt_tensors)
-        assert np.allclose(back, vec)
+        vec = [Fraction(rng.uniform(-2, 2)) for _ in range(bundle.rank)]
+        sec = bundle.constant_section(vec)
+        fields = bundle.flatten_fields(sec)
+        assert np.array_equal(_flat_values(fields, [0, 0, 0]), vec)
+        value = sec.at([0, 0, 0])
+        for name, pt in bundle.unflatten_point(vec).items():
+            assert list(pt.components) == list(value[name].components)
 
     def test_flat_cotractor_coefficients_nilpotent(self, flat2):
         # only the sigma slot couples (to -mu_a); products of the direction
@@ -302,17 +312,13 @@ class TestTransport:
         tsum = transport(bundle, curve, 2 * u - 3 * v, steps=200)
         assert np.allclose(tsum, 2 * tu - 3 * tv, atol=1e-10)
 
-    def test_transport_accepts_section_values(self, flat2):
+    def test_transport_of_a_flat_parallel_cotractor(self, flat2):
+        # on a flat chart a parallel cotractor (sigma, mu) keeps mu
+        # constant while sigma grows by mu . dx
         bundle = cotractor_bundle(flat2)
-        sec = CotractorSection(parse("1", 2),
-                               TensorField(2, 0, 1, [parse("2", 2), parse("-1", 2)]))
         curve = (line_segment([0.0, 0.0], [0.5, 0.5]),)
-        out = transport(bundle, curve, sec.at([Fraction(0), Fraction(0)]), steps=100)
-        # dict input comes back as a dict of point tensors; on a flat chart a
-        # parallel cotractor keeps mu constant while sigma grows by mu . dx
-        assert isinstance(out, dict)
-        flat_vec = bundle.flatten_point(out)
-        assert np.allclose(flat_vec, [1.5, 2.0, -1.0], atol=1e-10)
+        out = transport(bundle, curve, [1.0, 2.0, -1.0], steps=100)
+        assert np.allclose(out, [1.5, 2.0, -1.0], atol=1e-10)
 
     def test_open_curve_rejected_for_loop_matrix(self, flat2):
         bundle = cotractor_bundle(flat2)
@@ -690,38 +696,36 @@ class TestOneChain:
 
 
 class TestCorrespondence:
+    """A parallel section's leading slot solves the source equation: the
+    connection and pde_residual_field both vanish on it."""
+
     def test_flat_gradient_cotractor_exact(self, flat2):
         sigma = parse("3*x0 - x1 + 2", 2)
         mu = TensorField(2, 0, 1, [diff(sigma, 0), diff(sigma, 1)])
         sec = CotractorSection(sigma, mu)
-        res = solution_correspondence(cotractor_bundle(flat2), sec,
-                                      [[0.0, 0.0], [0.5, -0.5], [0.25, 0.75]])
-        assert res == 0.0
+        pts = [[0.0, 0.0], [0.5, -0.5], [0.25, 0.75]]
+        assert max_residual(cotractor_bundle(flat2).nabla(flat2, sec),
+                            pts) == 0.0
+        assert max_residual([pde_residual_field(flat2, sec)], pts) == 0.0
 
     def test_metric_lift_on_sphere3(self, sphere3):
         lift = metric_lift(sphere3)
-        res = solution_correspondence(s2_tractor_bundle(sphere3), lift,
-                                      [[0.0, 0.0, 0.0], [0.3, -0.2, 0.4]])
-        assert res < 1e-7
-
-    def test_non_parallel_section_rejected(self, flat2):
-        sigma = parse("x0^2", 2)
-        mu = TensorField(2, 0, 1, [parse("0", 2), parse("0", 2)])
-        sec = CotractorSection(sigma, mu)
-        with pytest.raises(NotParallelError):
-            solution_correspondence(cotractor_bundle(flat2), sec, [[0.4, 0.2]])
+        pts = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.4]]
+        assert max_residual(s2_tractor_bundle(sphere3).nabla(sphere3, lift),
+                            pts) < 1e-7
+        assert max_residual([pde_residual_field(sphere3, lift)], pts) < 1e-7
 
 
 class TestTransportedSolutions:
     def test_sampler_reproduces_metric_lift(self, non_einstein2):
         bundle = s2_tractor_bundle(non_einstein2)
-        lift = metric_lift(non_einstein2)
+        lift = bundle.flatten_fields(metric_lift(non_einstein2))
         base = [0.0, 0.0]
-        init = bundle.flatten_point(lift.at([Fraction(0), Fraction(0)]))
+        init = _flat_values(lift, [Fraction(0), Fraction(0)])
         sampler = transported_sampler(bundle, base, init, steps_per_unit=400)
         for target in ([0.4, 0.1], [-0.3, 0.5]):
             got = sampler(target)
-            want = bundle.flatten_point(lift.at(target))
+            want = _flat_values(lift, target)
             assert np.max(np.abs(np.asarray(got) - want)) < 1e-9
 
     def test_transported_section_solves_pde(self, flat3):
